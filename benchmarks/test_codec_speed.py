@@ -1,10 +1,9 @@
 """Columnar trace codec: footprint and encode/decode throughput.
 
-Measures the v2 frame codec against the legacy compressed ``.npz``
-format on the same ~1M-instruction deltablue trace: bytes per
-instruction, compression ratio vs the canonical 35-byte row, and
-encode/decode bandwidth (canonical bytes per second, the same unit the
-``trace.codec.bytes_per_second`` gauges report). Numbers land in
+Measures the v2 frame codec on a ~1M-instruction deltablue trace:
+bytes per instruction, compression ratio vs the canonical 35-byte row,
+and encode/decode bandwidth (canonical bytes per second, the same unit
+the ``trace.codec.bytes_per_second`` gauges report). Numbers land in
 ``benchmarks/results/codec_speed.txt``; assertion floors sit well
 below the targets so shared-runner noise does not flake the suite.
 """
@@ -41,11 +40,8 @@ def test_codec_footprint_and_bandwidth(tmp_path):
     raw_bytes = n * RAW_ROW_BYTES
 
     v2_path = tmp_path / "trace.rpt"
-    npz_path = tmp_path / "trace.npz"
-    encode_s, _ = _best_of(3, lambda: trace.save(v2_path, codec="v2"))
-    npz_s, _ = _best_of(2, lambda: trace.save(npz_path, codec="npz"))
+    encode_s, _ = _best_of(3, lambda: trace.save(v2_path))
     v2_bytes = v2_path.stat().st_size
-    npz_bytes = npz_path.stat().st_size
 
     def decode_all():
         loaded = InstructionTrace.load(v2_path)
@@ -68,19 +64,14 @@ def test_codec_footprint_and_bandwidth(tmp_path):
     column_s, _ = _best_of(3, one_column)
 
     v2_ratio = raw_bytes / v2_bytes
-    npz_ratio = raw_bytes / npz_bytes
     save_text("codec_speed", "\n".join([
         "columnar trace codec (deltablue, cpython, scale 2)",
         f"trace length   : {n:,} instructions "
         f"({raw_bytes / 1e6:.1f} MB canonical at {RAW_ROW_BYTES} B/row)",
         f"v2 frames      : {v2_bytes / 1e6:.2f} MB "
         f"({v2_bytes / n:.2f} B/instr, {v2_ratio:.1f}x smaller)",
-        f"compressed npz : {npz_bytes / 1e6:.2f} MB "
-        f"({npz_bytes / n:.2f} B/instr, {npz_ratio:.1f}x smaller)",
         f"v2 encode      : {encode_s * 1e3:.1f} ms "
         f"({raw_bytes / encode_s / 1e6:.0f} MB/s canonical)",
-        f"npz encode     : {npz_s * 1e3:.1f} ms "
-        f"({raw_bytes / npz_s / 1e6:.0f} MB/s canonical)",
         f"v2 decode      : {decode_s * 1e3:.1f} ms "
         f"({raw_bytes / decode_s / 1e6:.0f} MB/s canonical, "
         "all 8 columns)",

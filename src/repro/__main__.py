@@ -295,11 +295,7 @@ def cmd_cache(args) -> int:
                        title=f"disk cache: {usage['root']}"))
     traces = usage.get("traces", {})
     if traces.get("rows"):
-        formats = traces.get("formats", {})
-        formatted = ", ".join(f"{fmt}: {count}"
-                              for fmt, count in sorted(formats.items()))
-        print(f"trace codec: {formatted or 'none'}; "
-              f"{traces['rows']} instructions in "
+        print(f"trace codec: {traces['rows']} instructions in "
               f"{traces['payload_bytes'] / 1e6:.1f} MB "
               f"({traces['bytes_per_instruction']:.2f} B/instr, "
               f"{traces['compression_ratio']:.1f}x vs canonical "

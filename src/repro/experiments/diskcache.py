@@ -9,15 +9,9 @@ artifact kinds to disk:
 
 ``traces/``
     one finished guest run per entry: the instruction trace as a
-    compressed columnar ``.rpt`` file (:mod:`repro.host.codec`; or a
-    compressed ``.npz`` under ``REPRO_TRACE_CODEC=npz``) plus a JSON
-    sidecar with the :class:`~repro.experiments.runner.RunHandle`
+    compressed columnar ``.rpt`` file (:mod:`repro.host.codec`) plus a
+    JSON sidecar with the :class:`~repro.experiments.runner.RunHandle`
     metadata (VM stats, site table, captured output, measured window).
-    Loads sniff the payload format, so caches written under either
-    codec — or by older schema-2 writers — read transparently; hits on
-    legacy-schema entries are *lazily migrated*: re-stored under the
-    current key and format, the old files deleted
-    (``cache.migrated``).
 
 ``states/``
     one :class:`~repro.uarch.system.MemorySideState` per entry: service
@@ -32,12 +26,13 @@ change the bytes changes the key, so there is no invalidation protocol
 beyond "bump the schema when the serialized layout changes" and
 "delete the directory when the simulator's behavior changes".
 
-**Durability and self-healing.** Each file is written to a per-process
-temporary name and renamed into place, the payload is written *first*,
-and the JSON sidecar — which carries the payload's SHA-256 (field name
-``npz_sha256`` for historical compatibility, whatever the payload
-format) — is written *last*: the sidecar is the commit record for the
-pair. A SIGKILL at any point therefore leaves either a complete entry
+**Durability and self-healing.** Each file is written with
+:func:`~repro.durable.atomic_write` (a unique temp name, then a rename;
+no fsync: an entry can always be recomputed), the payload is written
+*first*, and the JSON sidecar — which carries the payload's SHA-256
+(field name ``npz_sha256`` for historical compatibility, whatever the
+payload format) — is written *last*: the sidecar is the commit record
+for the pair. A SIGKILL at any point therefore leaves either a complete entry
 or a payload orphan, which the next load deletes and treats as a miss.
 Entries that fail integrity checks on load (unparseable sidecar,
 checksum mismatch, truncated/undecodable payload) are *quarantined* —
@@ -59,7 +54,7 @@ Environment knobs:
 
 Fault injection: when a :class:`~repro.experiments.resilience.
 FaultPlan` arms ``cache_corrupt``, the cache deterministically flips
-bytes in ``.npz`` files it just stored so tests can prove the
+bytes in payloads it just stored so tests can prove the
 quarantine-and-recompute path end to end.
 """
 
@@ -74,6 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..durable import atomic_write
 from ..host import codec as tracecodec
 from ..host.trace import InstructionTrace
 from ..telemetry import TELEMETRY
@@ -84,16 +80,12 @@ from .resilience import FaultPlan
 
 #: Bump when the on-disk layout (or anything it captures) changes shape.
 #: 2: sidecars carry the paired payload's SHA-256 (``npz_sha256``).
-#: 3: trace payloads use the v2 columnar codec (``.rpt``) by default;
-#:    sidecars record ``payload_format`` and the trace ``rows``.
+#: 3: trace payloads use the v2 columnar codec (``.rpt``); sidecars
+#:    record the trace ``rows``.
 CACHE_SCHEMA = 3
 
-#: Older schemas whose keys are probed on a miss (read-compat): a hit
-#: under a legacy key is migrated to the current key and format.
-LEGACY_SCHEMAS = (2,)
-
-#: Payload extensions, probe order (v2 codec first, legacy npz second).
-_PAYLOAD_EXTS = (".rpt", ".npz")
+#: Payload extension per artifact kind.
+_PAYLOAD_EXT = {"traces": ".rpt", "states": ".npz"}
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_TOGGLE_ENV = "REPRO_CACHE"
@@ -116,7 +108,7 @@ _OFF_VALUES = frozenset({"off", "0", "no", "false"})
 #: MemorySideState array fields stored in the ``.npz`` entry.
 _STATE_ARRAYS = ("dlevel", "ilevel", "mispredicted")
 
-_KINDS = ("traces", "states")
+_KINDS = tuple(_PAYLOAD_EXT)
 
 
 def cache_root() -> Path | None:
@@ -133,15 +125,9 @@ def verify_enabled() -> bool:
     return toggle not in _OFF_VALUES
 
 
-def content_key(params: dict, schema: int | None = None) -> str:
-    """SHA-256 over the canonical JSON of ``params`` plus the schema.
-
-    ``schema`` defaults to the current layout; loads pass the entries
-    of :data:`LEGACY_SCHEMAS` to probe for migratable old entries.
-    """
-    if schema is None:
-        schema = CACHE_SCHEMA
-    payload = json.dumps({"schema": schema, **params},
+def content_key(params: dict) -> str:
+    """SHA-256 over the canonical JSON of ``params`` plus the schema."""
+    payload = json.dumps({"schema": CACHE_SCHEMA, **params},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -169,24 +155,6 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _atomic_write(path: Path, writer) -> None:
-    """Write via ``writer(tmp_path)`` then rename into place."""
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    def writer(tmp: Path) -> None:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
-
-    _atomic_write(path, writer)
-
-
 class DiskCache:
     """Content-addressed trace/state store rooted at one directory."""
 
@@ -205,34 +173,11 @@ class DiskCache:
     def enabled(self) -> bool:
         return self.root is not None
 
-    def _payload_ext(self, kind: str) -> str:
-        """Extension new payloads of ``kind`` are written with."""
-        if kind == "traces" and tracecodec.trace_codec() == "v2":
-            return ".rpt"
-        return ".npz"
-
     def _paths(self, kind: str, key: str) -> tuple[Path, Path]:
-        """(payload path for a *new* store, sidecar path)."""
+        """(payload path, sidecar path) of one entry."""
         directory = self.root / kind
-        return (directory / f"{key}{self._payload_ext(kind)}",
+        return (directory / f"{key}{_PAYLOAD_EXT[kind]}",
                 directory / f"{key}.json")
-
-    def _find_payload(self, kind: str, key: str) -> Path | None:
-        """The existing payload for an entry, whatever its format."""
-        directory = self.root / kind
-        for ext in _PAYLOAD_EXTS:
-            path = directory / f"{key}{ext}"
-            if path.exists():
-                return path
-        return None
-
-    def _entry_files(self, kind: str, key: str) -> list[Path]:
-        """Every file that may belong to one entry (both payload
-        formats plus the sidecar)."""
-        directory = self.root / kind
-        files = [directory / f"{key}{ext}" for ext in _PAYLOAD_EXTS]
-        files.append(directory / f"{key}.json")
-        return files
 
     # ------------------------------------------------------------------
     # Integrity: orphans, quarantine, verification
@@ -249,7 +194,7 @@ class DiskCache:
             return False
         quarantine = self.root / QUARANTINE_DIR
         moved = False
-        for path in self._entry_files(kind, key):
+        for path in self._paths(kind, key):
             if not path.exists():
                 continue
             target = quarantine / f"{kind}-{path.name}"
@@ -289,10 +234,9 @@ class DiskCache:
         sidecar + a payload means a writer died between the two writes:
         the orphan is deleted and the entry is a miss.
         """
-        payload = self._find_payload(kind, key)
-        meta_path = self.root / kind / f"{key}.json"
+        payload, meta_path = self._paths(kind, key)
         if not meta_path.exists():
-            if payload is not None:
+            if payload.exists():
                 self._drop_orphan(kind, payload)
             return None
         try:
@@ -304,7 +248,7 @@ class DiskCache:
         if not isinstance(meta, dict):
             self.quarantine(kind, key)
             return None
-        if payload is None:
+        if not payload.exists():
             # Sidecar without payload (quarantined file, manual delete).
             self._drop_orphan(kind, meta_path)
             return None
@@ -325,14 +269,24 @@ class DiskCache:
         except OSError:
             pass
 
-    def _finish_store(self, kind: str, key: str, npz_path: Path,
+    def _finish_store(self, kind: str, key: str, payload_path: Path,
                       meta_path: Path, meta: dict) -> None:
         """Commit one entry: checksum the payload, then the sidecar."""
-        meta["npz_sha256"] = file_sha256(npz_path)
-        _write_json(meta_path, meta)
-        self._maybe_corrupt(kind, key, npz_path)
+        meta["npz_sha256"] = file_sha256(payload_path)
 
-    def _maybe_corrupt(self, kind: str, key: str, npz_path: Path) -> None:
+        # Streamed with json.dump, not built with json.dumps: the
+        # pure-Python encoder's allocations trigger the cyclic collector
+        # sooner, and a long-lived server's peak RSS, which holds
+        # garbage only that collector frees, rose 12% without them.
+        def write_sidecar(tmp: Path) -> None:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump(meta, handle, separators=(",", ":"))
+
+        atomic_write(meta_path, write_sidecar)
+        self._maybe_corrupt(kind, key, payload_path)
+
+    def _maybe_corrupt(self, kind: str, key: str,
+                       payload_path: Path) -> None:
         """Injected ``cache_corrupt`` fault: flip bytes post-commit."""
         plan = self.fault_plan
         if not plan or plan.spec("cache_corrupt") is None:
@@ -343,8 +297,8 @@ class DiskCache:
                                 occurrence):
             return
         try:
-            size = npz_path.stat().st_size
-            with open(npz_path, "r+b") as handle:
+            size = payload_path.stat().st_size
+            with open(payload_path, "r+b") as handle:
                 handle.seek(max(0, size // 2))
                 handle.write(b"\xde\xad\xbe\xef" * 8)
         except OSError:
@@ -358,59 +312,35 @@ class DiskCache:
 
     def _delete_entry(self, kind: str, key: str) -> None:
         """Remove an entry, sidecar (the commit record) first."""
-        files = self._entry_files(kind, key)
-        for path in [files[-1]] + files[:-1]:
+        for path in reversed(self._paths(kind, key)):
             try:
                 path.unlink(missing_ok=True)
             except OSError:
                 pass
 
-    def load_run(self, key: str, key_params: dict | None = None):
+    def load_run(self, key: str):
         """Rebuild a RunHandle from disk (None on miss or corruption).
 
         The returned handle carries ``token=0``; the runner assigns a
-        fresh token when it adopts the handle into its caches. When
-        ``key_params`` is given, a miss also probes the legacy-schema
-        keys and migrates any hit to the current key and payload
-        format (deleting the old entry).
+        fresh token when it adopts the handle into its caches.
         """
         if not self.enabled:
             return None
-        handle = self._load_run_at(key)
-        if handle is not None or key_params is None:
-            return handle
-        for schema in LEGACY_SCHEMAS:
-            legacy_key = content_key(key_params, schema=schema)
-            handle = self._load_run_at(legacy_key)
-            if handle is None:
-                continue
-            self.store_run(key, handle, key_params=key_params)
-            self._delete_entry("traces", legacy_key)
-            TELEMETRY.metrics.counter("cache.migrated",
-                                      kind="traces").inc()
-            return handle
-        return None
-
-    def _load_run_at(self, key: str):
         from .runner import RunHandle
         loaded = self._load_sidecar("traces", key)
         if loaded is None:
             return None
         meta, payload = loaded
-        meta.pop("npz_sha256", None)
-        meta.pop("key_params", None)
-        meta.pop("payload_format", None)
-        meta.pop("rows", None)
+        # Sidecar-only fields (``payload_format`` is in entries written
+        # while a second trace format existed).
+        for name in ("npz_sha256", "key_params", "payload_format", "rows"):
+            meta.pop(name, None)
         try:
-            if tracecodec.sniff(payload) == "v2":
-                # Reader-backed lazy trace; late decode failures (e.g.
-                # with REPRO_CACHE_VERIFY=off) still quarantine first.
-                reader = tracecodec.FrameReader(
-                    payload,
-                    on_corrupt=lambda: self.quarantine("traces", key))
-                trace = InstructionTrace._from_reader(reader)
-            else:
-                trace = InstructionTrace.load(payload)
+            # Reader-backed lazy trace; late decode failures (e.g. with
+            # REPRO_CACHE_VERIFY=off) still quarantine first.
+            reader = tracecodec.FrameReader(
+                payload, on_corrupt=lambda: self.quarantine("traces", key))
+            trace = InstructionTrace._from_reader(reader)
             meta["site_table"] = {name: int(pc) for name, pc
                                   in meta.get("site_table", {}).items()}
             handle = RunHandle(trace=trace, token=0, **meta)
@@ -430,9 +360,7 @@ class DiskCache:
         if not self.enabled:
             return
         payload_path, meta_path = self._paths("traces", key)
-        fmt = tracecodec.trace_codec()
         meta = {
-            "payload_format": fmt,
             "rows": len(handle.trace),
             "workload": handle.workload,
             "runtime": handle.runtime,
@@ -459,14 +387,9 @@ class DiskCache:
             meta["key_params"] = key_params
         try:
             payload_path.parent.mkdir(parents=True, exist_ok=True)
-            # v2 writes columnar frames; the npz codec now compresses
-            # too (store cost is paid once, reads dominate).
-            _atomic_write(
-                payload_path,
-                lambda tmp: handle.trace.save(tmp, codec=fmt))
+            atomic_write(payload_path, handle.trace.save)
             self._finish_store("traces", key, payload_path, meta_path,
                                meta)
-            self._drop_sibling_payload("traces", key, payload_path)
             TELEMETRY.metrics.counter("cache.encode_bytes",
                                       kind="traces").inc(
                 payload_path.stat().st_size)
@@ -481,43 +404,13 @@ class DiskCache:
             TELEMETRY.metrics.counter("cache.write_errors",
                                       kind="traces").inc()
 
-    def _drop_sibling_payload(self, kind: str, key: str,
-                              payload_path: Path) -> None:
-        """Remove the other-format payload after a re-store, so stale
-        bytes can never shadow the sidecar's checksum."""
-        for ext in _PAYLOAD_EXTS:
-            sibling = payload_path.with_suffix(ext)
-            if sibling != payload_path:
-                try:
-                    sibling.unlink(missing_ok=True)
-                except OSError:
-                    pass
-
     # ------------------------------------------------------------------
     # Memory-side states
     # ------------------------------------------------------------------
 
-    def load_state(self, key: str,
-                   key_params: dict | None = None,
-                   ) -> MemorySideState | None:
+    def load_state(self, key: str) -> MemorySideState | None:
         if not self.enabled:
             return None
-        state = self._load_state_at(key)
-        if state is not None or key_params is None:
-            return state
-        for schema in LEGACY_SCHEMAS:
-            legacy_key = content_key(key_params, schema=schema)
-            state = self._load_state_at(legacy_key)
-            if state is None:
-                continue
-            self.store_state(key, state, key_params=key_params)
-            self._delete_entry("states", legacy_key)
-            TELEMETRY.metrics.counter("cache.migrated",
-                                      kind="states").inc()
-            return state
-        return None
-
-    def _load_state_at(self, key: str) -> MemorySideState | None:
         loaded = self._load_sidecar("states", key)
         if loaded is None:
             return None
@@ -564,7 +457,7 @@ class DiskCache:
 
         try:
             npz_path.parent.mkdir(parents=True, exist_ok=True)
-            _atomic_write(npz_path, writer)
+            atomic_write(npz_path, writer)
             self._finish_store("states", key, npz_path, meta_path, meta)
         except OSError:
             TELEMETRY.metrics.counter("cache.write_errors",
@@ -668,33 +561,34 @@ class DiskCache:
     def _entries(self):
         """All committed pairs: (mtime, bytes, kind, key) per entry.
 
-        Orphans discovered along the way are deleted on the spot.
+        Orphans discovered along the way are deleted on the spot: a
+        sidecar without its payload, and any other file (temp names
+        aside) that is not half of a committed pair, such as a payload
+        whose sidecar never landed or one in a format no longer read.
         """
         entries = []
         for kind in _KINDS:
             directory = self.root / kind
             if not directory.is_dir():
                 continue
-            sidecars = {p.stem: p for p in directory.glob("*.json")}
-            payloads: dict[str, Path] = {}
-            for ext in _PAYLOAD_EXTS:
-                for path in directory.glob(f"*{ext}"):
-                    payloads.setdefault(path.stem, path)
-            for stem, path in payloads.items():
-                if stem not in sidecars:
-                    self._drop_orphan(kind, path)
-            for stem, meta_path in sorted(sidecars.items()):
-                payload_path = payloads.get(stem)
-                if payload_path is None:
-                    self._drop_orphan(kind, meta_path)
-                    continue
+            paired = set()
+            for meta_path in sorted(directory.glob("*.json")):
+                payload_path = meta_path.with_suffix(_PAYLOAD_EXT[kind])
+                paired.add(payload_path.name)
                 try:
                     size = meta_path.stat().st_size \
                         + payload_path.stat().st_size
                     mtime = meta_path.stat().st_mtime
+                except FileNotFoundError:
+                    self._drop_orphan(kind, meta_path)
+                    continue
                 except OSError:
                     continue
-                entries.append((mtime, size, kind, stem))
+                entries.append((mtime, size, kind, meta_path.stem))
+            for path in directory.iterdir():
+                if path.suffix != ".json" and ".tmp" not in path.name \
+                        and path.name not in paired:
+                    self._drop_orphan(kind, path)
         return entries
 
     def verify_entries(self, sample: int | None = None) -> dict:
@@ -730,13 +624,10 @@ class DiskCache:
             entries = picked
         for kind, key in entries:
             stats["checked"] += 1
-            meta_path = self.root / kind / f"{key}.json"
-            payload_path = self._find_payload(kind, key)
+            payload_path, meta_path = self._paths(kind, key)
             try:
                 with open(meta_path, "r", encoding="utf-8") as handle:
                     meta = json.load(handle)
-                if payload_path is None:
-                    raise OSError("payload missing")
                 actual = file_sha256(payload_path)
             except (OSError, ValueError, UnicodeDecodeError):
                 stats["checksum_mismatches"] += 1
@@ -754,11 +645,7 @@ class DiskCache:
                 stats["unkeyed"] += 1
                 stats["ok"] += 1
                 continue
-            # A not-yet-migrated legacy entry legitimately carries a
-            # legacy-schema key; only a key no schema derives is wrong.
-            schemas = (CACHE_SCHEMA,) + LEGACY_SCHEMAS
-            if all(content_key(key_params, schema=s) != key
-                   for s in schemas):
+            if content_key(key_params) != key:
                 stats["key_mismatches"] += 1
                 TELEMETRY.metrics.counter("cache.key_mismatch",
                                           kind=kind).inc()
@@ -831,20 +718,16 @@ class DiskCache:
         for kind in _KINDS:
             count = size = 0
             payload_bytes = rows = 0
-            formats: dict[str, int] = {}
             directory = self.root / kind
             if directory.is_dir():
                 for meta_path in directory.glob("*.json"):
-                    payload_path = self._find_payload(kind,
-                                                      meta_path.stem)
-                    if payload_path is None:
-                        continue
-                    count += 1
                     try:
-                        pbytes = payload_path.stat().st_size
+                        pbytes = meta_path.with_suffix(
+                            _PAYLOAD_EXT[kind]).stat().st_size
                         size += meta_path.stat().st_size + pbytes
                     except OSError:
                         continue
+                    count += 1
                     if kind != "traces":
                         continue
                     payload_bytes += pbytes
@@ -852,13 +735,8 @@ class DiskCache:
                         meta = json.loads(
                             meta_path.read_text(encoding="utf-8"))
                         rows += int(meta.get("rows", 0))
-                        fmt = meta.get(
-                            "payload_format",
-                            "npz" if payload_path.suffix == ".npz"
-                            else "v2")
                     except (OSError, ValueError, TypeError):
-                        fmt = "unknown"
-                    formats[fmt] = formats.get(fmt, 0) + 1
+                        pass
             usage[kind] = {"entries": count, "bytes": size}
             if kind == "traces":
                 # Codec footprint: payload bytes per traced
@@ -866,7 +744,6 @@ class DiskCache:
                 # columnar layout the consumers decode into.
                 usage[kind]["payload_bytes"] = payload_bytes
                 usage[kind]["rows"] = rows
-                usage[kind]["formats"] = formats
                 if payload_bytes and rows:
                     usage[kind]["bytes_per_instruction"] = \
                         payload_bytes / rows

@@ -1,21 +1,22 @@
 """Perf-regression sentinel: ``python -m repro perf check|diff``.
 
-``check`` runs a small fixed probe — a fresh (cache-bypassing) guest
-run plus the two gated simulation stages on one reference workload —
-reads the throughput gauges the production pipeline updates, appends a
-``perf_probe`` record to the run registry, and compares the result
-against the checked-in baseline in ``benchmarks/baselines/perf.json``.
-A gauge below ``baseline / threshold`` (default threshold 2.0: a 2x
-degradation) or a category share drifting more than
-:data:`SHARE_TOLERANCE` fails the check with a nonzero exit — the
-CI-able guardrail.
+``check`` runs a small fixed probe on one reference workload — fresh
+(cache-bypassing) guest runs, the two gated simulation stages, and an
+encode and decode through the trace codec — reads the throughput gauges
+the production pipeline updates (the best of the probe's repeats for
+each), appends a ``perf_probe`` record to the run registry, and
+compares the result against the checked-in baseline in
+``benchmarks/baselines/perf.json``. A gauge below
+``baseline / threshold`` (default threshold 2.0: a 2x degradation) or a
+category share drifting more than :data:`SHARE_TOLERANCE` fails the
+check with a nonzero exit — the CI-able guardrail, which
+``benchmarks/test_throughput_gate.py`` runs with the bench suite.
 
 ``diff`` compares the last two ``perf_probe`` records in the registry
 (no new measurement, exit 0 always): the trajectory view.
 
 Refresh the baseline on the target machine with ``repro perf check
---update`` (or ``REPRO_REFRESH_BASELINES=1``, matching
-``benchmarks/test_throughput_gate.py``).
+--update`` (or ``REPRO_REFRESH_BASELINES=1``).
 """
 
 from __future__ import annotations
@@ -49,49 +50,68 @@ DEFAULT_THRESHOLD = 2.0
 SHARE_TOLERANCE = 0.15
 
 
-def run_probe(repeats: int = 3) -> dict:
-    """Measure the gated gauges once; append a registry record.
+#: Gated gauge -> the telemetry gauge the pipeline sets. Codec gauges
+#: are canonical bytes per second; the others instructions per second.
+GAUGES = {
+    "guest": f"guest.instructions_per_second{{runtime={PROBE_RUNTIME}}}",
+    "sim.memory_side": "sim.instructions_per_second{stage=memory_side}",
+    "sim.core.ooo": "sim.instructions_per_second{stage=core.ooo}",
+    "trace.codec.encode": "trace.codec.bytes_per_second{op=encode}",
+    "trace.codec.decode": "trace.codec.bytes_per_second{op=decode}",
+}
 
-    Uses a cache-*disabled* runner so the guest run and both simulation
+
+def run_probe(repeats: int = 3) -> dict:
+    """Measure the gated gauges (best of ``repeats`` each); append a
+    registry record.
+
+    Uses cache-*disabled* runners so the guest runs and both simulation
     stages actually execute (a disk hit would leave the gauges unset).
     Returns the probe record (also appended to the registry when
     telemetry is enabled).
     """
+    import tempfile
+
     from ..config import skylake_config
+    from ..host.trace import InstructionTrace
     from ..uarch.system import SimulatedSystem
     from ..analysis.breakdown import breakdown_for_run
     from .diskcache import DiskCache
     from .runner import ExperimentRunner
 
-    runner = ExperimentRunner(scale=PROBE_SCALE,
-                              disk_cache=DiskCache(None))
-    with TELEMETRY.tracer.span("perf.probe", workload=PROBE_WORKLOAD):
-        handle = runner.run(PROBE_WORKLOAD, runtime=PROBE_RUNTIME)
-        config = skylake_config()
-        system = SimulatedSystem(config)
-        snapshot = TELEMETRY.metrics.snapshot
-        gauges = {
-            "guest": snapshot().get(
-                "guest.instructions_per_second"
-                f"{{runtime={PROBE_RUNTIME}}}", 0.0),
-            "sim.memory_side": 0.0,
-            "sim.core.ooo": 0.0,
-        }
-        state = None
+    snapshot = TELEMETRY.metrics.snapshot
+    gauges = dict.fromkeys(GAUGES, 0.0)
+
+    def keep_best(name: str) -> None:
+        gauges[name] = max(gauges[name], snapshot().get(GAUGES[name], 0.0))
+
+    config = skylake_config()
+    system = SimulatedSystem(config)
+    with TELEMETRY.tracer.span("perf.probe", workload=PROBE_WORKLOAD), \
+            tempfile.TemporaryDirectory() as tmp:
+        for _ in range(repeats):
+            # A fresh runner per repeat: only a run that interprets
+            # sets the guest gauge.
+            handle = ExperimentRunner(
+                scale=PROBE_SCALE, disk_cache=DiskCache(None)).run(
+                    PROBE_WORKLOAD, runtime=PROBE_RUNTIME)
+            keep_best("guest")
         for _ in range(repeats):
             state = system.memory_side(handle.trace)
-            gauges["sim.memory_side"] = max(
-                gauges["sim.memory_side"],
-                snapshot().get(
-                    "sim.instructions_per_second{stage=memory_side}",
-                    0.0))
+            keep_best("sim.memory_side")
         for _ in range(repeats):
             SimulatedSystem.run_many_configs(
                 handle.trace, [config], [state])
-            gauges["sim.core.ooo"] = max(
-                gauges["sim.core.ooo"],
-                snapshot().get(
-                    "sim.instructions_per_second{stage=core.ooo}", 0.0))
+            keep_best("sim.core.ooo")
+        path = Path(tmp) / "probe.rpt"
+        for _ in range(repeats):
+            handle.trace.save(path)
+            keep_best("trace.codec.encode")
+        for _ in range(repeats):
+            loaded = InstructionTrace.load(path)
+            loaded.arrays()
+            loaded.close()
+            keep_best("trace.codec.decode")
         breakdown = breakdown_for_run(handle, config)
     categories = {str(category.name).lower(): breakdown.share(category)
                   for category in breakdown.cycles}
@@ -131,8 +151,9 @@ def _delta_rows(current: dict, reference: dict,
         status = "ok"
         if base and value < base / threshold:
             status = "FAIL"
+            unit = "B/s" if name.startswith("trace.codec.") else "instr/s"
             failures.append(
-                f"gauge {name}: {value:,.0f} instr/s is below "
+                f"gauge {name}: {value:,.0f} {unit} is below "
                 f"1/{threshold:g} of baseline {base:,.0f}")
         rows.append([name, f"{base:,.0f}", f"{value:,.0f}",
                      f"{ratio:.2f}x", status])

@@ -86,6 +86,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..durable import Journal, atomic_write
 from ..errors import ExperimentError
 from ..telemetry import TELEMETRY
 from .resilience import FaultPlan
@@ -165,19 +166,9 @@ def campaign_id(names, quick: bool) -> str:
 
 def _write_json_sync(path: Path, payload: dict) -> None:
     """Atomic-replace JSON write, fsynced: survives SIGKILL mid-write."""
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True,
-                      separators=(",", ":"))
-            handle.flush()
-            try:
-                os.fsync(handle.fileno())
-            except OSError:
-                pass
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    atomic_write(path, json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":")).encode("utf-8"),
+                 fsync=True)
 
 
 def _read_json(path: Path) -> dict | None:
@@ -308,9 +299,7 @@ class WorkQueue:
             max_generations = manifest.get("max_generations")
         self.max_generations = int(max_generations) \
             if max_generations is not None else DEFAULT_MAX_GENERATIONS
-        #: Incremental journal read state: (byte offset, records so far).
-        self._journal_offset = 0
-        self._journal_records: dict[str, dict] = {}
+        self._journal = Journal(self.journal_path)
 
     # -- paths ---------------------------------------------------------
 
@@ -514,59 +503,21 @@ class WorkQueue:
     # -- results journal -----------------------------------------------
 
     def append_result(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.journal_path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            try:
-                os.fsync(handle.fileno())
-            except OSError:
-                pass
+        self._journal.append(record)
 
     def results(self) -> dict[str, dict]:
         """Journal records by cell id (first completion wins).
 
-        Reads are incremental (the coordinator polls this) and
-        torn-line tolerant: a crash mid-append costs one record, which
-        reclamation re-executes.
+        The coordinator polls this, so each call parses only the newly
+        appended records; a torn tail from a crash mid-append is
+        skipped, and reclamation re-executes its cell.
         """
-        try:
-            size = self.journal_path.stat().st_size
-        except OSError:
-            return dict(self._journal_records)
-        if size < self._journal_offset:
-            # Journal replaced/truncated underneath us: re-read fully.
-            self._journal_offset = 0
-            self._journal_records = {}
-        if size == self._journal_offset:
-            return dict(self._journal_records)
-        try:
-            with open(self.journal_path, "r", encoding="utf-8") as handle:
-                handle.seek(self._journal_offset)
-                chunk = handle.read()
-        except OSError:
-            return dict(self._journal_records)
-        # Only consume complete lines; a torn tail is re-read (and by
-        # then either finished or skipped as garbage).
-        consumed = chunk.rfind("\n") + 1
-        self._journal_offset += len(
-            chunk[:consumed].encode("utf-8"))
-        for line in chunk[:consumed].splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
+        records: dict[str, dict] = {}
+        for record in self._journal.records():
             cell_id = record.get("cell")
-            if isinstance(cell_id, str) \
-                    and cell_id not in self._journal_records:
-                self._journal_records[cell_id] = record
-        return dict(self._journal_records)
+            if isinstance(cell_id, str):
+                records.setdefault(cell_id, record)
+        return records
 
     def settle(self, cell_ids) -> int:
         """Move journaled-but-unmarked cells to ``done/``.

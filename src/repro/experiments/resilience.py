@@ -38,7 +38,7 @@ different ``attempt``). Kinds:
     per-cell timeout, pool kill, and retry path).
 ``cache_corrupt``
     :class:`~repro.experiments.diskcache.DiskCache` flips bytes in the
-    ``.npz`` it just stored (exercises checksum verification,
+    payload it just stored (exercises checksum verification,
     quarantine, and recompute).
 ``worker_exit``
     a queue worker (``python -m repro work``) ``os._exit``\\ s right
@@ -82,12 +82,12 @@ telemetry registry, so every manifest shows what was survived.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..durable import Journal
 from ..errors import ExperimentError
 from ..telemetry import TELEMETRY
 
@@ -282,50 +282,22 @@ def default_checkpoint_path() -> Path:
 def load_checkpoint(path: str | Path) -> dict[str, dict]:
     """Read a journal: figure id -> most recent completion record.
 
-    The journal is append-only JSON lines; unreadable lines (from a
-    crash mid-append) are skipped, so a torn final record costs at most
-    one figure's worth of recomputation.
+    A torn final record (a crash mid-append) is skipped, so it costs at
+    most one figure's worth of recomputation.
     """
-    path = Path(path)
     records: dict[str, dict] = {}
-    if not path.exists():
-        return records
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError:
-        return records
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(record, dict):
-            continue
-        if record.get("schema") != CHECKPOINT_SCHEMA:
-            continue
+    for record in Journal(path).records():
         figure = record.get("figure")
-        if isinstance(figure, str):
+        if record.get("schema") == CHECKPOINT_SCHEMA \
+                and isinstance(figure, str):
             records[figure] = record
     return records
 
 
 def append_checkpoint(path: str | Path, record: dict) -> None:
-    """Append one completion record (flushed + fsynced: it is the
-    commit record an interrupted campaign resumes from)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps({"schema": CHECKPOINT_SCHEMA, **record},
-                      sort_keys=True, separators=(",", ":"))
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
-        handle.flush()
-        try:
-            os.fsync(handle.fileno())
-        except OSError:
-            pass
+    """Append one completion record: the commit record an interrupted
+    campaign resumes from."""
+    Journal(path).append({"schema": CHECKPOINT_SCHEMA, **record})
 
 
 @dataclass

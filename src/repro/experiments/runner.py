@@ -211,8 +211,7 @@ class ExperimentRunner:
             return handle
         trace_params = self._trace_key_params(*key[:4], warmup_runs)
         disk_key = content_key(trace_params)
-        cached = self.disk_cache.load_run(disk_key,
-                                          key_params=trace_params)
+        cached = self.disk_cache.load_run(disk_key)
         if cached is not None:
             metrics.counter("runner.trace_cache.hit", runtime=runtime).inc()
             metrics.counter("runner.disk_cache.hit", kind="trace").inc()
@@ -273,9 +272,7 @@ class ExperimentRunner:
             _, evicted = self._traces.popitem(last=False)
             self._note_trace_eviction(evicted)
         self.last_handle = handle
-        self.disk_cache.store_run(
-            disk_key, handle,
-            key_params=self._trace_key_params(*key[:4], warmup_runs))
+        self.disk_cache.store_run(disk_key, handle, key_params=trace_params)
         if self.metrics_out is not None:
             self.write_manifest(self.metrics_out)
         return handle
@@ -343,8 +340,7 @@ class ExperimentRunner:
             return state
         state_params = self._state_key_params(handle, config)
         disk_key = content_key(state_params)
-        state = self.disk_cache.load_state(disk_key,
-                                           key_params=state_params)
+        state = self.disk_cache.load_state(disk_key)
         if state is not None and len(state.dlevel) != len(handle.trace):
             # Checksums catch bit rot, not a state that parses cleanly
             # but belongs to a different-length trace (e.g. a cache dir
@@ -372,9 +368,7 @@ class ExperimentRunner:
             state = system.memory_side(handle.trace)
         self._state_disk_keys[key] = disk_key
         self._store_state(key, state)
-        self.disk_cache.store_state(
-            disk_key, state,
-            key_params=self._state_key_params(handle, config))
+        self.disk_cache.store_state(disk_key, state, key_params=state_params)
         return state
 
     def _store_state(self, key: tuple, state: MemorySideState) -> None:

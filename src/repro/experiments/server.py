@@ -35,9 +35,9 @@ journaled as terminal so a re-ask cannot resurrect expired work.
 
 **Crash safety.** Every accepted request is fsynced to an append-only
 session journal under ``<cache-root>/serve/`` *before* it is queued,
-and every outcome is journaled before it is answered — the same
-torn-tail-tolerant JSONL discipline as the work queue's results
-journal. A server that is SIGKILLed mid-campaign restarts, replays the
+and every outcome is journaled before it is answered (a
+:class:`~repro.durable.Journal`, like the work queue's results
+journal). A server that is SIGKILLed mid-campaign restarts, replays the
 journal, re-enqueues accepted-but-unfinished requests, and clients
 simply re-ask by request key: they get the journaled answer, a seat
 waiting on the re-run, or at worst a recomputation that is
@@ -76,6 +76,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..durable import Journal
 from ..errors import ExperimentError
 from ..telemetry import TELEMETRY
 from .client import (
@@ -158,60 +159,32 @@ class TokenBucket:
 
 
 class SessionJournal:
-    """Append-only fsynced request/result journal (the commit record
-    a restarted server resumes from — same discipline as the work
-    queue's results journal, torn tails skipped on read)."""
+    """The request/result :class:`~repro.durable.Journal` a restarted
+    server resumes from."""
 
     def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self.path = self.directory / JOURNAL_NAME
+        self.path = Path(directory) / JOURNAL_NAME
+        self._journal = Journal(self.path)
 
     def append(self, record: dict) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps({"schema": SERVE_SCHEMA, **record},
-                          sort_keys=True, separators=(",", ":"))
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            try:
-                os.fsync(handle.fileno())
-            except OSError:
-                pass
+        self._journal.append({"schema": SERVE_SCHEMA, **record})
 
     def load(self) -> tuple[dict[str, dict], dict[str, dict]]:
         """Replay the journal: ``(requests, results)`` by key.
 
         First record per key wins (results are idempotent; a duplicate
-        acceptance after a resume changes nothing). Unparseable lines —
-        a torn tail from a crash mid-append — are skipped and cost at
-        most one request's worth of recomputation.
+        acceptance after a resume changes nothing). A torn tail from a
+        crash mid-append is skipped and costs at most one request's
+        worth of recomputation.
         """
-        requests: dict[str, dict] = {}
-        results: dict[str, dict] = {}
-        try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return requests, results
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict) \
-                    or record.get("schema") != SERVE_SCHEMA:
-                continue
+        by_type: dict[str, dict[str, dict]] = {"request": {}, "result": {}}
+        for record in self._journal.records():
             key = record.get("key")
-            kind = record.get("type")
-            if not isinstance(key, str):
-                continue
-            if kind == "request":
-                requests.setdefault(key, record)
-            elif kind == "result":
-                results.setdefault(key, record)
-        return requests, results
+            if record.get("schema") == SERVE_SCHEMA \
+                    and isinstance(key, str) \
+                    and record.get("type") in by_type:
+                by_type[record["type"]].setdefault(key, record)
+        return by_type["request"], by_type["result"]
 
 
 class _Responder:

@@ -88,12 +88,8 @@ def _cache_lines() -> list[str]:
                          f"{_fmt_bytes(block['bytes'])}")
     traces = usage.get("traces") or {}
     if traces.get("rows"):
-        formats = ", ".join(
-            f"{count} {fmt}" for fmt, count
-            in sorted(traces.get("formats", {}).items()))
         lines.append(
-            f"  codec    : {formats}; "
-            f"{traces['bytes_per_instruction']:.2f} B/instr, "
+            f"  codec    : {traces['bytes_per_instruction']:.2f} B/instr, "
             f"{traces['compression_ratio']:.1f}x vs canonical")
     spill = usage.get("spill")
     if spill and spill["entries"]:

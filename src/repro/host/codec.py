@@ -1,9 +1,8 @@
 """Compressed columnar trace codec (the ``v2`` on-disk trace format).
 
-The disk cache used to persist every trace as an *uncompressed*
-``.npz`` — 35 bytes per instruction, deserialized in full by every
-reader. This module replaces that with a frame-structured columnar
-encoding that exploits how trace columns actually behave:
+A canonical trace row is 35 bytes. The disk cache instead stores each
+trace in a frame-structured columnar encoding that exploits how trace
+columns actually behave:
 
 ``pc`` / ``addr`` / ``origin`` (int64)
     delta + zigzag + varint (``dzv``): consecutive program counters
@@ -43,24 +42,18 @@ The varint hot loop optionally dispatches to a compiled C kernel
 (:mod:`repro.host._codec_kernel`, ``REPRO_CODEC_KERNEL=off`` to
 disable); the pure-NumPy reference here is bit-identical — LEB128 is
 canonical, one encoding per value.
-
-``REPRO_TRACE_CODEC`` selects the *write* format: ``auto`` (default)
-and ``v2`` write this format, ``npz`` keeps writing the legacy
-readable NumPy archive. Readers always sniff magic bytes, so mixed
-caches read transparently regardless of the switch.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
 import time
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, TraceError
+from ..errors import TraceError
 from . import _codec_kernel
 
 #: Canonical trace column order and dtypes. ``repro.host.trace`` keeps
@@ -83,9 +76,6 @@ MAGIC = b"RPTC"
 VERSION = 2
 _HEADER = struct.Struct("<4sIQQ")
 
-CODEC_ENV = "REPRO_TRACE_CODEC"
-_CODEC_CHOICES = ("auto", "v2", "npz")
-
 #: Encoding id per column, fixed by dtype (see module docstring).
 _ENCODINGS = {np.dtype("int64"): "dzv", np.dtype("int32"): "zv",
               np.dtype("int8"): "u8"}
@@ -95,29 +85,6 @@ _U1 = np.uint64(1)
 _U7 = np.uint64(7)
 _U63 = np.uint64(63)
 _U7F = np.uint64(0x7F)
-
-
-def trace_codec() -> str:
-    """Resolve ``REPRO_TRACE_CODEC`` to a write format: ``v2``/``npz``."""
-    raw = os.environ.get(CODEC_ENV, "auto").strip().lower() or "auto"
-    if raw not in _CODEC_CHOICES:
-        raise ConfigError(
-            f"{CODEC_ENV} must be one of {_CODEC_CHOICES}, got {raw!r}")
-    return "npz" if raw == "npz" else "v2"
-
-
-def sniff(path: str | Path) -> str | None:
-    """Identify a trace file by magic: ``"v2"``, ``"npz"``, or None."""
-    try:
-        with open(path, "rb") as handle:
-            head = handle.read(4)
-    except OSError:
-        return None
-    if head == MAGIC:
-        return "v2"
-    if head[:2] == b"PK":  # npz archives are zip files
-        return "npz"
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -458,33 +458,18 @@ class InstructionTrace:
                 for j, (name, dtype) in
                 enumerate(zip(_COLUMNS, _DTYPES))}
 
-    def save(self, path: str | Path, compressed: bool = True,
-             codec: str | None = None) -> None:
-        """Persist the trace: v2 columnar frames or a legacy ``.npz``.
+    def save(self, path: str | Path) -> None:
+        """Persist the trace as v2 columnar frames (:mod:`.codec`).
 
-        ``codec`` overrides the ``REPRO_TRACE_CODEC`` switch; in the
-        npz format ``compressed=False`` trades disk for speed. Columns
-        are always cast to the canonical dtypes, so the bytes on disk
-        are identical whether or not the trace spilled.
+        Columns are always cast to the canonical dtypes, so the bytes
+        on disk are identical whether or not the trace spilled.
         """
-        fmt = codec if codec is not None else _codec.trace_codec()
-        if fmt == "v2":
-            self._sync()
-            reader = self._reader
-            if reader is not None and self._frozen is None:
-                _codec.encode_file(path, reader.decode_range,
-                                   reader.rows)
-            else:
-                _codec.encode_file(path, self._block, len(self))
-            return
-        arrays = self.arrays()
-        canonical = {
-            name: np.ascontiguousarray(arrays[name], dtype=dtype)
-            for name, dtype in zip(_COLUMNS, _DTYPES)
-        }
-        saver = np.savez_compressed if compressed else np.savez
-        with open(path, "wb") as handle:
-            saver(handle, **canonical)
+        self._sync()
+        reader = self._reader
+        if reader is not None and self._frozen is None:
+            _codec.encode_file(path, reader.decode_range, reader.rows)
+        else:
+            _codec.encode_file(path, self._block, len(self))
 
     @classmethod
     def _from_reader(cls, reader: "_codec.FrameReader",
@@ -510,41 +495,12 @@ class InstructionTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "InstructionTrace":
-        """Load a trace stored with :meth:`save` (either format).
+        """Load a trace stored with :meth:`save`, reader-backed (lazy).
 
-        The format is sniffed from magic bytes, never the extension.
-        v2 files come back reader-backed (lazy); npz files are
-        validated loudly — a missing *or* unexpected column set raises
-        a :class:`TraceError` naming the offending path — and loaded
-        eagerly.
+        A file that is not a v2 trace raises a :class:`TraceError`
+        naming the path.
         """
-        path = Path(path)
-        if _codec.sniff(path) == "v2":
-            return cls._from_reader(_codec.FrameReader(path))
-        try:
-            data = np.load(path)
-        except (OSError, ValueError) as exc:
-            raise TraceError(
-                f"unreadable trace file {path}: {exc!r}") from exc
-        files = getattr(data, "files", None)
-        if files is None:
-            raise TraceError(
-                f"trace file {path} is not a columnar archive")
-        missing = [name for name in _COLUMNS if name not in files]
-        extra = [name for name in files if name not in _COLUMNS]
-        if missing or extra:
-            raise TraceError(
-                f"trace file {path} has wrong column set: "
-                f"missing {missing}, unexpected {extra}")
-        trace = cls()
-        count = int(data[_COLUMNS[0]].shape[0])
-        if count:
-            start = trace.alloc_rows(count)
-            buf = trace._buf
-            for j, name in enumerate(_COLUMNS):
-                buf[start:start + count, j] = data[name]
-        trace.attach_cache_ref(path)
-        return trace
+        return cls._from_reader(_codec.FrameReader(path))
 
     def slice_view(self, start: int, stop: int) -> dict[str, np.ndarray]:
         """Read-only view of rows ``[start, stop)`` as numpy arrays.

@@ -34,6 +34,7 @@ import json
 import os
 from pathlib import Path
 
+from ..durable import Journal
 from . import TELEMETRY
 
 #: Bump when the record layout changes incompatibly.
@@ -217,12 +218,7 @@ class RunRegistry:
                         encoding="utf-8")
                     record["manifest_path"] = str(copy)
                     self._prune_manifests_unlocked()
-                line = json.dumps(record, sort_keys=True, default=str)
-                with open(self.runs_path, "a",
-                          encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                Journal(self.runs_path).append(record)
         except LockTimeout:
             # A wedged appender elsewhere must not hang this process;
             # one dropped summary record is the cheaper failure.
@@ -258,26 +254,9 @@ class RunRegistry:
     # ------------------------------------------------------------------
 
     def _read_unlocked(self) -> list[dict]:
-        """Parse the JSONL, skipping torn/invalid lines."""
-        if not self.runs_path.exists():
-            return []
-        records = []
-        try:
-            with open(self.runs_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn write (killed appender)
-                    if isinstance(record, dict):
-                        records.append(record)
-        except OSError:
-            return []
-        records.sort(key=lambda r: r.get("seq", 0))
-        return records
+        """Every committed record (torn tails skipped), by ``seq``."""
+        return sorted(Journal(self.runs_path).records(),
+                      key=lambda r: r.get("seq", 0))
 
     def records(self) -> list[dict]:
         """All valid records, ascending by sequence number."""
@@ -312,16 +291,7 @@ class RunRegistry:
                 excess = len(records) - max_records
                 if excess <= 0:
                     return 0
-                kept = records[excess:]
-                tmp = self.runs_path.with_name(
-                    f"{RUNS_NAME}.tmp{os.getpid()}")
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    for record in kept:
-                        handle.write(json.dumps(record, sort_keys=True,
-                                                default=str) + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.runs_path)
+                Journal(self.runs_path).rewrite(records[excess:])
                 return excess
         except LockTimeout:
             return 0

@@ -3,8 +3,8 @@
 Covers the v2 frame format end to end — varint/zigzag/delta
 primitives, kernel-vs-NumPy bit parity, property round-trips over
 random and adversarial column contents, lazy reader-backed loads,
-pickle-by-reference fan-out, and figure byte-identity across the
-``REPRO_TRACE_CODEC`` switch.
+pickle-by-reference fan-out, and figure byte-identity between a cold
+render and one served from the disk cache.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, TraceError
+from repro.errors import TraceError
 from repro.experiments.diskcache import DiskCache
 from repro.experiments.runner import ExperimentRunner
 from repro.host import _codec_kernel, codec
@@ -193,7 +193,7 @@ def test_frozen_trace_roundtrip_through_save_load(tmp_path):
                      dep=i % 3, flags=i % 2, origin=i)
     trace.freeze()
     path = tmp_path / "frozen.rpt"
-    trace.save(path, codec="v2")
+    trace.save(path)
     loaded = InstructionTrace.load(path)
     assert loaded.frozen
     _assert_arrays_equal(trace.arrays(), loaded.arrays())
@@ -208,22 +208,10 @@ def test_spilled_trace_saves_identically(tmp_path, monkeypatch):
     assert spilled.spill_path is not None, "trace did not spill"
     a = tmp_path / "memory.rpt"
     b = tmp_path / "spilled.rpt"
-    in_memory.save(a, codec="v2")
-    spilled.save(b, codec="v2")
+    in_memory.save(a)
+    spilled.save(b)
     assert a.read_bytes() == b.read_bytes()
     spilled.close()
-
-
-def test_v2_and_npz_loads_agree(tmp_path):
-    arrays = _random_arrays(np.random.default_rng(9), 5000)
-    trace = _trace_from_arrays(arrays)
-    v2 = tmp_path / "t.rpt"
-    npz = tmp_path / "t.npz"
-    trace.save(v2, codec="v2")
-    trace.save(npz, codec="npz")
-    assert v2.stat().st_size < npz.stat().st_size * 1.5
-    _assert_arrays_equal(InstructionTrace.load(npz).arrays(),
-                         InstructionTrace.load(v2).arrays())
 
 
 # ----------------------------------------------------------------------
@@ -296,40 +284,16 @@ def test_wrong_column_set_is_rejected_loudly(tmp_path):
     assert str(path) in str(err.value)
 
 
-def test_npz_load_validates_columns_loudly(tmp_path):
-    arrays = _random_arrays(np.random.default_rng(2), 16)
-    missing = dict(arrays)
-    missing.pop("dep")
-    bad_missing = tmp_path / "missing.npz"
-    np.savez(bad_missing, **missing)
-    with pytest.raises(TraceError) as err:
-        InstructionTrace.load(bad_missing)
-    assert "dep" in str(err.value) and str(bad_missing) in str(err.value)
-    extra = dict(arrays, rogue=np.zeros(16, dtype=np.int64))
-    bad_extra = tmp_path / "extra.npz"
-    np.savez(bad_extra, **extra)
-    with pytest.raises(TraceError) as err:
-        InstructionTrace.load(bad_extra)
-    assert "rogue" in str(err.value)
-
-
 def test_unreadable_file_is_a_typed_error(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"this is not a trace in any format")
-    with pytest.raises(TraceError):
-        InstructionTrace.load(path)
-
-
-def test_codec_switch_resolution(monkeypatch):
-    monkeypatch.delenv(codec.CODEC_ENV, raising=False)
-    assert codec.trace_codec() == "v2"
-    monkeypatch.setenv(codec.CODEC_ENV, "v2")
-    assert codec.trace_codec() == "v2"
-    monkeypatch.setenv(codec.CODEC_ENV, "npz")
-    assert codec.trace_codec() == "npz"
-    monkeypatch.setenv(codec.CODEC_ENV, "zstd")
-    with pytest.raises(ConfigError):
-        codec.trace_codec()
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"this is not a trace in any format")
+    # An npz archive is just another file without the v2 magic.
+    npz = tmp_path / "legacy.npz"
+    np.savez(npz, **_random_arrays(np.random.default_rng(2), 16))
+    for path in (junk, npz):
+        with pytest.raises(TraceError) as err:
+            InstructionTrace.load(path)
+        assert str(path) in str(err.value)
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +347,7 @@ def test_pickle_ref_ignored_after_mutation(tmp_path):
     trace = InstructionTrace()
     trace.append(1, 1, 1)
     path = tmp_path / "t.rpt"
-    trace.save(path, codec="v2")
+    trace.save(path)
     trace.attach_cache_ref(path)
     trace.append(2, 2, 2)  # the file no longer matches the trace
     back = pickle.loads(pickle.dumps(trace))
@@ -403,7 +367,7 @@ def test_stale_reference_rows_fail_loudly(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Figure byte-identity across the codec switch
+# Figure byte-identity through the codec's load path
 # ----------------------------------------------------------------------
 
 
@@ -412,18 +376,12 @@ def test_figures_identical_across_codecs(tmp_path, monkeypatch,
                                          figure_name):
     from repro.experiments import figures
     figure = getattr(figures, figure_name)
-    rendered = {}
-    for fmt in ("auto", "v2", "npz"):
-        monkeypatch.setenv(codec.CODEC_ENV, fmt)
-        monkeypatch.setenv("REPRO_CACHE_DIR",
-                           str(tmp_path / f"cache-{fmt}"))
-        result = figure(ExperimentRunner(), quick=True)
-        rendered[fmt] = result.rendered
-        # Cold pass warmed the cache; a second, disk-served pass must
-        # render the same bytes through the codec's load path.
-        again = figure(ExperimentRunner(), quick=True)
-        assert again.rendered == result.rendered, fmt
-    assert rendered["auto"] == rendered["v2"] == rendered["npz"]
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    cold = figure(ExperimentRunner(), quick=True)
+    # The cold pass warmed the cache; a second, disk-served pass must
+    # render the same bytes through the codec's load path.
+    warm = figure(ExperimentRunner(), quick=True)
+    assert warm.rendered == cold.rendered
 
 
 def test_run_many_ships_trace_references(tmp_path):

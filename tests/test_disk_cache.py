@@ -574,47 +574,8 @@ def test_verify_entries_disabled_cache_is_a_noop(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Codec era: legacy-schema migration, orphaned frames, footprint stats
+# Codec era: orphaned frames, footprint stats
 # ----------------------------------------------------------------------
-
-
-def test_legacy_schema_entry_is_migrated_on_hit(tmp_path, monkeypatch):
-    from repro import telemetry
-    from repro.experiments.diskcache import LEGACY_SCHEMAS
-    from repro.host.codec import CODEC_ENV
-
-    # Write the entry the way a schema-2 deployment did: npz payload,
-    # filed under the legacy content key.
-    monkeypatch.setenv(CODEC_ENV, "npz")
-    runner = fresh_runner(tmp_path)
-    original = runner.run(**_RUN)
-    cache = DiskCache(tmp_path / "cache")
-    params = runner._trace_key_params(
-        _RUN["workload"], _RUN["runtime"], _RUN["jit"], _RUN["nursery"],
-        0)
-    current_key = content_key(params)
-    legacy_key = content_key(params, schema=LEGACY_SCHEMAS[0])
-    payload, meta = _entry_paths(tmp_path, "traces")
-    assert payload.suffix == ".npz"
-    payload.rename(payload.with_stem(legacy_key))
-    meta.rename(meta.with_stem(legacy_key))
-
-    monkeypatch.delenv(CODEC_ENV, raising=False)
-    telemetry.enable()
-    telemetry.reset()
-    migrated = fresh_runner(tmp_path).run(**_RUN)
-    for name, column in original.trace.arrays().items():
-        assert np.array_equal(column, migrated.trace.arrays()[name])
-    assert _counter("cache.migrated{kind=traces}") == 1
-    # The entry now lives under the current key in the v2 format; the
-    # legacy files are gone.
-    new_payload, _ = _entry_paths(tmp_path, "traces")
-    assert new_payload.stem == current_key
-    assert new_payload.suffix == ".rpt"
-    # And the migrated entry verifies clean under the audit.
-    stats = cache.verify_entries()
-    assert stats["checksum_mismatches"] == 0
-    assert stats["key_mismatches"] == 0
 
 
 def test_gc_sweeps_orphaned_halfwritten_codec_frames(tmp_path):
@@ -642,42 +603,31 @@ def test_gc_sweeps_orphaned_halfwritten_codec_frames(tmp_path):
     assert payload.exists() and meta.exists()
 
 
+def test_npz_trace_payload_is_a_miss_and_gc_sweeps_it(tmp_path):
+    from repro import telemetry
+    original = _populate_trace(tmp_path)
+    payload, _ = _entry_paths(tmp_path, "traces")
+    # A trace payload in npz form is not one the cache reads: its
+    # sidecar finds no payload, so the load is a miss and recomputes.
+    stale = payload.rename(payload.with_suffix(".npz"))
+    telemetry.enable()
+    telemetry.reset()
+    again = fresh_runner(tmp_path).run(**_RUN)
+    assert again.output == original.output
+    assert _counter("runner.disk_cache.miss") == 1
+    DiskCache(tmp_path / "cache").gc(max_bytes=1 << 40)
+    assert not stale.exists()
+    payload, meta = _entry_paths(tmp_path, "traces")
+    assert payload.suffix == ".rpt" and meta.exists()
+
+
 def test_usage_reports_codec_footprint(tmp_path):
     _populate_trace(tmp_path)
     usage = DiskCache(tmp_path / "cache").usage()
     traces = usage["traces"]
     assert traces["rows"] > 0
     assert traces["payload_bytes"] > 0
-    assert traces["formats"] == {"v2": 1}
     assert traces["bytes_per_instruction"] \
         == traces["payload_bytes"] / traces["rows"]
     # The whole point of the codec: well under the canonical 35 B/row.
     assert traces["compression_ratio"] > 3.0
-
-
-def test_npz_codec_writes_compressed_entries(tmp_path, monkeypatch):
-    from repro.host.codec import CODEC_ENV, RAW_ROW_BYTES
-    monkeypatch.setenv(CODEC_ENV, "npz")
-    runner = fresh_runner(tmp_path)
-    handle = runner.run(**_RUN)
-    payload, _ = _entry_paths(tmp_path, "traces")
-    assert payload.suffix == ".npz"
-    # Legacy-format entries are no longer written uncompressed: the
-    # deflated npz undercuts the canonical raw bytes.
-    assert payload.stat().st_size \
-        < len(handle.trace) * RAW_ROW_BYTES * 0.9
-
-
-def test_mixed_format_cache_reads_transparently(tmp_path, monkeypatch):
-    from repro.host.codec import CODEC_ENV
-    monkeypatch.setenv(CODEC_ENV, "npz")
-    fresh_runner(tmp_path).run(**_RUN)
-    monkeypatch.delenv(CODEC_ENV, raising=False)
-    other = dict(_RUN, workload="nbody")
-    fresh_runner(tmp_path).run(**other)
-    usage = DiskCache(tmp_path / "cache").usage()
-    assert usage["traces"]["formats"] == {"npz": 1, "v2": 1}
-    reader = fresh_runner(tmp_path)
-    assert reader.run(**_RUN).output
-    assert reader.run(**other).output
-    assert _counter("cache.quarantined") == 0

@@ -486,8 +486,7 @@ def test_committed_perf_baseline_is_well_formed():
     """The checked-in baseline must carry every gated gauge."""
     baseline = json.loads(
         perf_mod.DEFAULT_BASELINE.read_text(encoding="utf-8"))
-    assert set(baseline["gauges"]) == {"guest", "sim.memory_side",
-                                       "sim.core.ooo"}
+    assert set(baseline["gauges"]) == set(perf_mod.GAUGES)
     assert all(value > 0 for value in baseline["gauges"].values())
     shares = baseline["categories"]
     assert shares and abs(sum(shares.values()) - 1.0) < 0.05

@@ -37,7 +37,7 @@ print(work(60))
 
 def test_trace_roundtrip_preserves_simulation(tmp_path):
     vm, machine = run_source(SOURCE)
-    path = tmp_path / "run.npz"
+    path = tmp_path / "run.rpt"
     machine.trace.save(path)
     reloaded = InstructionTrace.load(path)
 
@@ -50,7 +50,7 @@ def test_trace_roundtrip_preserves_simulation(tmp_path):
 
 def test_offline_breakdown_matches_online(tmp_path):
     vm, machine = run_source(SOURCE)
-    trace_path = tmp_path / "run.npz"
+    trace_path = tmp_path / "run.rpt"
     sites_path = tmp_path / "sites.json"
     machine.trace.save(trace_path)
     sites_path.write_text(json.dumps(machine.site_table))

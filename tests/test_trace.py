@@ -62,7 +62,7 @@ def test_empty_trace_counts():
 
 def test_save_load_roundtrip(tmp_path):
     trace = make_trace(32)
-    path = tmp_path / "trace.npz"
+    path = tmp_path / "trace.rpt"
     trace.save(path)
     loaded = InstructionTrace.load(path)
     assert len(loaded) == len(trace)
@@ -90,7 +90,7 @@ def test_roundtrip_property(tmp_path_factory, rows):
     trace = InstructionTrace()
     for pc, kind, category, addr in rows:
         trace.append(pc, kind, category, addr)
-    path = tmp_path_factory.mktemp("traces") / "t.npz"
+    path = tmp_path_factory.mktemp("traces") / "t.rpt"
     trace.save(path)
     loaded = InstructionTrace.load(path)
     assert np.array_equal(loaded.column("pc"), trace.column("pc"))
