@@ -160,22 +160,25 @@ def test_guest_emission_speedup(monkeypatch):
     Both backends interpret the same deltablue program from scratch
     (disk cache disabled, fresh runner per run) and must produce the
     same number of trace rows; the byte-level identity matrix lives in
-    tests/test_emit_equivalence.py.
+    tests/test_emit_equivalence.py. PyPy (JIT) and V8 rows follow,
+    report-only: their interpreter loops emit dispatch themselves, so
+    they batch less per bytecode than CPython does.
     """
     from repro.experiments.diskcache import DiskCache
 
-    def fresh_run(backend):
+    def fresh_run(backend, workload, runtime, scale):
         monkeypatch.setenv("REPRO_EMIT_BACKEND", backend)
-        runner = ExperimentRunner(scale=2, disk_cache=DiskCache(None))
-        handle = runner.run("deltablue", runtime="cpython")
+        runner = ExperimentRunner(scale=scale, disk_cache=DiskCache(None))
+        handle = runner.run(workload, runtime=runtime)
         return handle
 
-    def timed(n, backend):
+    def timed(n, backend, workload="deltablue", runtime="cpython",
+              scale=2):
         best = float("inf")
         handle = None
         for _ in range(n):
             start = time.perf_counter()
-            handle = fresh_run(backend)
+            handle = fresh_run(backend, workload, runtime, scale)
             best = min(best, time.perf_counter() - start)
         return best, handle
 
@@ -185,7 +188,7 @@ def test_guest_emission_speedup(monkeypatch):
     n = len(burst_handle.trace)
     speedup = scalar_s / burst_s
     rate = n / burst_s
-    append_text("vectorized_speed", "\n".join([
+    lines = [
         "",
         "guest emission speedup (deltablue, cpython, scale 2, "
         "cache-bypassed)",
@@ -197,6 +200,16 @@ def test_guest_emission_speedup(monkeypatch):
         "gated in tests/test_emit_equivalence.py",
         "acceptance          : >= 5x target; assertion floor 3x "
         "for machine noise",
-    ]))
+    ]
+    for workload, runtime in (("chaos", "pypy"), ("richards", "v8")):
+        other_scalar, scalar_run = timed(2, "scalar", workload, runtime, 1)
+        other_burst, burst_run = timed(3, "burst", workload, runtime, 1)
+        assert len(scalar_run.trace) == len(burst_run.trace)
+        lines.append(
+            f"{workload + ' ' + runtime + ' (jit)':20s}: "
+            f"{other_scalar:.3f}s / {other_burst:.3f}s "
+            f"({other_scalar / other_burst:.2f}x, "
+            f"{len(burst_run.trace):,} instructions, report-only)")
+    append_text("vectorized_speed", "\n".join(lines))
     assert speedup >= 3.0, f"guest emission speedup regressed: " \
         f"{speedup:.2f}x"

@@ -57,16 +57,18 @@ _IMPLICIT_BASE = {"origin": 1 << 33, "sp": (1 << 34) + 4096}
 class Template:
     """One recorded burst shape: static rows plus linear fixups."""
 
-    __slots__ = ("tid", "rows", "arity", "static", "fixups")
+    __slots__ = ("tid", "rows", "arity", "static", "fixups", "implicit")
 
     def __init__(self, tid: int, static: np.ndarray,
                  fixups: list[tuple[int, int, int, int]],
-                 arity: int) -> None:
+                 arity: int, implicit: tuple[str, ...] = ()) -> None:
         self.tid = tid
         self.rows = int(static.shape[0])
         self.arity = arity
         self.static = static
         self.fixups = fixups  # (row, col, dyn_index, coefficient)
+        #: The implicit machine inputs the rows read, in queue order.
+        self.implicit = implicit
 
 
 class BurstEngine:
@@ -133,9 +135,10 @@ class BurstEngine:
         ``dyn_base``) — no semantic side effects. ``implicit`` names
         machine attributes (``origin``, ``sp``) that the emission reads;
         they become trailing dynamic inputs the caller appends at queue
-        time. Returns None when the emission is not integer-linear in
-        the inputs, in which case the caller must keep using the scalar
-        path for this shape.
+        time — only those the rows actually read, which the template's
+        ``implicit`` lists. Returns None when the emission is not
+        integer-linear in the inputs, in which case the caller must
+        keep using the scalar path for this shape.
         """
         machine = self.machine
         saved_emit = machine._emit
@@ -232,8 +235,17 @@ class BurstEngine:
             machine.origin = saved_origin
             machine.sp = saved_sp
             machine.__dict__.update(saved_shadows)
+        # Implicit inputs no row reads are dropped, so the queue never
+        # carries them.
+        read = {j for _, _, j, _ in fixups}
+        keep = list(range(n_decl)) + [j for j in range(n_decl, n_inputs)
+                                      if j in read]
+        index = {j: i for i, j in enumerate(keep)}
+        fixups = [(r, c, index[j], coef) for r, c, j, coef in fixups]
         tid = len(self.templates)
-        self.templates.append(Template(tid, static, fixups, n_inputs))
+        self.templates.append(Template(
+            tid, static, fixups, len(keep),
+            tuple(names[j - n_decl] for j in keep[n_decl:])))
         self._tabs_dirty = True
         return tid
 

@@ -492,6 +492,16 @@ class HostMachine:
         self.sp = sp - frame_bytes
         self._frames.append((sp, saves, category))
 
+    def _record_call_template(self, thunk) -> tuple | None:
+        """Record a C-call half; its queue entry appends origin and sp."""
+        tid = self._engine.record(thunk, [], implicit=("origin", "sp"))
+        if tid is None:
+            return None
+        template = self._engine.templates[tid]
+        if template.implicit != ("origin", "sp"):
+            return None
+        return (tid, template.rows)
+
     def _record_c_enter(self, key: tuple) -> tuple | None:
         site, callee, indirect, args, saves, category = key
 
@@ -499,9 +509,7 @@ class HostMachine:
             self._rows_c_enter(site, callee, indirect, args, saves,
                                category, self.sp)
 
-        tid = self._engine.record(thunk, [], implicit=("origin", "sp"))
-        entry = None if tid is None \
-            else (tid, self._engine.templates[tid].rows)
+        entry = self._record_call_template(thunk)
         self._cc_enter_tids[key] = entry
         return entry
 
@@ -532,9 +540,7 @@ class HostMachine:
         def thunk(_values):
             self._rows_c_exit(callee, saves, cat, self.sp)
 
-        tid = self._engine.record(thunk, [], implicit=("origin", "sp"))
-        entry = None if tid is None \
-            else (tid, self._engine.templates[tid].rows)
+        entry = self._record_call_template(thunk)
         self._cc_exit_tids[key] = entry
         return entry
 

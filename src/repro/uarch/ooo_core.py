@@ -234,11 +234,6 @@ def ooo_cycles_scalar(trace_arrays: dict[str, np.ndarray],
     return max(last_finish, front) / TICKS
 
 
-#: Below this many instructions ``auto`` prefers the scalar walk — the
-#: vectorized engine's fixed per-call setup dominates on tiny traces.
-_AUTO_MIN_INSTRUCTIONS = 2048
-
-
 def ooo_cycles(trace_arrays: dict[str, np.ndarray], dlevel: np.ndarray,
                ilevel: np.ndarray, mispredicted: np.ndarray,
                config: MachineConfig, backend: str | None = None) -> float:
@@ -249,10 +244,7 @@ def ooo_cycles(trace_arrays: dict[str, np.ndarray], dlevel: np.ndarray,
     falling back to ``auto``. All engines are bit-identical.
     """
     from .cache import _resolve_backend
-    resolved = _resolve_backend(backend)
-    n = len(trace_arrays["pc"])
-    if resolved == "scalar" or (resolved == "auto"
-                                and n < _AUTO_MIN_INSTRUCTIONS):
+    if _resolve_backend(backend) == "scalar":
         return ooo_cycles_scalar(trace_arrays, dlevel, ilevel,
                                  mispredicted, config)
     from .ooo_vector import ooo_cycles_many_vector
@@ -277,11 +269,8 @@ def ooo_cycles_many(trace_arrays: dict[str, np.ndarray], states,
     if len(states) != len(configs):
         raise ValueError("states and configs must be parallel sequences")
     from .cache import _resolve_backend
-    resolved = _resolve_backend(backend)
-    n = len(trace_arrays["pc"])
     out: list[float | None] = [None] * len(configs)
-    if resolved == "scalar" or (resolved == "auto"
-                                and n < _AUTO_MIN_INSTRUCTIONS):
+    if _resolve_backend(backend) == "scalar":
         for i, (state, config) in enumerate(zip(states, configs)):
             out[i] = ooo_cycles_scalar(trace_arrays, state.dlevel,
                                        state.ilevel, state.mispredicted,

@@ -17,6 +17,8 @@ the same structural work Section IV attributes.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..categories import OverheadCategory
 from ..errors import (
     GuestIndexError,
@@ -85,7 +87,7 @@ _NEXT = 0
 _FRAME_PUSHED = 1
 _FRAME_RETURNED = 2
 
-#: Opcode ints for the fused burst handlers (dict lookups off the hot path).
+#: Opcode ints the hot handlers use (enum lookups are slow).
 _OP_LOAD_FAST = int(Op.LOAD_FAST)
 _OP_STORE_FAST = int(Op.STORE_FAST)
 _OP_LOAD_CONST = int(Op.LOAD_CONST)
@@ -100,6 +102,34 @@ _OP_CALL_FUNCTION = int(Op.CALL_FUNCTION)
 _OP_LOAD_GLOBAL = int(Op.LOAD_GLOBAL)
 _OP_RETURN_VALUE = int(Op.RETURN_VALUE)
 _OP_BINARY_SUBSCR = int(Op.BINARY_SUBSCR)
+_OP_POP_JUMP_IF_FALSE = int(Op.POP_JUMP_IF_FALSE)
+_OP_POP_JUMP_IF_TRUE = int(Op.POP_JUMP_IF_TRUE)
+
+#: Numeric binary opcodes (one shared handler) and their C helpers.
+_NUMERIC_OPS = {
+    int(Op.BINARY_ADD): "add", int(Op.BINARY_SUB): "sub",
+    int(Op.BINARY_MUL): "mul", int(Op.BINARY_TRUEDIV): "truediv",
+    int(Op.BINARY_FLOORDIV): "floordiv", int(Op.BINARY_MOD): "mod",
+    int(Op.BINARY_POW): "pow", int(Op.BINARY_AND): "and",
+    int(Op.BINARY_OR): "or", int(Op.BINARY_XOR): "xor",
+    int(Op.BINARY_LSHIFT): "lshift", int(Op.BINARY_RSHIFT): "rshift",
+}
+
+#: Opcodes whose handler emits one template for its common shape, with
+#: the bytecode's dispatch rows inside it (see ``handlers_emit_dispatch``):
+#: one queue entry per bytecode is where the burst backend's speed is.
+_TEMPLATED_OPS = frozenset({
+    _OP_LOAD_FAST, _OP_STORE_FAST, _OP_LOAD_CONST, _OP_LOAD_ATTR,
+    _OP_STORE_ATTR, _OP_FOR_ITER, _OP_POP_TOP, _OP_JUMP_ABSOLUTE,
+    _OP_LOAD_METHOD, _OP_CALL_METHOD, _OP_CALL_FUNCTION, _OP_LOAD_GLOBAL,
+    _OP_RETURN_VALUE, _OP_BINARY_SUBSCR, _OP_POP_JUMP_IF_FALSE,
+    _OP_POP_JUMP_IF_TRUE, *_NUMERIC_OPS,
+})
+
+#: Machine attributes a template can take as implicit inputs, and the
+#: queue-time code for each subset a recorded template keeps.
+_BOTH = ("origin", "sp")
+_IMPLICIT_MASK = {(): 0, ("origin",): 1, ("sp",): 2, _BOTH: 3}
 
 
 class Frame:
@@ -166,6 +196,11 @@ class BaseVM:
     #: True for runtimes that maintain per-object reference counts
     #: (CPython model); the PyPy model relies on tracing GC instead.
     refcounting = True
+    #: True when :meth:`execute_frame` leaves the dispatch rows of the
+    #: ``_TEMPLATED_OPS`` to their handlers, which fold them into their
+    #: template. A loop that emits rows between dispatch and handler
+    #: (the PyPy JIT's recorder) emits every dispatch itself instead.
+    handlers_emit_dispatch = True
 
     def __init__(self, machine: HostMachine, program: Program) -> None:
         self.machine = machine
@@ -184,9 +219,8 @@ class BaseVM:
         self._interned_strs: dict[str, PyStr] = {}
         self._init_sites()
         self._init_immortals()
+        self._bind_emitter()
         self._handlers = self._build_handler_table()
-        if machine.backend == "burst":
-            self._bind_burst_emitters()
         from .builtins import install_builtins
         self.builtins: dict[str, PyBuiltin] = {}
         install_builtins(self)
@@ -216,11 +250,14 @@ class BaseVM:
         self._handler_sites = {
             op: m.site(f"ceval.handler.{op.name}") for op in Op
         }
+        self._handler_site_by_op = [0] * 96
+        for op, site in self._handler_sites.items():
+            self._handler_site_by_op[int(op)] = site
         # Pre-intern every remaining static interpreter site so PCs are
         # identical for every guest program, the way a compiled
         # interpreter binary's addresses are (the annotate-once reuse of
         # Section IV-B.3 depends on this).
-        for op_name in self._NUMERIC_OPS.values():
+        for op_name in _NUMERIC_OPS.values():
             m.site(f"ceval.call_binop_{op_name}")
             m.site(f"abstract.binary_{op_name}")
         for name in ("ceval.call_lookdict", "ceval.call_cmp",
@@ -314,22 +351,109 @@ class BaseVM:
         """Give the collector a chance to run (PyPy model)."""
 
     # ------------------------------------------------------------------
+    # Emission: one generic call, bound per backend
+    # ------------------------------------------------------------------
+
+    # Every hot emission is an *emission-only* ``_rows_*`` body plus the
+    # dynamic operands its caller computes from the semantics. A body
+    # only writes trace rows; the one piece of machine state it may set
+    # is ``machine.origin`` (dispatch re-targets it at the handler), and
+    # every C call it makes returns before it does. ``emit_rows`` is
+    # bound once at init: the scalar backend runs the body eagerly; the
+    # burst backend records the body into a template at its first use
+    # (see :mod:`repro.host.burst`) and from then on enqueues the
+    # template id plus the operands. Both backends execute the same body
+    # — eagerly or at record time — so their traces are bit-identical.
+    #
+    # ``key`` is a tuple: the body's name, then its static leading
+    # arguments (opcode, branch count, category...), which pick the
+    # template. ``dyn`` is a fresh list of the remaining arguments;
+    # they, plus whichever of the machine's ``origin`` and ``sp`` the
+    # rows read, are the template's linear inputs.
+
+    def _bind_emitter(self) -> None:
+        machine = self.machine
+        if machine.backend != "burst":
+            self.emit_rows = self._emit_eager
+            return
+        engine = machine._engine
+        self._eng = engine
+        # The engine clears its queues in place, so the array objects —
+        # and these bound methods — stay valid across flushes.
+        self._q_order = engine.order
+        self._q_append = engine.order.append
+        self._q_fromlist = engine.dyn.fromlist  # far cheaper than extend
+        #: key -> (tid, implicit inputs as an ``_IMPLICIT_MASK`` code,
+        #: origin the body leaves or None) | False.
+        self._entries: dict[tuple, tuple | bool] = {}
+        self.emit_rows = self._emit_queued
+
+    def _emit_eager(self, key: tuple, dyn: list) -> None:
+        getattr(self, key[0])(*key[1:], *dyn)
+
+    def _emit_queued(self, key: tuple, dyn: list) -> None:
+        m = self.machine
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._record(key, dyn)
+        if entry is False or m.clib_depth:
+            # Non-linear bodies and C-library re-tagging go row by row
+            # through the machine's raw queue.
+            getattr(self, key[0])(*key[1:], *dyn)
+            return
+        tid, implicit, origin_out = entry
+        if not m.suppressed:
+            if implicit:
+                if implicit == 1:
+                    dyn.append(m.origin)
+                elif implicit == 2:
+                    dyn.append(m.sp)
+                else:
+                    dyn += (m.origin, m.sp)
+            self._q_append(tid)
+            self._q_fromlist(dyn)
+            if len(self._q_order) >= _FLUSH_ENTRIES:
+                self._eng.flush()
+        # Suppressed rows vanish either way; the origin change is the
+        # only effect left to replay.
+        if origin_out is not None:
+            m.origin = origin_out
+
+    def _record(self, key: tuple, dyn: list) -> tuple | bool:
+        """Record ``key``'s body and cache its queue entry.
+
+        The recording also tells whether the body leaves ``origin`` as
+        it found it (``origin_out`` None) or always sets one value; a
+        body that does neither, or moves ``sp``, stays eager.
+        """
+        m = self.machine
+        body = getattr(self, key[0])
+        static = key[1:]
+        exits: set[tuple] = set()
+
+        def thunk(values: list[int]) -> None:
+            origin, sp = m.origin, m.sp
+            body(*static, *values)
+            exits.add((m.origin == origin, m.origin, m.sp == sp))
+
+        entry: tuple | bool = False
+        tid = self._eng.record(thunk, list(dyn), implicit=_BOTH)
+        if tid is not None and all(same_sp for _, _, same_sp in exits):
+            implicit = _IMPLICIT_MASK[self._eng.templates[tid].implicit]
+            if all(kept for kept, _, _ in exits):
+                entry = (tid, implicit, None)
+            elif len({origin for _, origin, _ in exits}) == 1:
+                entry = (tid, implicit, exits.pop()[1])
+        self._entries[key] = entry
+        return entry
+
+    # ------------------------------------------------------------------
     # Emission helpers (hot path)
     # ------------------------------------------------------------------
 
-    # The hot helpers are split into *emission-only* ``_rows_*`` bodies
-    # (pure trace writes, no semantic side effects) and thin public
-    # wrappers that add the semantics (stack mutation, refcounting).
-    # The scalar backend calls the rows bodies directly; the burst
-    # backend records each body into a template at its first use (see
-    # :mod:`repro.host.burst`) and thereafter enqueues a template id
-    # plus the dynamic operands instead of emitting row by row. Because
-    # both paths execute the *same* emission code — eagerly or at
-    # record time — the resulting traces are bit-identical.
-
     def _rows_dispatch(self, op: int, bc_addr: int) -> None:
         m = self.machine
-        handler = self._handler_sites[Op(op)]
+        handler = self._handler_site_by_op[op]
         m.origin = handler
         m.load(self.s_dispatch, _DISPATCH, bc_addr, 2)
         m.alu(self.s_dispatch + 8, _DISPATCH, n=2)
@@ -341,9 +465,19 @@ class BaseVM:
         # instructions as program execution (Section IV-B).
         m.alu(handler, _EXEC, n=4)
 
-    def emit_dispatch(self, frame: Frame, op: int) -> None:
-        self._rows_dispatch(
-            op, self.code_addr(frame.code) + 2 * frame.pc)
+    def emit_dispatch(self, op: int, bc_addr: int) -> None:
+        """Fetch, decode and jump to ``op``'s handler (``bc_addr``)."""
+        self.emit_rows(("_rows_dispatch", op), [bc_addr])
+
+    def _handler_dispatch(self, frame: Frame, op: int) -> None:
+        """Dispatch rows for a templated handler's untemplated paths.
+
+        A templated handler (``_TEMPLATED_OPS``) carries its dispatch
+        rows inside its template when ``handlers_emit_dispatch``; on
+        its other paths it emits them here, before anything else.
+        """
+        if self.handlers_emit_dispatch:
+            self.emit_dispatch(op, frame.bc_base + 2 * (frame.pc - 1))
 
     def _rows_push(self, slot_addr: int) -> None:
         m = self.machine
@@ -352,8 +486,11 @@ class BaseVM:
         m.alu(self.s_stack + 8, _STACK, n=1)
 
     def emit_push(self, frame: Frame, obj: GuestObject) -> None:
-        frame.stack.append(obj)
-        self._rows_push(frame.stack_addr(0))
+        stack = frame.stack
+        stack.append(obj)
+        self.emit_rows(("_rows_push",), [
+            frame.addr + _FRAME_HEADER
+            + 8 * ((len(stack) - 1) % _FRAME_STACK_SLOTS)])
 
     def _rows_pop(self, slot_addr: int) -> None:
         m = self.machine
@@ -362,8 +499,11 @@ class BaseVM:
         m.alu(self.s_stack + 24, _STACK, n=1)
 
     def emit_pop(self, frame: Frame) -> GuestObject:
-        self._rows_pop(frame.stack_addr(0))
-        return frame.stack.pop()
+        stack = frame.stack
+        self.emit_rows(("_rows_pop",), [
+            frame.addr + _FRAME_HEADER
+            + 8 * ((len(stack) - 1) % _FRAME_STACK_SLOTS)])
+        return stack.pop()
 
     def _rows_peek(self, slot_addr: int) -> None:
         m = self.machine
@@ -371,10 +511,10 @@ class BaseVM:
         m.load(self.s_stack + 32, _STACK, slot_addr)
 
     def emit_peek(self, frame: Frame, depth: int = 0) -> GuestObject:
-        self._rows_peek(frame.stack_addr(depth))
+        self.emit_rows(("_rows_peek",), [frame.stack_addr(depth)])
         return frame.stack[-1 - depth]
 
-    def _rows_typecheck(self, obj_addr: int, n_branches: int) -> None:
+    def _rows_typecheck(self, n_branches: int, obj_addr: int) -> None:
         m = self.machine
         m.load(self.s_type, _TYPE, obj_addr)  # ob_type
         m.alu(self.s_type + 8, _TYPE, n=1)
@@ -382,7 +522,7 @@ class BaseVM:
             m.branch(self.s_type + 12 + 4 * i, _TYPE, taken=(i == 0))
 
     def emit_typecheck(self, obj: GuestObject, n_branches: int = 1) -> None:
-        self._rows_typecheck(obj.addr, n_branches)
+        self.emit_rows(("_rows_typecheck", n_branches), [obj.addr])
 
     def emit_unbox(self, obj: GuestObject) -> None:
         self.machine.load(self.s_box, _BOX, obj.addr + 16)
@@ -396,7 +536,7 @@ class BaseVM:
         m.branch(self.s_err + 4, _ERROR, taken=taken)
 
     def emit_error_check(self, taken: bool = False) -> None:
-        self._rows_error_check(taken)
+        self.emit_rows(("_rows_error_check", taken), [])
 
     def _rows_incref(self, obj_addr: int) -> None:
         m = self.machine
@@ -407,7 +547,7 @@ class BaseVM:
     def emit_incref(self, obj: GuestObject) -> None:
         if not self.refcounting:
             return
-        self._rows_incref(obj.addr)
+        self.emit_rows(("_rows_incref",), [obj.addr])
         self.retain(obj)
 
     def _rows_decref(self, obj_addr: int) -> None:
@@ -420,7 +560,8 @@ class BaseVM:
     def emit_decref(self, obj: GuestObject) -> None:
         if not self.refcounting:
             return
-        self._rows_decref(obj.addr)
+        # The decref rows precede any dealloc cascade ``release`` runs.
+        self.emit_rows(("_rows_decref",), [obj.addr])
         self.release(obj)
 
     def emit_write_barrier(self, container: GuestObject) -> None:
@@ -430,7 +571,7 @@ class BaseVM:
         self.machine.alu(self.s_exec, _EXEC, n=n)
 
     def emit_execute_alu(self, n: int = 1) -> None:
-        self._rows_execute_alu(n)
+        self.emit_rows(("_rows_execute_alu", n), [])
 
     def _rows_dict_lookup(self, probe: int) -> None:
         m = self.machine
@@ -450,1609 +591,8 @@ class BaseVM:
         NAME_RESOLUTION or EXECUTE based on the recorded origin PC, which
         is exactly the caller-dependent case Section IV-B describes.
         """
-        self._rows_dict_lookup(d_table_addr + 24 * (slot_hint & 1023))
-
-    # ------------------------------------------------------------------
-    # Burst-backend emitters (bound as instance attributes at init)
-    # ------------------------------------------------------------------
-
-    def _bind_burst_emitters(self) -> None:
-        """Shadow the hot emit helpers with burst-queueing versions.
-
-        Only helpers the concrete VM class has *not* overridden are
-        shadowed, so a runtime model that customizes an emitter keeps
-        its behavior (and simply goes through the raw queue).
-        """
-        self._eng = self.machine._engine
-        # The engine clears its queues in place, so the array objects —
-        # and these bound methods — stay valid across flushes.
-        self._q_order = self._eng.order
-        self._q_append = self._eng.order.append
-        self._q_extend = self._eng.dyn.extend
-        self._q_dyn_append = self._eng.dyn.append
-        self._t_dispatch: list = [None] * 96
-        self._handler_site_by_op = [0] * 96
-        for op, site in self._handler_sites.items():
-            self._handler_site_by_op[int(op)] = site
-        self._t_push = self._t_pop = self._t_peek = None
-        self._t_incref = self._t_decref = None
-        self._t_dict_lookup = None
-        self._t_typecheck: dict[int, tuple | bool] = {}
-        self._t_err: dict[bool, tuple | bool] = {}
-        self._t_exec_alu: dict[int, tuple | bool] = {}
-        fused_ok = True
-        for name in ("emit_dispatch", "emit_push", "emit_pop",
-                     "emit_peek", "emit_typecheck", "emit_error_check",
-                     "emit_incref", "emit_decref", "emit_execute_alu",
-                     "dict_lookup_emit"):
-            if getattr(type(self), name) is getattr(BaseVM, name):
-                setattr(self, name, getattr(self, "_burst_" + name))
-            else:
-                fused_ok = False
-        # Fused whole-handler templates: the entire emission of a hot
-        # handler collapses to one queue entry. Only sound when every
-        # emit helper the handler's scalar body uses is the BaseVM
-        # implementation — a subclass override of any of them means the
-        # recorded rows could diverge, so the whole tier is skipped.
-        self._t_load_fast = self._t_store_fast = None
-        self._t_load_const = None
-        self._t_load_attr = self._t_store_attr = None
-        self._t_binop_prefix = self._t_int_body = None
-        self._t_for_range = self._t_for_list = None
-        self._t_pop_top = self._t_jump = None
-        self._t_load_method_attr = self._t_load_method_cls = None
-        self._t_load_global: dict[bool, tuple | bool] = {}
-        self._t_return = None
-        self._t_subscr = None
-        self._t_call_method: dict[int, tuple | bool] = {}
-        self._t_call_function: dict[int, tuple | bool] = {}
-        self._t_call_setup: dict[int, tuple | bool] = {}
-        self._t_int_full: dict[int, tuple | bool] = {}
-        self._t_cond_jump: dict[tuple, tuple | bool] = {}
-        #: Ops whose fused handler emits its own dispatch rows, so the
-        #: interpreter loop must not emit them again.
-        self._fused_dispatch = [False] * 96
-        if fused_ok:
-            cls = type(self)
-            table = self._handlers
-            # The fused handlers emit their own dispatch rows, so they
-            # are only installed together with the burst interpreter
-            # loop (which skips the separate dispatch emission for
-            # them). A runtime with its own loop — e.g. a JIT that
-            # interleaves recording hooks — keeps per-helper batching.
-            if cls.execute_frame is BaseVM.execute_frame:
-                self.execute_frame = self._burst_execute_frame
-                fused_handlers = [
-                    (Op.LOAD_FAST, "op_load_fast"),
-                    (Op.STORE_FAST, "op_store_fast"),
-                    (Op.LOAD_CONST, "op_load_const"),
-                    (Op.LOAD_ATTR, "op_load_attr"),
-                    (Op.FOR_ITER, "op_for_iter"),
-                    (Op.POP_TOP, "op_pop_top"),
-                    (Op.JUMP_ABSOLUTE, "op_jump_absolute"),
-                    (Op.LOAD_METHOD, "op_load_method"),
-                    (Op.RETURN_VALUE, "op_return_value"),
-                ]
-                if cls.lookup_global is BaseVM.lookup_global:
-                    fused_handlers.append(
-                        (Op.LOAD_GLOBAL, "op_load_global"))
-                if cls._subscr_semantics is BaseVM._subscr_semantics:
-                    fused_handlers.append(
-                        (Op.BINARY_SUBSCR, "op_binary_subscr"))
-                if cls.emit_write_barrier is BaseVM.emit_write_barrier:
-                    fused_handlers.append(
-                        (Op.STORE_ATTR, "op_store_attr"))
-                if (cls._call_object is BaseVM._call_object
-                        and cls._call_guest is BaseVM._call_guest
-                        and cls.make_frame is BaseVM.make_frame):
-                    fused_handlers.append(
-                        (Op.CALL_METHOD, "op_call_method"))
-                    fused_handlers.append(
-                        (Op.CALL_FUNCTION, "op_call_function"))
-                for op, name in fused_handlers:
-                    if getattr(cls, name) is getattr(BaseVM, name):
-                        table[int(op)] = getattr(self, "_burst_" + name)
-                        self._fused_dispatch[int(op)] = True
-                if (cls._binary_common is BaseVM._binary_common
-                        and cls._binary_semantics
-                        is BaseVM._binary_semantics
-                        and cls._int_op is BaseVM._int_op):
-                    for op_i, op_name in self._NUMERIC_OPS.items():
-                        hname = "op_binary_" + op_name
-                        if getattr(cls, hname, None) is \
-                                getattr(BaseVM, hname, None):
-                            table[op_i] = self._make_burst_binop(
-                                op_i, op_name)
-                            self._fused_dispatch[op_i] = True
-                if (cls._conditional_jump is BaseVM._conditional_jump
-                        and cls.emit_truthiness
-                        is BaseVM.emit_truthiness):
-                    for op, name, jump_if in (
-                            (Op.POP_JUMP_IF_FALSE,
-                             "op_pop_jump_if_false", False),
-                            (Op.POP_JUMP_IF_TRUE,
-                             "op_pop_jump_if_true", True)):
-                        if getattr(cls, name) is getattr(BaseVM, name):
-                            table[int(op)] = self._make_burst_cond_jump(
-                                int(op), jump_if)
-                            self._fused_dispatch[int(op)] = True
-                # Every remaining handler gets a thin wrapper that owns
-                # its dispatch emission, so the interpreter loop has no
-                # per-op fused/unfused branch at all.
-                for op_i, handler in enumerate(table):
-                    if handler is None or self._fused_dispatch[op_i]:
-                        continue
-                    table[op_i] = self._make_dispatching_handler(
-                        op_i, handler)
-                    self._fused_dispatch[op_i] = True
-            if cls._binary_common is BaseVM._binary_common:
-                self._binary_common = self._burst_binary_common
-            if cls._binary_semantics is BaseVM._binary_semantics:
-                self._binary_semantics = self._burst_binary_semantics
-
-    def _record_entry(self, thunk, dyn_base: list[int],
-                      implicit: tuple[str, ...]) -> tuple | bool:
-        """Record a template; return ``(tid, rows)`` or ``False``."""
-        tid = self._eng.record(thunk, dyn_base, implicit=implicit)
-        if tid is None:
-            return False
-        return (tid, self._eng.templates[tid].rows)
-
-    def _burst_emit_dispatch(self, frame: Frame, op: int) -> None:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        self._dispatch_entry(op, bc_base + 2 * frame.pc)
-
-    def _dispatch_entry(self, op: int, bc_addr: int) -> None:
-        m = self.machine
-        if m.suppressed or m.clib_depth:
-            self._rows_dispatch(op, bc_addr)
-            return
-        entry = self._t_dispatch[op]
-        if entry is None:
-            entry = self._t_dispatch[op] = self._record_entry(
-                lambda v: self._rows_dispatch(op, v[0]), [bc_addr], ())
-        if entry is False:
-            self._rows_dispatch(op, bc_addr)
-            return
-        m.origin = self._handler_site_by_op[op]
-        self._q_append(entry[0])
-        self._q_dyn_append(bc_addr)
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-
-    def _make_dispatching_handler(self, op: int, handler):
-        """Wrap a scalar handler so it emits its own dispatch rows.
-
-        The burst loop calls every handler *after* incrementing the pc,
-        so the wrapper reconstructs the dispatch address from ``pc - 1``
-        — the same address the scalar loop would have emitted before
-        the increment.
-        """
-        dispatch_entry = self._dispatch_entry
-        code_addr = self.code_addr
-
-        def run(frame: Frame, arg: int) -> int:
-            try:
-                bc_base = frame.bc_base
-            except AttributeError:
-                bc_base = frame.bc_base = code_addr(frame.code)
-            dispatch_entry(op, bc_base + 2 * (frame.pc - 1))
-            return handler(frame, arg)
-
-        return run
-
-    def _burst_execute_frame(self, frame: Frame) -> None:
-        """Burst-mode interpreter loop.
-
-        Identical to :meth:`execute_frame` except that dispatch
-        emission lives inside the handlers: fused handlers start their
-        single queue entry with the dispatch rows, and every other
-        handler is wrapped by :meth:`_make_dispatching_handler`.
-        """
-        handlers = self._handlers
-        ops = frame.code.ops
-        args = frame.code.args
-        stats = self.stats
-        machine = self.machine
-        budget_mask = 0x3FF
-        # The counter lives in a local during the loop (handlers never
-        # read it; run_frames is the only driver) and is synced on every
-        # exit path, so the budget-check cadence matches the scalar loop.
-        n = stats.bytecodes
-        try:
-            while True:
-                op = ops[frame.pc]
-                arg = args[frame.pc]
-                frame.pc += 1
-                n += 1
-                if not (n & budget_mask):
-                    stats.bytecodes = n
-                    machine.check_budget()
-                signal = handlers[op](frame, arg)
-                if signal:
-                    return
-        finally:
-            stats.bytecodes = n
-
-    def _burst_emit_push(self, frame: Frame, obj: GuestObject) -> None:
-        frame.stack.append(obj)
-        m = self.machine
-        if m.suppressed:
-            return
-        slot = frame.stack_addr(0)
-        if m.clib_depth:
-            self._rows_push(slot)
-            return
-        entry = self._t_push
-        if entry is None:
-            entry = self._t_push = self._record_entry(
-                lambda v: self._rows_push(v[0]), [slot], ("origin",))
-        if entry is False:
-            self._rows_push(slot)
-            return
-        self._q_append(entry[0])
-        self._q_extend((slot, m.origin))
-
-    def _burst_emit_pop(self, frame: Frame) -> GuestObject:
-        m = self.machine
-        if m.suppressed:
-            return frame.stack.pop()
-        slot = frame.stack_addr(0)
-        entry = self._t_pop
-        if m.clib_depth or entry is False:
-            self._rows_pop(slot)
-            return frame.stack.pop()
-        if entry is None:
-            entry = self._t_pop = self._record_entry(
-                lambda v: self._rows_pop(v[0]), [slot], ("origin",))
-            if entry is False:
-                self._rows_pop(slot)
-                return frame.stack.pop()
-        self._q_append(entry[0])
-        self._q_extend((slot, m.origin))
-        return frame.stack.pop()
-
-    def _burst_emit_peek(self, frame: Frame,
-                         depth: int = 0) -> GuestObject:
-        m = self.machine
-        if m.suppressed:
-            return frame.stack[-1 - depth]
-        slot = frame.stack_addr(depth)
-        entry = self._t_peek
-        if m.clib_depth or entry is False:
-            self._rows_peek(slot)
-            return frame.stack[-1 - depth]
-        if entry is None:
-            entry = self._t_peek = self._record_entry(
-                lambda v: self._rows_peek(v[0]), [slot], ("origin",))
-            if entry is False:
-                self._rows_peek(slot)
-                return frame.stack[-1 - depth]
-        self._q_append(entry[0])
-        self._q_extend((slot, m.origin))
-        return frame.stack[-1 - depth]
-
-    def _burst_emit_typecheck(self, obj: GuestObject,
-                              n_branches: int = 1) -> None:
-        m = self.machine
-        if m.suppressed:
-            return
-        if m.clib_depth:
-            self._rows_typecheck(obj.addr, n_branches)
-            return
-        entry = self._t_typecheck.get(n_branches)
-        if entry is None:
-            entry = self._t_typecheck[n_branches] = self._record_entry(
-                lambda v: self._rows_typecheck(v[0], n_branches),
-                [obj.addr], ("origin",))
-        if entry is False:
-            self._rows_typecheck(obj.addr, n_branches)
-            return
-        self._q_append(entry[0])
-        self._q_extend((obj.addr, m.origin))
-
-    def _burst_emit_error_check(self, taken: bool = False) -> None:
-        m = self.machine
-        if m.suppressed:
-            return
-        if m.clib_depth:
-            self._rows_error_check(taken)
-            return
-        entry = self._t_err.get(taken)
-        if entry is None:
-            entry = self._t_err[taken] = self._record_entry(
-                lambda v: self._rows_error_check(taken), [], ("origin",))
-        if entry is False:
-            self._rows_error_check(taken)
-            return
-        self._q_append(entry[0])
-        self._q_dyn_append(m.origin)
-
-    def _burst_emit_incref(self, obj: GuestObject) -> None:
-        if not self.refcounting:
-            return
-        m = self.machine
-        if m.suppressed:
-            self.retain(obj)
-            return
-        if m.clib_depth:
-            self._rows_incref(obj.addr)
-            self.retain(obj)
-            return
-        entry = self._t_incref
-        if entry is None:
-            entry = self._t_incref = self._record_entry(
-                lambda v: self._rows_incref(v[0]), [obj.addr],
-                ("origin",))
-        if entry is False:
-            self._rows_incref(obj.addr)
-            self.retain(obj)
-            return
-        self._q_append(entry[0])
-        self._q_extend((obj.addr, m.origin))
-        self.retain(obj)
-
-    def _burst_emit_decref(self, obj: GuestObject) -> None:
-        if not self.refcounting:
-            return
-        m = self.machine
-        if m.suppressed:
-            self.release(obj)
-            return
-        if m.clib_depth:
-            self._rows_decref(obj.addr)
-            self.release(obj)
-            return
-        entry = self._t_decref
-        if entry is None:
-            entry = self._t_decref = self._record_entry(
-                lambda v: self._rows_decref(v[0]), [obj.addr],
-                ("origin",))
-        if entry is False:
-            self._rows_decref(obj.addr)
-            self.release(obj)
-            return
-        self._q_append(entry[0])
-        self._q_extend((obj.addr, m.origin))
-        # The decref rows precede any dealloc cascade, exactly as in the
-        # scalar path: cascade emissions enqueue behind this entry.
-        self.release(obj)
-
-    def _burst_emit_execute_alu(self, n: int = 1) -> None:
-        m = self.machine
-        if m.suppressed:
-            return
-        if m.clib_depth:
-            self._rows_execute_alu(n)
-            return
-        entry = self._t_exec_alu.get(n)
-        if entry is None:
-            entry = self._t_exec_alu[n] = self._record_entry(
-                lambda v: self._rows_execute_alu(n), [], ("origin",))
-        if entry is False:
-            self._rows_execute_alu(n)
-            return
-        self._q_append(entry[0])
-        self._q_dyn_append(m.origin)
-
-    def _burst_dict_lookup_emit(self, d_table_addr: int,
-                                slot_hint: int) -> None:
-        m = self.machine
-        if m.suppressed:
-            return  # the scalar path's sp dip nets to zero rows/state
-        probe = d_table_addr + 24 * (slot_hint & 1023)
-        if m.clib_depth:
-            self._rows_dict_lookup(probe)
-            return
-        entry = self._t_dict_lookup
-        if entry is None:
-            entry = self._t_dict_lookup = self._record_entry(
-                lambda v: self._rows_dict_lookup(v[0]), [probe],
-                ("origin", "sp"))
-        if entry is False:
-            self._rows_dict_lookup(probe)
-            return
-        self._q_append(entry[0])
-        self._q_extend((probe, m.origin, m.sp))
-
-    # ------------------------------------------------------------------
-    # Fused whole-handler templates (burst backend)
-    # ------------------------------------------------------------------
-
-    # Each ``_rows_op_*`` body replays the *entire* emission of a hot
-    # handler's common path, stitched from the same ``_rows_*`` pieces
-    # the scalar handler uses — so the recorded template is bit-identical
-    # to the scalar row stream. The ``_burst_op_*`` handler performs the
-    # semantics, decides whether the common path applies (anything
-    # unusual delegates to the scalar handler body, whose emit helpers
-    # are burst-bound and therefore still queue correctly), and enqueues
-    # a single entry. Trailing ``emit_decref`` calls stay *outside* the
-    # fused template: a decref can trigger a dealloc cascade whose rows
-    # must land after the decref rows, which only the dedicated wrapper
-    # ordering guarantees.
-
-    def _rows_op_load_fast(self, bc_addr: int, local_addr: int,
-                           obj_addr: int, slot_addr: int) -> None:
-        m = self.machine
-        self._rows_dispatch(_OP_LOAD_FAST, bc_addr)
-        m.alu(self.s_regxfer + 8, _REG, n=1)
-        m.load(self.s_stack + 56, _STACK, local_addr)
-        self._rows_error_check(False)
-        if self.refcounting:
-            self._rows_incref(obj_addr)
-        self._rows_push(slot_addr)
-
-    def _burst_op_load_fast(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        obj = frame.locals[arg]
-        m = self.machine
-        if obj is None or m.suppressed or m.clib_depth:
-            self._dispatch_entry(_OP_LOAD_FAST, bc_addr)
-            return BaseVM.op_load_fast(self, frame, arg)
-        stack = frame.stack
-        idx = len(stack)
-        base_addr = frame.addr + _FRAME_HEADER
-        entry = self._t_load_fast
-        if entry is None:
-            entry = self._t_load_fast = self._record_entry(
-                lambda v: self._rows_op_load_fast(v[0], v[1], v[2], v[3]),
-                [bc_addr,
-                 base_addr + 8 * _FRAME_STACK_SLOTS + 8 * arg, obj.addr,
-                 base_addr + 8 * (idx % _FRAME_STACK_SLOTS)], ())
-        if entry is False:
-            self._dispatch_entry(_OP_LOAD_FAST, bc_addr)
-            return BaseVM.op_load_fast(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_LOAD_FAST]
-        stack.append(obj)
-        self._q_append(entry[0])
-        self._q_extend((
-            bc_addr,
-            base_addr + 8 * _FRAME_STACK_SLOTS + 8 * arg,
-            obj.addr,
-            base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
-        ))
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        if self.refcounting:
-            self.retain(obj)
-        return _NEXT
-
-    def _rows_op_store_fast(self, bc_addr: int, pop_slot: int,
-                            local_addr: int) -> None:
-        m = self.machine
-        self._rows_dispatch(_OP_STORE_FAST, bc_addr)
-        self._rows_pop(pop_slot)
-        m.alu(self.s_regxfer + 12, _REG, n=1)
-        m.store(self.s_stack + 60, _STACK, local_addr)
-
-    def _burst_op_store_fast(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        stack = frame.stack
-        if m.suppressed or m.clib_depth or not stack:
-            self._dispatch_entry(_OP_STORE_FAST, bc_addr)
-            return BaseVM.op_store_fast(self, frame, arg)
-        idx = len(stack) - 1
-        base_addr = frame.addr + _FRAME_HEADER
-        entry = self._t_store_fast
-        if entry is None:
-            entry = self._t_store_fast = self._record_entry(
-                lambda v: self._rows_op_store_fast(v[0], v[1], v[2]),
-                [bc_addr, base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
-                 base_addr + 8 * _FRAME_STACK_SLOTS + 8 * arg], ())
-        if entry is False:
-            self._dispatch_entry(_OP_STORE_FAST, bc_addr)
-            return BaseVM.op_store_fast(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_STORE_FAST]
-        obj = stack.pop()
-        self._q_append(entry[0])
-        self._q_extend((
-            bc_addr,
-            base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
-            base_addr + 8 * _FRAME_STACK_SLOTS + 8 * arg,
-        ))
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        old = frame.locals[arg]
-        frame.locals[arg] = obj
-        if old is not None:
-            self.emit_decref(old)
-        return _NEXT
-
-    def _rows_op_load_const(self, bc_addr: int, const_addr: int,
-                            obj_addr: int, slot_addr: int) -> None:
-        m = self.machine
-        self._rows_dispatch(_OP_LOAD_CONST, bc_addr)
-        m.alu(self.s_regxfer + 4, _REG, n=1)
-        m.load(self.s_const, _CONST, const_addr)
-        if self.refcounting:
-            self._rows_incref(obj_addr)
-        self._rows_push(slot_addr)
-
-    def _burst_op_load_const(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        if m.suppressed or m.clib_depth:
-            self._dispatch_entry(_OP_LOAD_CONST, bc_addr)
-            return BaseVM.op_load_const(self, frame, arg)
-        obj = self._const_objects[id(frame.code)][arg]
-        stack = frame.stack
-        idx = len(stack)
-        base_addr = frame.addr + _FRAME_HEADER
-        entry = self._t_load_const
-        if entry is None:
-            entry = self._t_load_const = self._record_entry(
-                lambda v: self._rows_op_load_const(v[0], v[1], v[2],
-                                                   v[3]),
-                [bc_addr, bc_base + 64 + 8 * arg, obj.addr,
-                 base_addr + 8 * (idx % _FRAME_STACK_SLOTS)], ())
-        if entry is False:
-            self._dispatch_entry(_OP_LOAD_CONST, bc_addr)
-            return BaseVM.op_load_const(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_LOAD_CONST]
-        stack.append(obj)
-        self._q_append(entry[0])
-        self._q_extend((
-            bc_addr,
-            bc_base + 64 + 8 * arg,
-            obj.addr,
-            base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
-        ))
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        if self.refcounting:
-            self.retain(obj)
-        return _NEXT
-
-    def _rows_op_load_attr(self, bc_addr: int, pop_slot: int,
-                           obj_addr: int, probe: int,
-                           attr_addr: int) -> None:
-        m = self.machine
-        self._rows_dispatch(_OP_LOAD_ATTR, bc_addr)
-        self._rows_pop(pop_slot)
-        self._rows_typecheck(obj_addr, 1)
-        m.alu(self.s_name + 32, _NAME, n=2)
-        self._rows_dict_lookup(probe)
-        if self.refcounting:
-            self._rows_incref(attr_addr)
-
-    def _burst_op_load_attr(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        stack = frame.stack
-        obj = stack[-1] if stack else None
-        name = frame.code.names[arg]
-        if (m.suppressed or m.clib_depth
-                or not isinstance(obj, PyInstance)
-                or name not in obj.attrs):
-            self._dispatch_entry(_OP_LOAD_ATTR, bc_addr)
-            return BaseVM.op_load_attr(self, frame, arg)
-        idx = len(stack) - 1
-        base_addr = frame.addr + _FRAME_HEADER
-        probe = obj.addr + 16 + 24 * (stable_hash(name) & 1023)
-        attr = obj.attrs[name]
-        entry = self._t_load_attr
-        if entry is None:
-            entry = self._t_load_attr = self._record_entry(
-                lambda v: self._rows_op_load_attr(v[0], v[1], v[2], v[3],
-                                                  v[4]),
-                [bc_addr, base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
-                 obj.addr, probe, attr.addr], ("sp",))
-        if entry is False:
-            self._dispatch_entry(_OP_LOAD_ATTR, bc_addr)
-            return BaseVM.op_load_attr(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_LOAD_ATTR]
-        stack.pop()
-        self._q_append(entry[0])
-        self._q_extend((
-            bc_addr,
-            base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
-            obj.addr,
-            probe,
-            attr.addr,
-            m.sp,
-        ))
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        if self.refcounting:
-            self.retain(attr)
-        self.emit_decref(obj)
-        self.emit_push(frame, attr)
-        return _NEXT
-
-    def _rows_op_store_attr(self, bc_addr: int, pop_obj_slot: int,
-                            pop_val_slot: int, obj_addr: int, probe: int,
-                            store_addr: int) -> None:
-        m = self.machine
-        self._rows_dispatch(_OP_STORE_ATTR, bc_addr)
-        self._rows_pop(pop_obj_slot)
-        self._rows_pop(pop_val_slot)
-        self._rows_typecheck(obj_addr, 1)
-        m.alu(self.s_name + 40, _NAME, n=2)
-        self._rows_dict_lookup(probe)
-        m.store(self.s_name + 44, _NAME, store_addr)
-
-    def _burst_op_store_attr(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        stack = frame.stack
-        obj = stack[-1] if stack else None
-        if (m.suppressed or m.clib_depth or len(stack) < 2
-                or not isinstance(obj, PyInstance)):
-            self._dispatch_entry(_OP_STORE_ATTR, bc_addr)
-            return BaseVM.op_store_attr(self, frame, arg)
-        name = frame.code.names[arg]
-        idx = len(stack) - 1
-        base_addr = frame.addr + _FRAME_HEADER
-        name_hash = stable_hash(name)
-        probe = obj.addr + 16 + 24 * (name_hash & 1023)
-        store_addr = obj.addr + 16 + (name_hash & 63)
-        entry = self._t_store_attr
-        if entry is None:
-            entry = self._t_store_attr = self._record_entry(
-                lambda v: self._rows_op_store_attr(v[0], v[1], v[2],
-                                                   v[3], v[4], v[5]),
-                [bc_addr, base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
-                 base_addr + 8 * ((idx - 1) % _FRAME_STACK_SLOTS),
-                 obj.addr, probe, store_addr], ("sp",))
-        if entry is False:
-            self._dispatch_entry(_OP_STORE_ATTR, bc_addr)
-            return BaseVM.op_store_attr(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_STORE_ATTR]
-        stack.pop()
-        value = stack.pop()
-        self._q_append(entry[0])
-        self._q_extend((
-            bc_addr,
-            base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
-            base_addr + 8 * ((idx - 1) % _FRAME_STACK_SLOTS),
-            obj.addr,
-            probe,
-            store_addr,
-            m.sp,
-        ))
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        old = obj.attrs.get(name)
-        obj.attrs[name] = value
-        if old is not None:
-            self.emit_decref(old)
-        self.emit_decref(obj)
-        return _NEXT
-
-    def _rows_binop_prefix(self, pop_r_slot: int, pop_l_slot: int,
-                           left_addr: int, right_addr: int) -> None:
-        m = self.machine
-        self._rows_pop(pop_r_slot)
-        self._rows_pop(pop_l_slot)
-        self._rows_typecheck(left_addr, 1)
-        self._rows_typecheck(right_addr, 1)
-        m.load(self.s_funcres, _FUNC_RES, left_addr)
-        m.load(self.s_funcres + 8, _FUNC_RES,
-               self.machine.space.vm_data.base + 0x2000)
-        m.alu(self.s_funcres + 12, _FUNC_RES, n=1)
-
-    def _burst_binary_common(self, frame: Frame, op_name: str) -> int:
-        m = self.machine
-        stack = frame.stack
-        if m.suppressed or m.clib_depth or len(stack) < 2:
-            return BaseVM._binary_common(self, frame, op_name)
-        idx = len(stack) - 1
-        base_addr = frame.addr + _FRAME_HEADER
-        entry = self._t_binop_prefix
-        if entry is None:
-            entry = self._t_binop_prefix = self._record_entry(
-                lambda v: self._rows_binop_prefix(v[0], v[1], v[2], v[3]),
-                [base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
-                 base_addr + 8 * ((idx - 1) % _FRAME_STACK_SLOTS),
-                 stack[-2].addr, stack[-1].addr], ("origin",))
-        if entry is False:
-            return BaseVM._binary_common(self, frame, op_name)
-        right = stack.pop()
-        left = stack.pop()
-        self._q_append(entry[0])
-        self._q_extend((
-            base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
-            base_addr + 8 * ((idx - 1) % _FRAME_STACK_SLOTS),
-            left.addr,
-            right.addr,
-            m.origin,
-        ))
-        result = None
-        with m.c_call(f"ceval.call_binop_{op_name}",
-                      f"abstract.binary_{op_name}", indirect=True,
-                      args=2, saves=2):
-            result = self._binary_semantics(left, right, op_name)
-        self.emit_decref(left)
-        self.emit_decref(right)
-        self.emit_push(frame, result)
-        return _NEXT
-
-    def _rows_int_binop(self, left_addr: int, right_addr: int) -> None:
-        m = self.machine
-        m.load(self.s_box, _BOX, left_addr + 16)
-        m.load(self.s_box, _BOX, right_addr + 16)
-        self._rows_error_check(False)
-        m.alu(self.s_box + 16, _BOX, n=1)
-
-    def _burst_binary_semantics(self, left: GuestObject,
-                                right: GuestObject,
-                                op_name: str) -> GuestObject:
-        m = self.machine
-        if (not m.suppressed and not m.clib_depth
-                and isinstance(left, (PyInt, PyBool))
-                and isinstance(right, (PyInt, PyBool))):
-            lv = int(left.value)
-            rv = int(right.value)
-            # Paths that raise, return floats, or shift by huge amounts
-            # must emit through the scalar body (its rows precede the
-            # exception / allocation).
-            if not (op_name == "truediv"
-                    or (rv < 0 and op_name in ("lshift", "rshift", "pow"))
-                    or (rv == 0 and op_name in ("floordiv", "mod"))):
-                value = self._int_op(op_name, lv, rv)
-                if (type(value) is int
-                        and SMALL_INT_MIN <= value <= SMALL_INT_MAX):
-                    entry = self._t_int_body
-                    if entry is None:
-                        entry = self._t_int_body = self._record_entry(
-                            lambda v: self._rows_int_binop(v[0], v[1]),
-                            [left.addr, right.addr], ("origin",))
-                    if entry is not False:
-                        self._q_append(entry[0])
-                        self._q_extend((left.addr, right.addr, m.origin))
-                        return self._small_ints[value]
-        return BaseVM._binary_semantics(self, left, right, op_name)
-
-    def _rows_for_iter_range(self, bc_addr: int, peek_slot: int,
-                             iter_addr: int, push_slot: int) -> None:
-        m = self.machine
-        self._rows_dispatch(_OP_FOR_ITER, bc_addr)
-        self._rows_peek(peek_slot)
-        m.load(self.s_funcres + 20, _FUNC_RES, iter_addr)
-        with m.c_call("ceval.call_iternext", "object.iternext",
-                      indirect=True, args=1, saves=1):
-            m.alu(self.s_box + 16, _BOX, n=1)  # make_int (small cache)
-            m.load(self.s_exec + 52, _EXEC, iter_addr + 16)
-            m.alu(self.s_exec + 56, _EXEC, n=1)
-        m.branch(self.s_rich + 60, _RICH, taken=False)
-        self._rows_push(push_slot)
-
-    def _rows_for_iter_list(self, bc_addr: int, peek_slot: int,
-                            iter_addr: int, item_addr: int,
-                            push_slot: int) -> None:
-        m = self.machine
-        self._rows_dispatch(_OP_FOR_ITER, bc_addr)
-        self._rows_peek(peek_slot)
-        m.load(self.s_funcres + 20, _FUNC_RES, iter_addr)
-        with m.c_call("ceval.call_iternext", "object.iternext",
-                      indirect=True, args=1, saves=1):
-            if self.refcounting:
-                self._rows_incref(item_addr)
-            m.load(self.s_exec + 52, _EXEC, iter_addr + 16)
-            m.alu(self.s_exec + 56, _EXEC, n=1)
-        m.branch(self.s_rich + 60, _RICH, taken=False)
-        self._rows_push(push_slot)
-
-    def _burst_op_for_iter(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        stack = frame.stack
-        iterator = stack[-1] if stack else None
-        if m.suppressed or m.clib_depth \
-                or not isinstance(iterator, PyIterator):
-            self._dispatch_entry(_OP_FOR_ITER, bc_addr)
-            return BaseVM.op_for_iter(self, frame, arg)
-        kind = iterator.kind
-        source = iterator.source
-        index = iterator.index
-        idx = len(stack) - 1
-        base_addr = frame.addr + _FRAME_HEADER
-        peek_slot = base_addr + 8 * (idx % _FRAME_STACK_SLOTS)
-        push_slot = base_addr + 8 * ((idx + 1) % _FRAME_STACK_SLOTS)
-        if kind == "range":
-            value = source.start + index * source.step
-            in_range = (value < source.stop if source.step > 0
-                        else value > source.stop)
-            if not in_range or not (
-                    SMALL_INT_MIN <= value <= SMALL_INT_MAX):
-                self._dispatch_entry(_OP_FOR_ITER, bc_addr)
-                return BaseVM.op_for_iter(self, frame, arg)
-            entry = self._t_for_range
-            if entry is None:
-                entry = self._t_for_range = self._record_entry(
-                    lambda v: self._rows_for_iter_range(v[0], v[1], v[2],
-                                                        v[3]),
-                    [bc_addr, peek_slot, iterator.addr, push_slot],
-                    ("sp",))
-            if entry is False:
-                self._dispatch_entry(_OP_FOR_ITER, bc_addr)
-                return BaseVM.op_for_iter(self, frame, arg)
-            m.origin = self._handler_site_by_op[_OP_FOR_ITER]
-            iterator.index = index + 1
-            obj = self._small_ints[value]
-            stack.append(obj)
-            self._q_append(entry[0])
-            self._q_extend((bc_addr, peek_slot, iterator.addr, push_slot, m.sp))
-            if len(self._q_order) >= _FLUSH_ENTRIES:
-                self._eng.flush()
-            return _NEXT
-        if kind in ("list", "tuple"):
-            items = source.items
-            if index >= len(items):
-                self._dispatch_entry(_OP_FOR_ITER, bc_addr)
-                return BaseVM.op_for_iter(self, frame, arg)
-            entry = self._t_for_list
-            item = items[index]
-            if entry is None:
-                entry = self._t_for_list = self._record_entry(
-                    lambda v: self._rows_for_iter_list(v[0], v[1], v[2],
-                                                       v[3], v[4]),
-                    [bc_addr, peek_slot, iterator.addr, item.addr,
-                     push_slot], ("sp",))
-            if entry is False:
-                self._dispatch_entry(_OP_FOR_ITER, bc_addr)
-                return BaseVM.op_for_iter(self, frame, arg)
-            m.origin = self._handler_site_by_op[_OP_FOR_ITER]
-            iterator.index = index + 1
-            if self.refcounting:
-                self.retain(item)
-            stack.append(item)
-            self._q_append(entry[0])
-            self._q_extend((
-                bc_addr,
-                peek_slot,
-                iterator.addr,
-                item.addr,
-                push_slot,
-                m.sp,
-            ))
-            if len(self._q_order) >= _FLUSH_ENTRIES:
-                self._eng.flush()
-            return _NEXT
-        self._dispatch_entry(_OP_FOR_ITER, bc_addr)
-        return BaseVM.op_for_iter(self, frame, arg)
-
-    def _rows_op_pop_top(self, bc_addr: int, pop_slot: int,
-                         obj_addr: int) -> None:
-        self._rows_dispatch(_OP_POP_TOP, bc_addr)
-        self._rows_pop(pop_slot)
-        if self.refcounting:
-            self._rows_decref(obj_addr)
-
-    def _burst_op_pop_top(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        stack = frame.stack
-        if m.suppressed or m.clib_depth or not stack:
-            self._dispatch_entry(_OP_POP_TOP, bc_addr)
-            return BaseVM.op_pop_top(self, frame, arg)
-        idx = len(stack) - 1
-        base_addr = frame.addr + _FRAME_HEADER
-        obj = stack[-1]
-        entry = self._t_pop_top
-        if entry is None:
-            entry = self._t_pop_top = self._record_entry(
-                lambda v: self._rows_op_pop_top(v[0], v[1], v[2]),
-                [bc_addr, base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
-                 obj.addr], ())
-        if entry is False:
-            self._dispatch_entry(_OP_POP_TOP, bc_addr)
-            return BaseVM.op_pop_top(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_POP_TOP]
-        stack.pop()
-        self._q_append(entry[0])
-        self._q_extend((
-            bc_addr,
-            base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
-            obj.addr,
-        ))
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        if self.refcounting:
-            # The decref rows are already queued; a zero refcount now
-            # cascades through ``_dealloc``, whose rows land after them
-            # — the same order the scalar path produces.
-            self.release(obj)
-        return _NEXT
-
-    def _rows_int_binop_full(self, op: int, op_name: str,
-                             values: list) -> None:
-        """Whole int-op body: dispatch, operand pops, the inlined
-        ``abstract.binary_*`` C call, operand decrefs, result push.
-
-        ``values`` is ``[bc_addr, pop_r_slot, pop_l_slot, left_addr,
-        right_addr, push_slot]``.
-        """
-        m = self.machine
-        self._rows_dispatch(op, values[0])
-        self._rows_binop_prefix(values[1], values[2],
-                                values[3], values[4])
-        with m.c_call(f"ceval.call_binop_{op_name}",
-                      f"abstract.binary_{op_name}", indirect=True,
-                      args=2, saves=2):
-            self._rows_int_binop(values[3], values[4])
-        if self.refcounting:
-            self._rows_decref(values[3])
-            self._rows_decref(values[4])
-        self._rows_push(values[5])
-
-    def _make_burst_binop(self, op: int, op_name: str):
-        """A fused handler for one numeric bytecode.
-
-        The fast path covers small-int arithmetic where neither operand
-        decref can trigger a dealloc cascade (so the whole row sequence
-        is a single template); everything else falls back to the
-        prefix-batched :meth:`_burst_binary_common` path.
-        """
-        excluded_neg = op_name in ("lshift", "rshift", "pow")
-        excluded_zero = op_name in ("floordiv", "mod")
-        truediv = op_name == "truediv"
-
-        def run(frame: Frame, arg: int) -> int:
-            try:
-                bc_base = frame.bc_base
-            except AttributeError:
-                bc_base = frame.bc_base = self.code_addr(frame.code)
-            bc_addr = bc_base + 2 * (frame.pc - 1)
-            m = self.machine
-            stack = frame.stack
-            left = stack[-2] if len(stack) > 1 else None
-            right = stack[-1] if stack else None
-            if (m.suppressed or m.clib_depth or truediv
-                    or not isinstance(left, (PyInt, PyBool))
-                    or not isinstance(right, (PyInt, PyBool))):
-                self._dispatch_entry(op, bc_addr)
-                return self._binary_common(frame, op_name)
-            lv = int(left.value)
-            rv = int(right.value)
-            if ((rv < 0 and excluded_neg) or (rv == 0 and excluded_zero)
-                    or (self.refcounting and (left.refcount == 1
-                                              or right.refcount == 1))):
-                self._dispatch_entry(op, bc_addr)
-                return self._binary_common(frame, op_name)
-            value = self._int_op(op_name, lv, rv)
-            if not (type(value) is int
-                    and SMALL_INT_MIN <= value <= SMALL_INT_MAX):
-                self._dispatch_entry(op, bc_addr)
-                return self._binary_common(frame, op_name)
-            idx = len(stack) - 1
-            base_addr = frame.addr + _FRAME_HEADER
-            pop_r = base_addr + 8 * (idx % _FRAME_STACK_SLOTS)
-            pop_l = base_addr + 8 * ((idx - 1) % _FRAME_STACK_SLOTS)
-            entry = self._t_int_full.get(op)
-            if entry is None:
-                entry = self._t_int_full[op] = self._record_entry(
-                    lambda v: self._rows_int_binop_full(op, op_name, v),
-                    [bc_addr, pop_r, pop_l, left.addr, right.addr,
-                     pop_l], ("sp",))
-            if entry is False:
-                self._dispatch_entry(op, bc_addr)
-                return self._binary_common(frame, op_name)
-            m.origin = self._handler_site_by_op[op]
-            stack.pop()
-            stack.pop()
-            self._q_append(entry[0])
-            self._q_extend((bc_addr, pop_r, pop_l, left.addr,
-                            right.addr, pop_l, m.sp))
-            if len(self._q_order) >= _FLUSH_ENTRIES:
-                self._eng.flush()
-            if self.refcounting:
-                self.release(left)
-                self.release(right)
-            stack.append(self._small_ints[value])
-            return _NEXT
-
-        return run
-
-    def _rows_cond_jump(self, op: int, taken: bool,
-                        values: list) -> None:
-        """Dispatch + pop + PyObject_IsTrue + decref + branch.
-
-        ``values`` is ``[bc_addr, pop_slot, obj_addr]``.
-        """
-        m = self.machine
-        self._rows_dispatch(op, values[0])
-        self._rows_pop(values[1])
-        self._rows_typecheck(values[2], 2)
-        m.load(self.s_rich, _RICH, values[2] + 16)
-        m.alu(self.s_rich + 8, _RICH, n=1)
-        if self.refcounting:
-            self._rows_decref(values[2])
-        m.branch(self.s_rich + 16, _RICH, taken=taken)
-
-    def _make_burst_cond_jump(self, op: int, jump_if: bool):
-        """Fused handler for POP_JUMP_IF_FALSE / POP_JUMP_IF_TRUE."""
-
-        def run(frame: Frame, arg: int) -> int:
-            try:
-                bc_base = frame.bc_base
-            except AttributeError:
-                bc_base = frame.bc_base = self.code_addr(frame.code)
-            bc_addr = bc_base + 2 * (frame.pc - 1)
-            m = self.machine
-            stack = frame.stack
-            obj = stack[-1] if stack else None
-            if (m.suppressed or m.clib_depth or obj is None
-                    or (self.refcounting and obj.refcount == 1)):
-                self._dispatch_entry(op, bc_addr)
-                return self._conditional_jump(frame, arg, jump_if)
-            taken = obj.is_truthy() == jump_if
-            entry = self._t_cond_jump.get((op, taken))
-            idx = len(stack) - 1
-            base_addr = frame.addr + _FRAME_HEADER
-            pop_slot = base_addr + 8 * (idx % _FRAME_STACK_SLOTS)
-            if entry is None:
-                entry = self._t_cond_jump[(op, taken)] = \
-                    self._record_entry(
-                        lambda v, t=taken: self._rows_cond_jump(
-                            op, t, v),
-                        [bc_addr, pop_slot, obj.addr], ())
-            if entry is False:
-                self._dispatch_entry(op, bc_addr)
-                return self._conditional_jump(frame, arg, jump_if)
-            m.origin = self._handler_site_by_op[op]
-            stack.pop()
-            self._q_append(entry[0])
-            self._q_extend((bc_addr, pop_slot, obj.addr))
-            if len(self._q_order) >= _FLUSH_ENTRIES:
-                self._eng.flush()
-            if self.refcounting:
-                self.release(obj)
-            if taken:
-                if arg < frame.pc:
-                    self.on_backedge(frame, arg)
-                frame.pc = arg
-            return _NEXT
-
-        return run
-
-    def _rows_op_load_method_cls(self, bc_addr: int, pop_slot: int,
-                                 obj_addr: int, obj_probe: int,
-                                 cls_probe: int) -> None:
-        m = self.machine
-        self._rows_dispatch(_OP_LOAD_METHOD, bc_addr)
-        self._rows_pop(pop_slot)
-        self._rows_typecheck(obj_addr, 2)
-        m.alu(self.s_name + 24, _NAME, n=2)
-        self._rows_dict_lookup(obj_probe)
-        m.branch(self.s_name + 28, _NAME, taken=True)
-        self._rows_dict_lookup(cls_probe)
-
-    def _rows_op_load_method_attr(self, bc_addr: int, pop_slot: int,
-                                  obj_addr: int, obj_probe: int,
-                                  attr_addr: int) -> None:
-        m = self.machine
-        self._rows_dispatch(_OP_LOAD_METHOD, bc_addr)
-        self._rows_pop(pop_slot)
-        self._rows_typecheck(obj_addr, 2)
-        m.alu(self.s_name + 24, _NAME, n=2)
-        self._rows_dict_lookup(obj_probe)
-        if self.refcounting:
-            self._rows_incref(attr_addr)
-
-    def _burst_op_load_method(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        stack = frame.stack
-        obj = stack[-1] if stack else None
-        if (m.suppressed or m.clib_depth
-                or not isinstance(obj, PyInstance)):
-            self._dispatch_entry(_OP_LOAD_METHOD, bc_addr)
-            return BaseVM.op_load_method(self, frame, arg)
-        name = frame.code.names[arg]
-        idx = len(stack) - 1
-        base_addr = frame.addr + _FRAME_HEADER
-        pop_slot = base_addr + 8 * (idx % _FRAME_STACK_SLOTS)
-        name_hash = stable_hash(name)
-        obj_probe = obj.addr + 16 + 24 * (name_hash & 1023)
-        attr = obj.attrs.get(name)
-        if attr is not None:
-            entry = self._t_load_method_attr
-            if entry is None:
-                entry = self._t_load_method_attr = self._record_entry(
-                    lambda v: self._rows_op_load_method_attr(
-                        v[0], v[1], v[2], v[3], v[4]),
-                    [bc_addr, pop_slot, obj.addr, obj_probe, attr.addr],
-                    ("sp",))
-            if entry is False:
-                self._dispatch_entry(_OP_LOAD_METHOD, bc_addr)
-                return BaseVM.op_load_method(self, frame, arg)
-            m.origin = self._handler_site_by_op[_OP_LOAD_METHOD]
-            stack.pop()
-            self._q_append(entry[0])
-            self._q_extend((
-                bc_addr,
-                pop_slot,
-                obj.addr,
-                obj_probe,
-                attr.addr,
-                m.sp,
-            ))
-            if len(self._q_order) >= _FLUSH_ENTRIES:
-                self._eng.flush()
-            if self.refcounting:
-                self.retain(attr)
-            self.emit_push(frame, attr)
-            self.emit_decref(obj)
-            return _NEXT
-        func = obj.cls.methods.get(name)
-        if func is None:
-            self._dispatch_entry(_OP_LOAD_METHOD, bc_addr)
-            return BaseVM.op_load_method(self, frame, arg)
-        cls_probe = obj.cls.addr + 16 + 24 * (name_hash & 1023)
-        entry = self._t_load_method_cls
-        if entry is None:
-            entry = self._t_load_method_cls = self._record_entry(
-                lambda v: self._rows_op_load_method_cls(
-                    v[0], v[1], v[2], v[3], v[4]),
-                [bc_addr, pop_slot, obj.addr, obj_probe, cls_probe],
-                ("sp",))
-        if entry is False:
-            self._dispatch_entry(_OP_LOAD_METHOD, bc_addr)
-            return BaseVM.op_load_method(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_LOAD_METHOD]
-        stack.pop()
-        self._q_append(entry[0])
-        self._q_extend((bc_addr, pop_slot, obj.addr, obj_probe, cls_probe, m.sp))
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        method = PyBoundMethod(obj, func)
-        self.alloc_object(method)
-        self.emit_push(frame, method)
-        return _NEXT
-
-    def _rows_op_load_global(self, miss: bool, values: list) -> None:
-        """Uncached LOAD_GLOBAL: name fetch, lookdict probe(s), push.
-
-        ``values`` is ``[bc_addr, name_cell, globals_probe,
-        (builtins_probe,) obj_addr, push_slot]`` — the builtins probe is
-        present only on the globals-miss shape.
-        """
-        m = self.machine
-        self._rows_dispatch(_OP_LOAD_GLOBAL, values[0])
-        m.alu(self.s_name, _NAME, n=4)
-        m.load(self.s_name + 16, _NAME, values[1])
-        self._rows_dict_lookup(values[2])
-        if miss:
-            m.branch(self.s_name + 8, _NAME, taken=True)
-            self._rows_dict_lookup(values[3])
-        if self.refcounting:
-            self._rows_incref(values[-2])
-        self._rows_push(values[-1])
-
-    def _burst_op_load_global(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        if m.suppressed or m.clib_depth or self.global_cache_enabled:
-            self._dispatch_entry(_OP_LOAD_GLOBAL, bc_addr)
-            return BaseVM.op_load_global(self, frame, arg)
-        name = frame.code.names[arg]
-        obj = self.globals.get(name)
-        miss = obj is None
-        if miss:
-            obj = self.builtins.get(name)
-            if obj is None:  # NameError path stays scalar
-                self._dispatch_entry(_OP_LOAD_GLOBAL, bc_addr)
-                return BaseVM.op_load_global(self, frame, arg)
-        name_hash = stable_hash(name)
-        base = m.space.vm_data.base
-        name_cell = base + 0x900 + (name_hash & 0xFF8)
-        table = base + 0x1000
-        probe = table + 24 * (name_hash & 1023)
-        push_slot = frame.addr + _FRAME_HEADER \
-            + 8 * (len(frame.stack) % _FRAME_STACK_SLOTS)
-        if miss:
-            values = [bc_addr, name_cell, probe,
-                      table + 0x8000 + 24 * (name_hash & 1023),
-                      obj.addr, push_slot]
-        else:
-            values = [bc_addr, name_cell, probe, obj.addr, push_slot]
-        entry = self._t_load_global.get(miss)
-        if entry is None:
-            entry = self._t_load_global[miss] = self._record_entry(
-                lambda v: self._rows_op_load_global(miss, v),
-                values, ("sp",))
-        if entry is False:
-            self._dispatch_entry(_OP_LOAD_GLOBAL, bc_addr)
-            return BaseVM.op_load_global(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_LOAD_GLOBAL]
-        self._q_append(entry[0])
-        self._q_extend(values)
-        self._q_dyn_append(m.sp)
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        if self.refcounting:
-            self.retain(obj)
-        frame.stack.append(obj)
-        return _NEXT
-
-    def _rows_op_return(self, bc_addr: int, pop_slot: int) -> None:
-        self._rows_dispatch(_OP_RETURN_VALUE, bc_addr)
-        self._rows_pop(pop_slot)
-
-    def _burst_op_return_value(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        stack = frame.stack
-        if m.suppressed or m.clib_depth or not stack:
-            self._dispatch_entry(_OP_RETURN_VALUE, bc_addr)
-            return BaseVM.op_return_value(self, frame, arg)
-        idx = len(stack) - 1
-        pop_slot = frame.addr + _FRAME_HEADER \
-            + 8 * (idx % _FRAME_STACK_SLOTS)
-        entry = self._t_return
-        if entry is None:
-            entry = self._t_return = self._record_entry(
-                lambda v: self._rows_op_return(v[0], v[1]),
-                [bc_addr, pop_slot], ())
-        if entry is False:
-            self._dispatch_entry(_OP_RETURN_VALUE, bc_addr)
-            return BaseVM.op_return_value(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_RETURN_VALUE]
-        self._q_append(entry[0])
-        self._q_extend((bc_addr, pop_slot))
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        result = stack.pop()
-        # Teardown matches the scalar handler from the pop onward.
-        for obj in frame.locals:
-            if obj is not None:
-                self.emit_decref(obj)
-        for obj in stack:
-            self.emit_decref(obj)
-        stack.clear()
-        m.alu(self.s_funcsetup + 20, _FUNC_SETUP, n=3)
-        self.free_frame(frame)
-        self.frames.pop()
-        if not self.frames:
-            self._module_result = result
-            return _FRAME_RETURNED
-        caller = self.frames[-1]
-        discard_return, push_value = self._return_plans.pop()
-        if discard_return:
-            self.emit_decref(result)
-            if push_value is not None:
-                self.emit_push(caller, push_value)
-        else:
-            self.emit_push(caller, result)
-        self.gc_poll()
-        return _FRAME_RETURNED
-
-    def _rows_op_subscr(self, values: list) -> None:
-        """Sequence int-index BINARY_SUBSCR: pops, getitem call, push.
-
-        ``values`` is ``[bc_addr, index_slot, container_slot,
-        container_addr, index_addr, elem_addr, result_addr,
-        push_slot]``.
-        """
-        m = self.machine
-        self._rows_dispatch(_OP_BINARY_SUBSCR, values[0])
-        self._rows_pop(values[1])
-        self._rows_pop(values[2])
-        self._rows_typecheck(values[3], 1)
-        with m.c_call("ceval.call_getitem", "abstract.getitem",
-                      indirect=True, args=2, saves=2):
-            m.load(self.s_box, _BOX, values[4] + 16)  # unbox the index
-            self._rows_error_check(False)
-            m.load(self.s_exec + 64, _EXEC, values[5])
-        if self.refcounting:
-            self._rows_incref(values[6])
-            self._rows_decref(values[3])
-            self._rows_decref(values[4])
-        self._rows_push(values[7])
-
-    def _burst_op_binary_subscr(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        stack = frame.stack
-        if m.suppressed or m.clib_depth or len(stack) < 2:
-            self._dispatch_entry(_OP_BINARY_SUBSCR, bc_addr)
-            return BaseVM.op_binary_subscr(self, frame, arg)
-        index = stack[-1]
-        container = stack[-2]
-        if (not isinstance(container, (PyList, PyTuple))
-                or not isinstance(index, (PyInt, PyBool))):
-            self._dispatch_entry(_OP_BINARY_SUBSCR, bc_addr)
-            return BaseVM.op_binary_subscr(self, frame, arg)
-        items = container.items
-        i = int(index.value)
-        if i < 0:
-            i += len(items)
-        if not 0 <= i < len(items):  # IndexError path stays scalar
-            self._dispatch_entry(_OP_BINARY_SUBSCR, bc_addr)
-            return BaseVM.op_binary_subscr(self, frame, arg)
-        if self.refcounting and (container.refcount == 1
-                                 or index.refcount == 1):
-            # A dealloc cascade must interleave mid-sequence; only the
-            # scalar path preserves that ordering.
-            self._dispatch_entry(_OP_BINARY_SUBSCR, bc_addr)
-            return BaseVM.op_binary_subscr(self, frame, arg)
-        result = items[i]
-        elem_base = (container.buffer_addr
-                     if isinstance(container, PyList)
-                     else container.addr + 24)
-        idx = len(stack) - 1
-        base_addr = frame.addr + _FRAME_HEADER
-        pop_idx = base_addr + 8 * (idx % _FRAME_STACK_SLOTS)
-        pop_cont = base_addr + 8 * ((idx - 1) % _FRAME_STACK_SLOTS)
-        values = [bc_addr, pop_idx, pop_cont, container.addr,
-                  index.addr, elem_base + 8 * i, result.addr, pop_cont]
-        entry = self._t_subscr
-        if entry is None:
-            entry = self._t_subscr = self._record_entry(
-                lambda v: self._rows_op_subscr(v), values, ("sp",))
-        if entry is False:
-            self._dispatch_entry(_OP_BINARY_SUBSCR, bc_addr)
-            return BaseVM.op_binary_subscr(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_BINARY_SUBSCR]
-        self._q_append(entry[0])
-        self._q_extend(values)
-        self._q_dyn_append(m.sp)
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        stack.pop()
-        stack.pop()
-        if self.refcounting:
-            self.retain(result)
-            self.release(container)
-            self.release(index)
-        stack.append(result)
-        return _NEXT
-
-    def _rows_call_prologue(self, op: int, n_pops: int, alu_off: int,
-                            n_branches: int, incref: bool,
-                            values: list) -> None:
-        """Dispatch + operand pops + callee typecheck for a call op.
-
-        ``values`` is ``[bc_addr, slot_0..slot_{n_pops-1}, callee_addr,
-        instance_addr]`` (the instance slot is present but unused when
-        ``incref`` is false).
-        """
-        m = self.machine
-        self._rows_dispatch(op, values[0])
-        for j in range(1, n_pops + 1):
-            self._rows_pop(values[j])
-        m.alu(self.s_funcsetup + alu_off, _FUNC_SETUP, n=2)
-        self._rows_typecheck(values[n_pops + 1], n_branches)
-        if incref and self.refcounting:
-            self._rows_incref(values[n_pops + 2])
-
-    def _rows_call_setup(self, frame_addr: int, argcount: int) -> None:
-        """Argument copies into callee locals plus the frame-link ALU."""
-        m = self.machine
-        local0 = frame_addr + _FRAME_HEADER + 8 * _FRAME_STACK_SLOTS
-        for i in range(argcount):
-            m.store(self.s_funcsetup + 12, _FUNC_SETUP, local0 + 8 * i)
-        m.alu(self.s_funcsetup + 16, _FUNC_SETUP, n=3)
-
-    def _call_setup_entry(self, argcount: int, sample_addr: int):
-        entry = self._t_call_setup.get(argcount)
-        if entry is None:
-            entry = self._t_call_setup[argcount] = self._record_entry(
-                lambda v, k=argcount: self._rows_call_setup(v[0], k),
-                [sample_addr], ("origin",))
-        return entry
-
-    def _burst_op_call_method(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        stack = frame.stack
-        top = len(stack)
-        callee = stack[top - 1 - arg] if top > arg else None
-        if (m.suppressed or m.clib_depth
-                or not isinstance(callee, PyBoundMethod)):
-            self._dispatch_entry(_OP_CALL_METHOD, bc_addr)
-            return BaseVM.op_call_method(self, frame, arg)
-        code = callee.func.code
-        if code.argcount != arg + 1:
-            self._dispatch_entry(_OP_CALL_METHOD, bc_addr)
-            return BaseVM.op_call_method(self, frame, arg)
-        base_addr = frame.addr + _FRAME_HEADER
-        slots = [base_addr + 8 * ((top - 1 - i) % _FRAME_STACK_SLOTS)
-                 for i in range(arg + 1)]
-        entry = self._t_call_method.get(arg)
-        if entry is None:
-            entry = self._t_call_method[arg] = self._record_entry(
-                lambda v, n=arg + 1: self._rows_call_prologue(
-                    _OP_CALL_METHOD, n, 24, 1, True, v),
-                [bc_addr] + slots + [callee.addr, callee.instance.addr],
-                ())
-        entry2 = self._call_setup_entry(arg + 1, frame.addr)
-        if entry is False or entry2 is False:
-            self._dispatch_entry(_OP_CALL_METHOD, bc_addr)
-            return BaseVM.op_call_method(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_CALL_METHOD]
-        self._q_append(entry[0])
-        self._q_dyn_append(bc_addr)
-        self._q_extend(slots)
-        self._q_extend((callee.addr, callee.instance.addr))
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        args = stack[top - arg:]
-        del stack[top - arg - 1:]
-        if self.refcounting:
-            self.retain(callee.instance)
-        self.stats.guest_calls += 1
-        callee_frame = self.make_frame(code)
-        locals_ = callee_frame.locals
-        locals_[0] = callee.instance
-        for i, arg_obj in enumerate(args):
-            locals_[i + 1] = arg_obj
-        self._q_append(entry2[0])
-        self._q_extend((callee_frame.addr, m.origin))
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        callee_frame.return_to = len(stack)
-        self._return_plans.append((False, None))
-        self.frames.append(callee_frame)
-        self.emit_decref(callee)
-        return _FRAME_PUSHED
-
-    def _burst_op_call_function(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        stack = frame.stack
-        top = len(stack)
-        callee = stack[top - 1 - arg] if top > arg else None
-        if m.suppressed or m.clib_depth:
-            self._dispatch_entry(_OP_CALL_FUNCTION, bc_addr)
-            return BaseVM.op_call_function(self, frame, arg)
-        if isinstance(callee, PyFunc):
-            init = None
-            code = callee.code
-            if code.argcount != arg:
-                self._dispatch_entry(_OP_CALL_FUNCTION, bc_addr)
-                return BaseVM.op_call_function(self, frame, arg)
-        elif isinstance(callee, PyClass):
-            # Constructor: the prologue rows are identical to the plain
-            # function-call shape; allocation, refcount traffic and the
-            # callee frame go through the already-templated helpers.
-            init = callee.methods.get("__init__")
-            if init is None or not isinstance(init, PyFunc) \
-                    or init.code.argcount != arg + 1:
-                self._dispatch_entry(_OP_CALL_FUNCTION, bc_addr)
-                return BaseVM.op_call_function(self, frame, arg)
-            code = init.code
-        else:
-            self._dispatch_entry(_OP_CALL_FUNCTION, bc_addr)
-            return BaseVM.op_call_function(self, frame, arg)
-        base_addr = frame.addr + _FRAME_HEADER
-        slots = [base_addr + 8 * ((top - 1 - i) % _FRAME_STACK_SLOTS)
-                 for i in range(arg + 1)]
-        entry = self._t_call_function.get(arg)
-        if entry is None:
-            entry = self._t_call_function[arg] = self._record_entry(
-                lambda v, n=arg + 1: self._rows_call_prologue(
-                    _OP_CALL_FUNCTION, n, 0, 2, False, v),
-                [bc_addr] + slots + [callee.addr, 0], ())
-        entry2 = self._call_setup_entry(code.argcount, frame.addr)
-        if entry is False or entry2 is False:
-            self._dispatch_entry(_OP_CALL_FUNCTION, bc_addr)
-            return BaseVM.op_call_function(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_CALL_FUNCTION]
-        self._q_append(entry[0])
-        self._q_dyn_append(bc_addr)
-        self._q_extend(slots)
-        self._q_extend((callee.addr, 0))
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        args = stack[top - arg:]
-        del stack[top - arg - 1:]
-        if init is not None:
-            instance = PyInstance(callee)
-            self.alloc_object(instance)
-            self.emit_decref(callee)
-            self.emit_incref(instance)
-            self.stats.guest_calls += 1
-            callee_frame = self.make_frame(code)
-            locals_ = callee_frame.locals
-            locals_[0] = instance
-            for i, arg_obj in enumerate(args):
-                locals_[i + 1] = arg_obj
-        else:
-            instance = None
-            self.stats.guest_calls += 1
-            callee_frame = self.make_frame(code)
-            locals_ = callee_frame.locals
-            for i, arg_obj in enumerate(args):
-                locals_[i] = arg_obj
-        self._q_append(entry2[0])
-        self._q_extend((callee_frame.addr, m.origin))
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        callee_frame.return_to = len(stack)
-        self._return_plans.append(
-            (True, instance) if init is not None else (False, None))
-        self.frames.append(callee_frame)
-        return _FRAME_PUSHED
-
-    def _rows_op_jump(self, bc_addr: int) -> None:
-        self._rows_dispatch(_OP_JUMP_ABSOLUTE, bc_addr)
-        self.machine.branch(self.s_rich + 12, _DISPATCH, taken=True,
-                            conditional=False)
-
-    def _burst_op_jump_absolute(self, frame: Frame, arg: int) -> int:
-        try:
-            bc_base = frame.bc_base
-        except AttributeError:
-            bc_base = frame.bc_base = self.code_addr(frame.code)
-        bc_addr = bc_base + 2 * (frame.pc - 1)
-        m = self.machine
-        if m.suppressed or m.clib_depth:
-            self._dispatch_entry(_OP_JUMP_ABSOLUTE, bc_addr)
-            return BaseVM.op_jump_absolute(self, frame, arg)
-        entry = self._t_jump
-        if entry is None:
-            entry = self._t_jump = self._record_entry(
-                lambda v: self._rows_op_jump(v[0]), [bc_addr], ())
-        if entry is False:
-            self._dispatch_entry(_OP_JUMP_ABSOLUTE, bc_addr)
-            return BaseVM.op_jump_absolute(self, frame, arg)
-        m.origin = self._handler_site_by_op[_OP_JUMP_ABSOLUTE]
-        self._q_append(entry[0])
-        self._q_dyn_append(bc_addr)
-        if len(self._q_order) >= _FLUSH_ENTRIES:
-            self._eng.flush()
-        if arg < frame.pc:
-            self.on_backedge(frame, arg)
-        frame.pc = arg
-        return _NEXT
+        self.emit_rows(("_rows_dict_lookup",),
+                       [d_table_addr + 24 * (slot_hint & 1023)])
 
     # ------------------------------------------------------------------
     # Boxing
@@ -2168,51 +708,100 @@ class BaseVM:
             self.execute_frame(frame)
 
     def execute_frame(self, frame: Frame) -> None:
-        """Run one frame until it pushes a callee frame or returns."""
+        """Run one frame until it pushes a callee frame or returns.
+
+        The handlers of ``_TEMPLATED_OPS`` emit their own dispatch rows
+        (inside their template); the loop emits it for every other op.
+        """
         handlers = self._handlers
+        loop_dispatch = self._loop_dispatch
         ops = frame.code.ops
         args = frame.code.args
+        bc_base = frame.bc_base
         stats = self.stats
         machine = self.machine
-        budget_mask = 0x3FF
-        while True:
-            op = ops[frame.pc]
-            arg = args[frame.pc]
-            self.emit_dispatch(frame, op)
-            frame.pc += 1
-            stats.bytecodes += 1
-            if not (stats.bytecodes & budget_mask):
-                machine.check_budget()
-            signal = handlers[op](frame, arg)
-            if signal:
-                return
+        # The counter lives in a local during the loop (handlers never
+        # read it) and is synced on every exit path.
+        n = stats.bytecodes
+        try:
+            while True:
+                pc = frame.pc
+                op = ops[pc]
+                if loop_dispatch[op]:
+                    self.emit_dispatch(op, bc_base + 2 * pc)
+                frame.pc = pc + 1
+                n += 1
+                if not (n & 0x3FF):
+                    stats.bytecodes = n
+                    machine.check_budget()
+                if handlers[op](frame, args[pc]):
+                    return
+        finally:
+            stats.bytecodes = n
 
     def _build_handler_table(self) -> list:
         table: list = [None] * 96
         for op in Op:
-            method = getattr(self, f"op_{op.name.lower()}", None)
+            if int(op) in _NUMERIC_OPS:
+                method = partial(self._binary_op, int(op))
+            else:
+                method = getattr(self, f"op_{op.name.lower()}", None)
             if method is None:
                 raise VMError(f"missing handler for {op.name}")
             table[int(op)] = method
+        self._loop_dispatch = [
+            not (self.handlers_emit_dispatch and op in _TEMPLATED_OPS)
+            for op in range(96)]
         return table
 
     # ------------------------------------------------------------------
     # Handlers: stack and constants
     # ------------------------------------------------------------------
 
-    def op_load_const(self, frame: Frame, arg: int) -> int:
+    def _rows_op_load_const(self, bc_addr: int, const_addr: int,
+                            obj_addr: int, slot_addr: int) -> None:
         m = self.machine
-        code_addr = self.code_addr(frame.code)
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(_OP_LOAD_CONST, bc_addr)
         m.alu(self.s_regxfer + 4, _REG, n=1)
-        m.load(self.s_const, _CONST, code_addr + 64 + 8 * arg)
+        m.load(self.s_const, _CONST, const_addr)
+        if self.refcounting:
+            self._rows_incref(obj_addr)
+        self._rows_push(slot_addr)
+
+    def op_load_const(self, frame: Frame, arg: int) -> int:
         obj = self._const_objects[id(frame.code)][arg]
-        self.emit_incref(obj)
-        self.emit_push(frame, obj)
+        stack = frame.stack
+        bc_base = frame.bc_base
+        self.emit_rows(("_rows_op_load_const",), [
+            bc_base + 2 * (frame.pc - 1), bc_base + 64 + 8 * arg, obj.addr,
+            frame.addr + _FRAME_HEADER
+            + 8 * (len(stack) % _FRAME_STACK_SLOTS)])
+        stack.append(obj)
+        if self.refcounting:
+            self.retain(obj)
         return _NEXT
 
+    def _rows_op_pop_top(self, bc_addr: int, pop_slot: int,
+                         obj_addr: int) -> None:
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(_OP_POP_TOP, bc_addr)
+        self._rows_pop(pop_slot)
+        if self.refcounting:
+            self._rows_decref(obj_addr)
+
     def op_pop_top(self, frame: Frame, arg: int) -> int:
-        obj = self.emit_pop(frame)
-        self.emit_decref(obj)
+        stack = frame.stack
+        obj = stack[-1]
+        self.emit_rows(("_rows_op_pop_top",), [
+            frame.bc_base + 2 * (frame.pc - 1),
+            frame.addr + _FRAME_HEADER
+            + 8 * ((len(stack) - 1) % _FRAME_STACK_SLOTS), obj.addr])
+        stack.pop()
+        if self.refcounting:
+            # A zero refcount cascades through the dealloc path, whose
+            # rows land after the decref rows just emitted.
+            self.release(obj)
         return _NEXT
 
     def op_dup_top(self, frame: Frame, arg: int) -> int:
@@ -2235,74 +824,130 @@ class BaseVM:
     # Handlers: variables
     # ------------------------------------------------------------------
 
-    def op_load_fast(self, frame: Frame, arg: int) -> int:
+    def _rows_op_load_fast(self, bc_addr: int, local_addr: int,
+                           obj_addr: int, slot_addr: int) -> None:
         m = self.machine
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(_OP_LOAD_FAST, bc_addr)
         m.alu(self.s_regxfer + 8, _REG, n=1)
-        m.load(self.s_stack + 56, _STACK, frame.local_addr(arg))
+        m.load(self.s_stack + 56, _STACK, local_addr)
+        self._rows_error_check(False)
+        if self.refcounting:
+            self._rows_incref(obj_addr)
+        self._rows_push(slot_addr)
+
+    def op_load_fast(self, frame: Frame, arg: int) -> int:
         obj = frame.locals[arg]
         if obj is None:
+            self._handler_dispatch(frame, _OP_LOAD_FAST)
+            m = self.machine
+            m.alu(self.s_regxfer + 8, _REG, n=1)
+            m.load(self.s_stack + 56, _STACK, frame.local_addr(arg))
             name = frame.code.varnames[arg]
             raise GuestNameError(
                 f"local variable {name!r} referenced before assignment")
-        self.emit_error_check(taken=False)
-        self.emit_incref(obj)
-        self.emit_push(frame, obj)
+        stack = frame.stack
+        base_addr = frame.addr + _FRAME_HEADER
+        self.emit_rows(("_rows_op_load_fast",), [
+            frame.bc_base + 2 * (frame.pc - 1),
+            base_addr + 8 * _FRAME_STACK_SLOTS + 8 * arg, obj.addr,
+            base_addr + 8 * (len(stack) % _FRAME_STACK_SLOTS)])
+        stack.append(obj)
+        if self.refcounting:
+            self.retain(obj)
         return _NEXT
 
-    def op_store_fast(self, frame: Frame, arg: int) -> int:
-        obj = self.emit_pop(frame)
+    def _rows_op_store_fast(self, bc_addr: int, pop_slot: int,
+                            local_addr: int) -> None:
         m = self.machine
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(_OP_STORE_FAST, bc_addr)
+        self._rows_pop(pop_slot)
         m.alu(self.s_regxfer + 12, _REG, n=1)
+        m.store(self.s_stack + 60, _STACK, local_addr)
+
+    def op_store_fast(self, frame: Frame, arg: int) -> int:
+        stack = frame.stack
+        base_addr = frame.addr + _FRAME_HEADER
+        self.emit_rows(("_rows_op_store_fast",), [
+            frame.bc_base + 2 * (frame.pc - 1),
+            base_addr + 8 * ((len(stack) - 1) % _FRAME_STACK_SLOTS),
+            base_addr + 8 * _FRAME_STACK_SLOTS + 8 * arg])
+        obj = stack.pop()
         old = frame.locals[arg]
-        m.store(self.s_stack + 60, _STACK, frame.local_addr(arg))
         frame.locals[arg] = obj
         if old is not None:
             self.emit_decref(old)
         return _NEXT
 
-    def op_load_global(self, frame: Frame, arg: int) -> int:
-        name = frame.code.names[arg]
-        obj = self.lookup_global(name)
-        self.emit_incref(obj)
-        self.emit_push(frame, obj)
-        return _NEXT
-
-    def lookup_global(self, name: str) -> GuestObject:
-        """Globals then builtins, through the shared lookdict helper."""
+    def _rows_global_lookup(self, miss: bool, name_cell: int,
+                            globals_probe: int,
+                            builtins_probe: int) -> None:
+        """Uncached global lookup: globals, then builtins on a miss."""
         m = self.machine
-        m.origin = m.site("ceval.handler.LOAD_GLOBAL")
+        m.origin = self._handler_site_by_op[_OP_LOAD_GLOBAL]
+        # Fetch the interned name object and mix its cached hash.
+        m.alu(self.s_name, _NAME, n=4)
+        m.load(self.s_name + 16, _NAME, name_cell)
+        self._rows_dict_lookup(globals_probe)
+        if miss:
+            m.branch(self.s_name + 8, _NAME, taken=True)
+            self._rows_dict_lookup(builtins_probe)
+
+    def _rows_op_load_global(self, miss: bool, bc_addr: int,
+                             name_cell: int, globals_probe: int,
+                             builtins_probe: int, obj_addr: int,
+                             slot_addr: int) -> None:
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(_OP_LOAD_GLOBAL, bc_addr)
+        self._rows_global_lookup(miss, name_cell, globals_probe,
+                                 builtins_probe)
+        if self.refcounting:
+            self._rows_incref(obj_addr)
+        self._rows_push(slot_addr)
+
+    def op_load_global(self, frame: Frame, arg: int) -> int:
+        """Globals then builtins, through the shared lookdict helper."""
+        name = frame.code.names[arg]
+        m = self.machine
+        obj = self.globals.get(name)
+        miss = obj is None
+        if miss:
+            obj = self.builtins.get(name)
+        name_hash = stable_hash(name)
+        data = m.space.vm_data.base
         if self.global_cache_enabled:
+            self._handler_dispatch(frame, _OP_LOAD_GLOBAL)
+            m.origin = self._handler_site_by_op[_OP_LOAD_GLOBAL]
             # Inline cache: version check plus a direct cell load — the
             # optimization Chandra et al. propose and the paper cites as
             # the fix for name-resolution overhead.
             m.load(self.s_name + 24, _NAME,
-                   m.space.vm_data.base + 0x800 + (stable_hash(name) & 0xF8))
+                   data + 0x800 + (name_hash & 0xF8))
             m.branch(self.s_name + 28, _NAME, taken=False)
             m.load(self.s_name + 32, _NAME,
-                   m.space.vm_data.base + 0x840 + (stable_hash(name) & 0xF8))
-            obj = self.globals.get(name)
-            if obj is None:
-                obj = self.builtins.get(name)
+                   data + 0x840 + (name_hash & 0xF8))
             if obj is None:
                 raise GuestNameError(f"name {name!r} is not defined")
-            return obj
-        # Fetch the interned name object and mix its cached hash.
-        m.alu(self.s_name, _NAME, n=4)
-        m.load(self.s_name + 16, _NAME,
-               self.machine.space.vm_data.base + 0x900
-               + (stable_hash(name) & 0xFF8))
-        table = self.machine.space.vm_data.base + 0x1000
-        self.dict_lookup_emit(table, stable_hash(name))
-        obj = self.globals.get(name)
-        if obj is not None:
-            return obj
-        # Miss in globals: second lookup in builtins.
-        m.branch(self.s_name + 8, _NAME, taken=True)
-        self.dict_lookup_emit(table + 0x8000, stable_hash(name))
-        obj = self.builtins.get(name)
+            self.emit_incref(obj)
+            self.emit_push(frame, obj)
+            return _NEXT
+        table = data + 0x1000 + 24 * (name_hash & 1023)
+        lookup = [data + 0x900 + (name_hash & 0xFF8), table,
+                  table + 0x8000]
         if obj is None:
+            self._handler_dispatch(frame, _OP_LOAD_GLOBAL)
+            self.emit_rows(("_rows_global_lookup", True), lookup)
             raise GuestNameError(f"name {name!r} is not defined")
-        return obj
+        stack = frame.stack
+        self.emit_rows(("_rows_op_load_global", miss), [
+            frame.bc_base + 2 * (frame.pc - 1), *lookup, obj.addr,
+            frame.addr + _FRAME_HEADER
+            + 8 * (len(stack) % _FRAME_STACK_SLOTS)])
+        if self.refcounting:
+            self.retain(obj)
+        stack.append(obj)
+        return _NEXT
 
     def op_store_global(self, frame: Frame, arg: int) -> int:
         name = frame.code.names[arg]
@@ -2322,28 +967,89 @@ class BaseVM:
     # Handlers: binary and unary operators
     # ------------------------------------------------------------------
 
-    _NUMERIC_OPS = {
-        int(Op.BINARY_ADD): "add", int(Op.BINARY_SUB): "sub",
-        int(Op.BINARY_MUL): "mul", int(Op.BINARY_TRUEDIV): "truediv",
-        int(Op.BINARY_FLOORDIV): "floordiv", int(Op.BINARY_MOD): "mod",
-        int(Op.BINARY_POW): "pow", int(Op.BINARY_AND): "and",
-        int(Op.BINARY_OR): "or", int(Op.BINARY_XOR): "xor",
-        int(Op.BINARY_LSHIFT): "lshift", int(Op.BINARY_RSHIFT): "rshift",
-    }
-
-    def _binary_common(self, frame: Frame, op_name: str) -> int:
-        """Shared implementation of all binary numeric/sequence operators."""
-        right = self.emit_pop(frame)
-        left = self.emit_pop(frame)
+    def _rows_binop_prefix(self, pop_r_slot: int, pop_l_slot: int,
+                           left_addr: int, right_addr: int) -> None:
+        """Operand pops, type checks and the ``nb_<op>`` slot load."""
         m = self.machine
+        self._rows_pop(pop_r_slot)
+        self._rows_pop(pop_l_slot)
         # Type checks on both operands to select the operation.
-        self.emit_typecheck(left, n_branches=1)
-        self.emit_typecheck(right, n_branches=1)
+        self._rows_typecheck(1, left_addr)
+        self._rows_typecheck(1, right_addr)
         # Function resolution: load tp_as_number->nb_<op> pointer.
-        m.load(self.s_funcres, _FUNC_RES, left.addr)
+        m.load(self.s_funcres, _FUNC_RES, left_addr)
         m.load(self.s_funcres + 8, _FUNC_RES,
                self.machine.space.vm_data.base + 0x2000)
         m.alu(self.s_funcres + 12, _FUNC_RES, n=1)
+
+    def _rows_int_binop(self, left_addr: int, right_addr: int) -> None:
+        """Small-int arithmetic: unbox both, overflow check, cached box."""
+        m = self.machine
+        m.load(self.s_box, _BOX, left_addr + 16)
+        m.load(self.s_box, _BOX, right_addr + 16)
+        self._rows_error_check(False)
+        m.alu(self.s_box + 16, _BOX, n=1)
+
+    def _rows_op_binary(self, op: int, bc_addr: int, pop_r_slot: int,
+                        pop_l_slot: int, left_addr: int, right_addr: int,
+                        slot_addr: int) -> None:
+        """A whole small-int binary op, ``abstract.binary_*`` included."""
+        m = self.machine
+        op_name = _NUMERIC_OPS[op]
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(op, bc_addr)
+        self._rows_binop_prefix(pop_r_slot, pop_l_slot, left_addr,
+                                right_addr)
+        with m.c_call(f"ceval.call_binop_{op_name}",
+                      f"abstract.binary_{op_name}", indirect=True,
+                      args=2, saves=2):
+            self._rows_int_binop(left_addr, right_addr)
+        if self.refcounting:
+            self._rows_decref(left_addr)
+            self._rows_decref(right_addr)
+        self._rows_push(slot_addr)
+
+    def _binary_op(self, op: int, frame: Frame, arg: int) -> int:
+        """Numeric binary opcode: one template for small-int results.
+
+        Operands a decref would free take the general path, so their
+        dealloc rows land between the decref and the push.
+        """
+        stack = frame.stack
+        left = stack[-2]
+        right = stack[-1]
+        result = self._small_int_result(left, right, _NUMERIC_OPS[op])
+        if result is not None and not (
+                self.refcounting
+                and (left.refcount == 1 or right.refcount == 1)):
+            idx = len(stack) - 1
+            base_addr = frame.addr + _FRAME_HEADER
+            pop_l = base_addr + 8 * ((idx - 1) % _FRAME_STACK_SLOTS)
+            self.emit_rows(("_rows_op_binary", op), [
+                frame.bc_base + 2 * (frame.pc - 1),
+                base_addr + 8 * (idx % _FRAME_STACK_SLOTS), pop_l,
+                left.addr, right.addr, pop_l])
+            del stack[-2:]
+            if self.refcounting:
+                self.release(left)
+                self.release(right)
+            stack.append(result)
+            return _NEXT
+        self._handler_dispatch(frame, op)
+        return self._binary_common(frame, _NUMERIC_OPS[op])
+
+    def _binary_common(self, frame: Frame, op_name: str) -> int:
+        """Shared implementation of all binary numeric/sequence operators."""
+        stack = frame.stack
+        idx = len(stack) - 1
+        base_addr = frame.addr + _FRAME_HEADER
+        self.emit_rows(("_rows_binop_prefix",), [
+            base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
+            base_addr + 8 * ((idx - 1) % _FRAME_STACK_SLOTS),
+            stack[-2].addr, stack[-1].addr])
+        right = stack.pop()
+        left = stack.pop()
+        m = self.machine
         result = None
         with m.c_call(f"ceval.call_binop_{op_name}",
                       f"abstract.binary_{op_name}", indirect=True,
@@ -2354,10 +1060,34 @@ class BaseVM:
         self.emit_push(frame, result)
         return _NEXT
 
+    def _small_int_result(self, left: GuestObject, right: GuestObject,
+                          op_name: str) -> PyInt | None:
+        """The cached small int ``left <op> right`` gives, else None.
+
+        None covers non-int operands, true division, operations that
+        raise or return a float, and results outside the small-int
+        cache (which allocate).
+        """
+        if (op_name == "truediv" or not isinstance(left, (PyInt, PyBool))
+                or not isinstance(right, (PyInt, PyBool))):
+            return None
+        rv = int(right.value)
+        if ((rv < 0 and op_name in ("lshift", "rshift", "pow"))
+                or (rv == 0 and op_name in ("floordiv", "mod"))):
+            return None
+        value = self._int_op(op_name, int(left.value), rv)
+        if type(value) is int and SMALL_INT_MIN <= value <= SMALL_INT_MAX:
+            return self._small_ints[value]
+        return None
+
     def _binary_semantics(self, left: GuestObject, right: GuestObject,
                           op_name: str) -> GuestObject:
         """Perform the real operation and emit its core-work instructions."""
         m = self.machine
+        small = self._small_int_result(left, right, op_name)
+        if small is not None:
+            self.emit_rows(("_rows_int_binop",), [left.addr, right.addr])
+            return small
         if isinstance(left, (PyInt, PyBool)) and \
                 isinstance(right, (PyInt, PyBool)):
             self.emit_unbox(left)
@@ -2475,42 +1205,6 @@ class BaseVM:
         if op_name == "pow":
             return lv ** rv
         raise GuestTypeError(f"unsupported float operation: {op_name}")
-
-    def op_binary_add(self, frame: Frame, arg: int) -> int:
-        return self._binary_common(frame, "add")
-
-    def op_binary_sub(self, frame: Frame, arg: int) -> int:
-        return self._binary_common(frame, "sub")
-
-    def op_binary_mul(self, frame: Frame, arg: int) -> int:
-        return self._binary_common(frame, "mul")
-
-    def op_binary_truediv(self, frame: Frame, arg: int) -> int:
-        return self._binary_common(frame, "truediv")
-
-    def op_binary_floordiv(self, frame: Frame, arg: int) -> int:
-        return self._binary_common(frame, "floordiv")
-
-    def op_binary_mod(self, frame: Frame, arg: int) -> int:
-        return self._binary_common(frame, "mod")
-
-    def op_binary_pow(self, frame: Frame, arg: int) -> int:
-        return self._binary_common(frame, "pow")
-
-    def op_binary_and(self, frame: Frame, arg: int) -> int:
-        return self._binary_common(frame, "and")
-
-    def op_binary_or(self, frame: Frame, arg: int) -> int:
-        return self._binary_common(frame, "or")
-
-    def op_binary_xor(self, frame: Frame, arg: int) -> int:
-        return self._binary_common(frame, "xor")
-
-    def op_binary_lshift(self, frame: Frame, arg: int) -> int:
-        return self._binary_common(frame, "lshift")
-
-    def op_binary_rshift(self, frame: Frame, arg: int) -> int:
-        return self._binary_common(frame, "rshift")
 
     def op_unary_neg(self, frame: Frame, arg: int) -> int:
         obj = self.emit_pop(frame)
@@ -2635,9 +1329,15 @@ class BaseVM:
     # Handlers: control flow
     # ------------------------------------------------------------------
 
-    def op_jump_absolute(self, frame: Frame, arg: int) -> int:
+    def _rows_op_jump_absolute(self, bc_addr: int) -> None:
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(_OP_JUMP_ABSOLUTE, bc_addr)
         self.machine.branch(self.s_rich + 12, _DISPATCH, taken=True,
                             conditional=False)
+
+    def op_jump_absolute(self, frame: Frame, arg: int) -> int:
+        self.emit_rows(("_rows_op_jump_absolute",),
+                       [frame.bc_base + 2 * (frame.pc - 1)])
         if arg < frame.pc:
             self.on_backedge(frame, arg)
         frame.pc = arg
@@ -2646,13 +1346,41 @@ class BaseVM:
     def on_backedge(self, frame: Frame, target: int) -> None:
         """Loop back-edge hook; the PyPy JIT overrides this."""
 
+    def _rows_op_pop_jump(self, op: int, taken: bool, bc_addr: int,
+                          pop_slot: int, obj_addr: int) -> None:
+        """Pop, ``PyObject_IsTrue``, decref and the conditional branch."""
+        m = self.machine
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(op, bc_addr)
+        self._rows_pop(pop_slot)
+        self._rows_typecheck(2, obj_addr)
+        m.load(self.s_rich, _RICH, obj_addr + 16)
+        m.alu(self.s_rich + 8, _RICH, n=1)
+        if self.refcounting:
+            self._rows_decref(obj_addr)
+        m.branch(self.s_rich + 16, _RICH, taken=taken)
+
     def _conditional_jump(self, frame: Frame, arg: int,
                           jump_if: bool) -> int:
-        obj = self.emit_pop(frame)
-        truthy = self.emit_truthiness(obj)
-        self.emit_decref(obj)
-        taken = truthy == jump_if
-        self.machine.branch(self.s_rich + 16, _RICH, taken=taken)
+        op = _OP_POP_JUMP_IF_TRUE if jump_if else _OP_POP_JUMP_IF_FALSE
+        stack = frame.stack
+        obj = stack[-1]
+        taken = obj.is_truthy() == jump_if
+        if self.refcounting and obj.refcount == 1:
+            # The decref frees the object: its dealloc rows must land
+            # between the decref and the branch.
+            self._handler_dispatch(frame, op)
+            self.emit_truthiness(self.emit_pop(frame))
+            self.emit_decref(obj)
+            self.machine.branch(self.s_rich + 16, _RICH, taken=taken)
+        else:
+            self.emit_rows(("_rows_op_pop_jump", op, taken), [
+                frame.bc_base + 2 * (frame.pc - 1),
+                frame.addr + _FRAME_HEADER
+                + 8 * ((len(stack) - 1) % _FRAME_STACK_SLOTS), obj.addr])
+            stack.pop()
+            if self.refcounting:
+                self.release(obj)
         if taken:
             if arg < frame.pc:
                 self.on_backedge(frame, arg)
@@ -2751,7 +1479,58 @@ class BaseVM:
         self.alloc_object(iterator)
         return iterator
 
+    def _rows_op_for_iter(self, seq: bool, bc_addr: int, peek_slot: int,
+                          iter_addr: int, item_addr: int,
+                          slot_addr: int) -> None:
+        """FOR_ITER yielding an item: a list/tuple element (``seq``) or
+        a small int from a range (``item_addr`` unused)."""
+        m = self.machine
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(_OP_FOR_ITER, bc_addr)
+        self._rows_peek(peek_slot)
+        m.load(self.s_funcres + 20, _FUNC_RES, iter_addr)
+        with m.c_call("ceval.call_iternext", "object.iternext",
+                      indirect=True, args=1, saves=1):
+            if not seq:
+                m.alu(self.s_box + 16, _BOX, n=1)  # make_int (small cache)
+            elif self.refcounting:
+                self._rows_incref(item_addr)
+            m.load(self.s_exec + 52, _EXEC, iter_addr + 16)
+            m.alu(self.s_exec + 56, _EXEC, n=1)
+        m.branch(self.s_rich + 60, _RICH, taken=False)
+        self._rows_push(slot_addr)
+
     def op_for_iter(self, frame: Frame, arg: int) -> int:
+        stack = frame.stack
+        iterator = stack[-1]
+        item = None
+        if isinstance(iterator, PyIterator):
+            kind = iterator.kind
+            source = iterator.source
+            index = iterator.index
+            if kind == "range":
+                value = source.start + index * source.step
+                if ((value < source.stop if source.step > 0
+                     else value > source.stop)
+                        and SMALL_INT_MIN <= value <= SMALL_INT_MAX):
+                    item = self._small_ints[value]
+            elif (kind == "list" or kind == "tuple") \
+                    and index < len(source.items):
+                item = source.items[index]
+        if item is not None:
+            seq = kind != "range"
+            idx = len(stack) - 1
+            base_addr = frame.addr + _FRAME_HEADER
+            self.emit_rows(("_rows_op_for_iter", seq), [
+                frame.bc_base + 2 * (frame.pc - 1),
+                base_addr + 8 * (idx % _FRAME_STACK_SLOTS), iterator.addr,
+                item.addr, base_addr + 8 * ((idx + 1) % _FRAME_STACK_SLOTS)])
+            iterator.index = index + 1
+            if seq and self.refcounting:
+                self.retain(item)
+            stack.append(item)
+            return _NEXT
+        self._handler_dispatch(frame, _OP_FOR_ITER)
         iterator = self.emit_peek(frame)
         if not isinstance(iterator, PyIterator):
             raise VMError("FOR_ITER on non-iterator")
@@ -2813,14 +1592,48 @@ class BaseVM:
     # Handlers: calls
     # ------------------------------------------------------------------
 
-    def op_call_function(self, frame: Frame, arg: int) -> int:
+    def _rows_call(self, op: int, n_pops: int, incref: bool,
+                   bc_addr: int, *values: int) -> None:
+        """A call op's operand pops and callee type check.
+
+        ``values`` holds the popped slots (callee's last), the callee's
+        address and, with ``incref``, its bound instance's address.
+        """
         m = self.machine
-        args = [self.emit_pop(frame) for _ in range(arg)]
-        args.reverse()
-        callee = self.emit_pop(frame)
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(op, bc_addr)
+        for slot_addr in values[:n_pops]:
+            self._rows_pop(slot_addr)
         # Determine the function type (Python vs C vs class vs method).
-        m.alu(self.s_funcsetup, _FUNC_SETUP, n=2)
-        self.emit_typecheck(callee, n_branches=2)
+        if op == _OP_CALL_METHOD:
+            m.alu(self.s_funcsetup + 24, _FUNC_SETUP, n=2)
+            self._rows_typecheck(1, values[n_pops])
+        else:
+            m.alu(self.s_funcsetup, _FUNC_SETUP, n=2)
+            self._rows_typecheck(2, values[n_pops])
+        if incref and self.refcounting:
+            self._rows_incref(values[n_pops + 1])
+
+    def _pop_call(self, frame: Frame, op: int, arg: int,
+                  bound: bool) -> tuple[GuestObject, list[GuestObject]]:
+        """Pop a call's callee and ``arg`` arguments behind one template."""
+        stack = frame.stack
+        top = len(stack)
+        callee = stack[top - 1 - arg]
+        base_addr = frame.addr + _FRAME_HEADER
+        dyn = [frame.bc_base + 2 * (frame.pc - 1)]
+        dyn += [base_addr + 8 * ((top - 1 - i) % _FRAME_STACK_SLOTS)
+                for i in range(arg + 1)]
+        dyn.append(callee.addr)
+        if bound:
+            dyn.append(callee.instance.addr)
+        self.emit_rows(("_rows_call", op, arg + 1, bound), dyn)
+        args = stack[top - arg:]
+        del stack[top - arg - 1:]
+        return callee, args
+
+    def op_call_function(self, frame: Frame, arg: int) -> int:
+        callee, args = self._pop_call(frame, _OP_CALL_FUNCTION, arg, False)
         return self._call_object(frame, callee, args)
 
     def _call_object(self, frame: Frame, callee: GuestObject,
@@ -2889,6 +1702,14 @@ class BaseVM:
             return signal
         raise GuestTypeError(f"{callee.type_name!r} object is not callable")
 
+    def _rows_call_setup(self, argcount: int, frame_addr: int) -> None:
+        """Argument copies into callee locals plus the frame-link ALU."""
+        m = self.machine
+        local0 = frame_addr + _FRAME_HEADER + 8 * _FRAME_STACK_SLOTS
+        for i in range(argcount):
+            m.store(self.s_funcsetup + 12, _FUNC_SETUP, local0 + 8 * i)
+        m.alu(self.s_funcsetup + 16, _FUNC_SETUP, n=3)
+
     def _call_guest(self, frame: Frame, func: PyFunc,
                     args: list[GuestObject], discard_return: bool = False,
                     push_value: GuestObject | None = None) -> int:
@@ -2897,30 +1718,36 @@ class BaseVM:
             raise GuestTypeError(
                 f"{code.name}() takes {code.argcount} arguments "
                 f"({len(args)} given)")
-        m = self.machine
         self.stats.guest_calls += 1
         callee_frame = self.make_frame(code)
         # Copy arguments into the callee's locals.
-        for i, arg_obj in enumerate(args):
-            m.store(self.s_funcsetup + 12, _FUNC_SETUP,
-                    callee_frame.local_addr(i))
-            callee_frame.locals[i] = arg_obj
-        m.alu(self.s_funcsetup + 16, _FUNC_SETUP, n=3)
+        callee_frame.locals[:len(args)] = args
+        self.emit_rows(("_rows_call_setup", len(args)), [callee_frame.addr])
         callee_frame.return_to = len(frame.stack)
         self._return_plans.append((discard_return, push_value))
         self.frames.append(callee_frame)
         return _FRAME_PUSHED
 
+    def _rows_op_return_value(self, bc_addr: int, pop_slot: int) -> None:
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(_OP_RETURN_VALUE, bc_addr)
+        self._rows_pop(pop_slot)
+
     def op_return_value(self, frame: Frame, arg: int) -> int:
-        result = self.emit_pop(frame)
+        stack = frame.stack
+        self.emit_rows(("_rows_op_return_value",), [
+            frame.bc_base + 2 * (frame.pc - 1),
+            frame.addr + _FRAME_HEADER
+            + 8 * ((len(stack) - 1) % _FRAME_STACK_SLOTS)])
+        result = stack.pop()
         m = self.machine
         # Cleanup: release locals and remaining stack, free the frame.
         for obj in frame.locals:
             if obj is not None:
                 self.emit_decref(obj)
-        for obj in frame.stack:
+        for obj in stack:
             self.emit_decref(obj)
-        frame.stack.clear()
+        stack.clear()
         m.alu(self.s_funcsetup + 20, _FUNC_SETUP, n=3)
         self.free_frame(frame)
         self.frames.pop()
@@ -2942,24 +1769,50 @@ class BaseVM:
     # Handlers: method calls
     # ------------------------------------------------------------------
 
+    def _rows_op_load_method(self, on_instance: bool, bc_addr: int,
+                             pop_slot: int, obj_addr: int, obj_probe: int,
+                             found: int) -> None:
+        """LOAD_METHOD on an instance. ``found`` is the attribute's
+        address when the instance dict has the name (``on_instance``),
+        else the class-dict probe that finds the method."""
+        m = self.machine
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(_OP_LOAD_METHOD, bc_addr)
+        self._rows_pop(pop_slot)
+        self._rows_typecheck(2, obj_addr)
+        # Instance attribute, then class dict, via lookdict.
+        m.origin = self._handler_site_by_op[_OP_LOAD_METHOD]
+        m.alu(self.s_name + 24, _NAME, n=2)
+        self._rows_dict_lookup(obj_probe)
+        if on_instance:
+            if self.refcounting:
+                self._rows_incref(found)
+        else:
+            m.branch(self.s_name + 28, _NAME, taken=True)
+            self._rows_dict_lookup(found)
+
     def op_load_method(self, frame: Frame, arg: int) -> int:
         name = frame.code.names[arg]
-        obj = self.emit_pop(frame)
-        m = self.machine
-        self.emit_typecheck(obj, n_branches=2)
+        stack = frame.stack
+        obj = stack[-1]
         if isinstance(obj, PyInstance):
-            # Instance attribute, then class dict, via lookdict.
-            m.origin = m.site("ceval.handler.LOAD_METHOD")
-            m.alu(self.s_name + 24, _NAME, n=2)
-            self.dict_lookup_emit(obj.addr + 16, stable_hash(name))
+            name_hash = stable_hash(name)
             attr = obj.attrs.get(name)
-            if attr is not None:
-                self.emit_incref(attr)
+            on_instance = attr is not None
+            self.emit_rows(("_rows_op_load_method", on_instance), [
+                frame.bc_base + 2 * (frame.pc - 1),
+                frame.addr + _FRAME_HEADER
+                + 8 * ((len(stack) - 1) % _FRAME_STACK_SLOTS), obj.addr,
+                obj.addr + 16 + 24 * (name_hash & 1023),
+                attr.addr if on_instance
+                else obj.cls.addr + 16 + 24 * (name_hash & 1023)])
+            stack.pop()
+            if on_instance:
+                if self.refcounting:
+                    self.retain(attr)
                 self.emit_push(frame, attr)
                 self.emit_decref(obj)
                 return _NEXT
-            m.branch(self.s_name + 28, _NAME, taken=True)
-            self.dict_lookup_emit(obj.cls.addr + 16, stable_hash(name))
             func = obj.cls.methods.get(name)
             if func is None:
                 raise GuestNameError(
@@ -2968,6 +1821,10 @@ class BaseVM:
             self.alloc_object(method)
             self.emit_push(frame, method)
             return _NEXT
+        self._handler_dispatch(frame, _OP_LOAD_METHOD)
+        obj = self.emit_pop(frame)
+        m = self.machine
+        self.emit_typecheck(obj, n_branches=2)
         # Builtin-type method: resolve through the type's method table.
         m.load(self.s_funcres + 24, _FUNC_RES, obj.addr)
         m.alu(self.s_funcres + 28, _FUNC_RES, n=2)
@@ -2991,13 +1848,20 @@ class BaseVM:
         return _NEXT
 
     def op_call_method(self, frame: Frame, arg: int) -> int:
-        m = self.machine
-        args = [self.emit_pop(frame) for _ in range(arg)]
-        args.reverse()
-        callee = self.emit_pop(frame)
-        m.alu(self.s_funcsetup + 24, _FUNC_SETUP, n=2)
-        self.emit_typecheck(callee, n_branches=1)
-        return self._call_object(frame, callee, args)
+        callee = frame.stack[-1 - arg]
+        if not isinstance(callee, PyBoundMethod):
+            callee, args = self._pop_call(frame, _OP_CALL_METHOD, arg,
+                                          False)
+            return self._call_object(frame, callee, args)
+        # The bound-method case of ``_call_object``, with the instance
+        # incref folded into the call template.
+        callee, args = self._pop_call(frame, _OP_CALL_METHOD, arg, True)
+        if self.refcounting:
+            self.retain(callee.instance)
+        signal = self._call_guest(frame, callee.func,
+                                  [callee.instance] + args)
+        self.emit_decref(callee)
+        return signal
 
     # ------------------------------------------------------------------
     # Handlers: containers
@@ -3068,7 +1932,64 @@ class BaseVM:
         entry = d.entries.get(raw)
         return entry[1] if entry is not None else None
 
+    def _rows_op_binary_subscr(self, bc_addr: int, index_slot: int,
+                               container_slot: int, container_addr: int,
+                               index_addr: int, elem_addr: int,
+                               result_addr: int, slot_addr: int) -> None:
+        """Sequence subscript by an in-range int: one ``getitem`` call."""
+        m = self.machine
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(_OP_BINARY_SUBSCR, bc_addr)
+        self._rows_pop(index_slot)
+        self._rows_pop(container_slot)
+        self._rows_typecheck(1, container_addr)
+        with m.c_call("ceval.call_getitem", "abstract.getitem",
+                      indirect=True, args=2, saves=2):
+            m.load(self.s_box, _BOX, index_addr + 16)  # unbox the index
+            self._rows_error_check(False)  # bounds check
+            m.load(self.s_exec + 64, _EXEC, elem_addr)
+        if self.refcounting:
+            self._rows_incref(result_addr)
+            self._rows_decref(container_addr)
+            self._rows_decref(index_addr)
+        self._rows_push(slot_addr)
+
     def op_binary_subscr(self, frame: Frame, arg: int) -> int:
+        stack = frame.stack
+        index = stack[-1]
+        container = stack[-2]
+        # Operands a decref would free take the general path, so their
+        # dealloc rows land right after their own decref rows.
+        if (isinstance(container, (PyList, PyTuple))
+                and isinstance(index, (PyInt, PyBool))
+                and not (self.refcounting and (container.refcount == 1
+                                               or index.refcount == 1))):
+            items = container.items
+            i = int(index.value)
+            if i < 0:
+                i += len(items)
+            if 0 <= i < len(items):
+                result = items[i]
+                elem_base = (container.buffer_addr
+                             if isinstance(container, PyList)
+                             else container.addr + 24)
+                idx = len(stack) - 1
+                base_addr = frame.addr + _FRAME_HEADER
+                container_slot = base_addr + 8 * (
+                    (idx - 1) % _FRAME_STACK_SLOTS)
+                self.emit_rows(("_rows_op_binary_subscr",), [
+                    frame.bc_base + 2 * (frame.pc - 1),
+                    base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
+                    container_slot, container.addr, index.addr,
+                    elem_base + 8 * i, result.addr, container_slot])
+                del stack[-2:]
+                if self.refcounting:
+                    self.retain(result)
+                    self.release(container)
+                    self.release(index)
+                stack.append(result)
+                return _NEXT
+        self._handler_dispatch(frame, _OP_BINARY_SUBSCR)
         index = self.emit_pop(frame)
         container = self.emit_pop(frame)
         m = self.machine
@@ -3224,52 +2145,115 @@ class BaseVM:
     # Handlers: attributes
     # ------------------------------------------------------------------
 
+    def _rows_op_load_attr(self, on_instance: bool, bc_addr: int,
+                           pop_slot: int, obj_addr: int, obj_probe: int,
+                           found: int) -> None:
+        """LOAD_ATTR on an instance. ``found`` is the attribute's
+        address when the instance dict has the name (``on_instance``),
+        else the class-dict probe that looks for a method."""
+        m = self.machine
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(_OP_LOAD_ATTR, bc_addr)
+        self._rows_pop(pop_slot)
+        self._rows_typecheck(1, obj_addr)
+        m.origin = self._handler_site_by_op[_OP_LOAD_ATTR]
+        m.alu(self.s_name + 32, _NAME, n=2)
+        self._rows_dict_lookup(obj_probe)
+        if on_instance:
+            if self.refcounting:
+                self._rows_incref(found)
+        else:
+            m.branch(self.s_name + 36, _NAME, taken=True)
+            self._rows_dict_lookup(found)
+
     def op_load_attr(self, frame: Frame, arg: int) -> int:
         name = frame.code.names[arg]
-        obj = self.emit_pop(frame)
-        m = self.machine
-        self.emit_typecheck(obj, n_branches=1)
+        stack = frame.stack
+        obj = stack[-1]
         if not isinstance(obj, PyInstance):
+            self._handler_dispatch(frame, _OP_LOAD_ATTR)
+            self.emit_typecheck(self.emit_pop(frame), n_branches=1)
             raise GuestTypeError(
                 f"{obj.type_name!r} object has no attribute {name!r}")
-        m.origin = m.site("ceval.handler.LOAD_ATTR")
-        m.alu(self.s_name + 32, _NAME, n=2)
-        self.dict_lookup_emit(obj.addr + 16, stable_hash(name))
+        name_hash = stable_hash(name)
         attr = obj.attrs.get(name)
-        if attr is None:
-            m.branch(self.s_name + 36, _NAME, taken=True)
-            self.dict_lookup_emit(obj.cls.addr + 16, stable_hash(name))
-            func = obj.cls.methods.get(name)
-            if func is None:
-                raise GuestNameError(
-                    f"{obj.cls.name!r} object has no attribute {name!r}")
-            method = PyBoundMethod(obj, func)
-            self.alloc_object(method)
-            self.emit_push(frame, method)
+        on_instance = attr is not None
+        self.emit_rows(("_rows_op_load_attr", on_instance), [
+            frame.bc_base + 2 * (frame.pc - 1),
+            frame.addr + _FRAME_HEADER
+            + 8 * ((len(stack) - 1) % _FRAME_STACK_SLOTS), obj.addr,
+            obj.addr + 16 + 24 * (name_hash & 1023),
+            attr.addr if on_instance
+            else obj.cls.addr + 16 + 24 * (name_hash & 1023)])
+        stack.pop()
+        if on_instance:
+            if self.refcounting:
+                self.retain(attr)
+            self.emit_decref(obj)
+            self.emit_push(frame, attr)
             return _NEXT
-        self.emit_incref(attr)
-        self.emit_decref(obj)
-        self.emit_push(frame, attr)
+        func = obj.cls.methods.get(name)
+        if func is None:
+            raise GuestNameError(
+                f"{obj.cls.name!r} object has no attribute {name!r}")
+        method = PyBoundMethod(obj, func)
+        self.alloc_object(method)
+        self.emit_push(frame, method)
         return _NEXT
+
+    def _rows_op_store_attr(self, barrier: bool, bc_addr: int,
+                            obj_slot: int, value_slot: int,
+                            obj_addr: int, probe: int,
+                            store_addr: int) -> None:
+        """STORE_ATTR on an instance; with a write ``barrier``, only the
+        part before it (the barrier's rows and the store follow)."""
+        if self.handlers_emit_dispatch:
+            self._rows_dispatch(_OP_STORE_ATTR, bc_addr)
+        self._rows_pop(obj_slot)
+        self._rows_pop(value_slot)
+        self._rows_typecheck(1, obj_addr)
+        self.machine.origin = self._handler_site_by_op[_OP_STORE_ATTR]
+        if not barrier:
+            self._rows_store_attr(probe, store_addr)
+
+    def _rows_store_attr(self, probe: int, store_addr: int) -> None:
+        m = self.machine
+        m.alu(self.s_name + 40, _NAME, n=2)
+        self._rows_dict_lookup(probe)
+        m.store(self.s_name + 44, _NAME, store_addr)
 
     def op_store_attr(self, frame: Frame, arg: int) -> int:
         name = frame.code.names[arg]
-        obj = self.emit_pop(frame)
-        value = self.emit_pop(frame)
-        m = self.machine
-        self.emit_typecheck(obj, n_branches=1)
+        stack = frame.stack
+        obj = stack[-1]
         if not isinstance(obj, PyInstance):
+            self._handler_dispatch(frame, _OP_STORE_ATTR)
+            self.emit_pop(frame)
+            self.emit_pop(frame)
+            self.emit_typecheck(obj, n_branches=1)
             raise GuestTypeError(
                 f"cannot set attribute on {obj.type_name!r} object")
-        m.origin = m.site("ceval.handler.STORE_ATTR")
-        self.emit_write_barrier(obj)
-        m.alu(self.s_name + 40, _NAME, n=2)
-        self.dict_lookup_emit(obj.addr + 16, stable_hash(name))
-        m.store(self.s_name + 44, _NAME, obj.addr + 16 + (stable_hash(name) & 63))
+        # A tracing collector's write barrier emits data-dependent rows
+        # mid-handler, which splits the handler's template in two.
+        barrier = not self.refcounting
+        idx = len(stack) - 1
+        base_addr = frame.addr + _FRAME_HEADER
+        name_hash = stable_hash(name)
+        store = [obj.addr + 16 + 24 * (name_hash & 1023),
+                 obj.addr + 16 + (name_hash & 63)]
+        self.emit_rows(("_rows_op_store_attr", barrier), [
+            frame.bc_base + 2 * (frame.pc - 1),
+            base_addr + 8 * (idx % _FRAME_STACK_SLOTS),
+            base_addr + 8 * ((idx - 1) % _FRAME_STACK_SLOTS), obj.addr,
+            *store])
+        value = stack[-2]
+        del stack[-2:]
+        if barrier:
+            self.emit_write_barrier(obj)
+            self.emit_rows(("_rows_store_attr",), store)
         old = obj.attrs.get(name)
         obj.attrs[name] = value
         if old is not None:
             self.emit_decref(old)
         self.emit_decref(obj)
         return _NEXT
-

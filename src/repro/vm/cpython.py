@@ -42,6 +42,8 @@ class CPythonVM(BaseVM):
                  global_cache: bool = False) -> None:
         self.allocator = FreelistAllocator(machine.space.heap,
                                            recycle=recycle_freelist)
+        #: Size-class freelist heads live in the VM data region.
+        self._freelists = machine.space.vm_data.base + 0x4000
         super().__init__(machine, program)
         self.global_cache_enabled = global_cache
         self._s_malloc = machine.site("obmalloc.pool")
@@ -51,25 +53,12 @@ class CPythonVM(BaseVM):
     # Allocation
     # ------------------------------------------------------------------
 
-    def alloc_object(self, obj: GuestObject, category: int = _ALLOC,
-                     ) -> GuestObject:
-        size = obj.size_bytes()
-        obj.addr = self._malloc(size, category)
-        # Initialize the header: type pointer and refcount.
-        self._rows_alloc_header(obj.addr, category)
-        self.stats.allocations += 1
-        self.stats.allocated_bytes += size
-        return obj
+    # The allocator bookkeeping happens before emission (it writes no
+    # rows), and each emission body is linear in ``(head, addr)`` for a
+    # fixed category, so every allocator path is one template per
+    # category.
 
-    def _rows_alloc_header(self, addr: int, category: int) -> None:
-        m = self.machine
-        m.store(self.s_alloc + 4, category, addr)
-        m.store(self.s_alloc + 8, category, addr + 8)
-
-    def alloc_buffer(self, nbytes: int, category: int = _ALLOC) -> int:
-        return self._malloc(nbytes, category)
-
-    def _rows_malloc(self, head: int, addr: int, category: int) -> None:
+    def _rows_malloc(self, category: int, head: int, addr: int) -> None:
         m = self.machine
         with m.c_call("obmalloc.call_malloc", "obmalloc.malloc",
                       indirect=False, args=1, saves=1):
@@ -79,19 +68,41 @@ class CPythonVM(BaseVM):
             m.load(self._s_malloc + 12, category, addr)
             m.store(self._s_malloc + 16, category, head)
 
-    def _malloc(self, size: int, category: int) -> int:
+    def _rows_alloc_object(self, category: int, head: int,
+                           addr: int) -> None:
         m = self.machine
+        self._rows_malloc(category, head, addr)
+        # Initialize the header: type pointer and refcount.
+        m.store(self.s_alloc + 4, category, addr)
+        m.store(self.s_alloc + 8, category, addr + 8)
+
+    def alloc_object(self, obj: GuestObject, category: int = _ALLOC,
+                     ) -> GuestObject:
+        size = obj.size_bytes()
+        if TELEMETRY.enabled:
+            TELEMETRY.metrics.counter("cpython.mallocs").inc()
+        obj.addr = self.allocator.alloc(size)
+        self.emit_rows(("_rows_alloc_object", category),
+                       [self._freelists + (size & 0x1F8), obj.addr])
+        self.stats.allocations += 1
+        self.stats.allocated_bytes += size
+        return obj
+
+    def alloc_buffer(self, nbytes: int, category: int = _ALLOC) -> int:
+        return self._malloc(nbytes, category)
+
+    def _malloc(self, size: int, category: int) -> int:
         if TELEMETRY.enabled:
             TELEMETRY.metrics.counter("cpython.mallocs").inc()
         addr = self.allocator.alloc(size)
-        self._rows_malloc(m.space.vm_data.base + 0x4000 + (size & 0x1F8),
-                          addr, category)
+        self.emit_rows(("_rows_malloc", category),
+                       [self._freelists + (size & 0x1F8), addr])
         return addr
 
     def free_buffer(self, addr: int, nbytes: int) -> None:
         self._free(addr, nbytes, _ALLOC)
 
-    def _rows_free(self, addr: int, head: int, category: int) -> None:
+    def _rows_free(self, category: int, addr: int, head: int) -> None:
         m = self.machine
         with m.c_call("obmalloc.call_free", "obmalloc.free_fn",
                       indirect=False, args=1, saves=1):
@@ -100,124 +111,11 @@ class CPythonVM(BaseVM):
             m.store(self._s_free + 4, category, head)
 
     def _free(self, addr: int, size: int, category: int) -> None:
-        m = self.machine
         if TELEMETRY.enabled:
             TELEMETRY.metrics.counter("cpython.frees").inc()
-        self._rows_free(addr,
-                        m.space.vm_data.base + 0x4000 + (size & 0x1F8),
-                        category)
+        self.emit_rows(("_rows_free", category),
+                       [addr, self._freelists + (size & 0x1F8)])
         self.allocator.free(addr, size)
-
-    # ------------------------------------------------------------------
-    # Burst fusions: allocator paths
-    # ------------------------------------------------------------------
-
-    # The malloc/free/alloc_object emission bodies are linear in
-    # ``(head, addr)`` for a fixed category, so each collapses to one
-    # queued template per category. The allocator bookkeeping happens
-    # before emission (it writes no rows), which keeps the scalar and
-    # fused row streams identical.
-
-    def _bind_burst_emitters(self) -> None:
-        super()._bind_burst_emitters()
-        cls = type(self)
-        self._t_malloc: dict[int, tuple | bool] = {}
-        self._t_free: dict[int, tuple | bool] = {}
-        self._t_alloc_obj: dict[int, tuple | bool] = {}
-        self._t_gc_child = None
-        if cls._malloc is CPythonVM._malloc:
-            self._malloc = self._burst_malloc
-            if cls.alloc_object is CPythonVM.alloc_object:
-                self.alloc_object = self._burst_alloc_object
-        if cls._free is CPythonVM._free:
-            self._free = self._burst_free
-        if cls._emit_gc_child is CPythonVM._emit_gc_child:
-            self._emit_gc_child = self._burst_gc_child
-
-    def _burst_malloc(self, size: int, category: int) -> int:
-        m = self.machine
-        if TELEMETRY.enabled:
-            TELEMETRY.metrics.counter("cpython.mallocs").inc()
-        head = m.space.vm_data.base + 0x4000 + (size & 0x1F8)
-        addr = self.allocator.alloc(size)
-        if m.suppressed or m.clib_depth:
-            self._rows_malloc(head, addr, category)
-            return addr
-        entry = self._t_malloc.get(category)
-        if entry is None:
-            entry = self._t_malloc[category] = self._record_entry(
-                lambda v: self._rows_malloc(v[0], v[1], category),
-                [head, addr], ("origin", "sp"))
-        if entry is False:
-            self._rows_malloc(head, addr, category)
-            return addr
-        self._q_append(entry[0])
-        self._q_extend((head, addr, m.origin, m.sp))
-        return addr
-
-    def _burst_free(self, addr: int, size: int, category: int) -> None:
-        m = self.machine
-        if TELEMETRY.enabled:
-            TELEMETRY.metrics.counter("cpython.frees").inc()
-        head = m.space.vm_data.base + 0x4000 + (size & 0x1F8)
-        if m.suppressed or m.clib_depth:
-            self._rows_free(addr, head, category)
-        else:
-            entry = self._t_free.get(category)
-            if entry is None:
-                entry = self._t_free[category] = self._record_entry(
-                    lambda v: self._rows_free(v[0], v[1], category),
-                    [addr, head], ("origin", "sp"))
-            if entry is False:
-                self._rows_free(addr, head, category)
-            else:
-                self._q_append(entry[0])
-                self._q_extend((addr, head, m.origin, m.sp))
-        self.allocator.free(addr, size)
-
-    def _rows_alloc_object(self, head: int, addr: int,
-                           category: int) -> None:
-        self._rows_malloc(head, addr, category)
-        self._rows_alloc_header(addr, category)
-
-    def _burst_alloc_object(self, obj: GuestObject,
-                            category: int = _ALLOC) -> GuestObject:
-        m = self.machine
-        size = obj.size_bytes()
-        if TELEMETRY.enabled:
-            TELEMETRY.metrics.counter("cpython.mallocs").inc()
-        head = m.space.vm_data.base + 0x4000 + (size & 0x1F8)
-        addr = obj.addr = self.allocator.alloc(size)
-        self.stats.allocations += 1
-        self.stats.allocated_bytes += size
-        if m.suppressed or m.clib_depth:
-            self._rows_alloc_object(head, addr, category)
-            return obj
-        entry = self._t_alloc_obj.get(category)
-        if entry is None:
-            entry = self._t_alloc_obj[category] = self._record_entry(
-                lambda v: self._rows_alloc_object(v[0], v[1], category),
-                [head, addr], ("origin", "sp"))
-        if entry is False:
-            self._rows_alloc_object(head, addr, category)
-            return obj
-        self._q_append(entry[0])
-        self._q_extend((head, addr, m.origin, m.sp))
-        return obj
-
-    def _burst_gc_child(self, child_addr: int) -> None:
-        m = self.machine
-        if m.suppressed or m.clib_depth:
-            return CPythonVM._emit_gc_child(self, child_addr)
-        entry = self._t_gc_child
-        if entry is None:
-            entry = self._t_gc_child = self._record_entry(
-                lambda v: CPythonVM._emit_gc_child(self, v[0]),
-                [child_addr], ("origin",))
-        if entry is False:
-            return CPythonVM._emit_gc_child(self, child_addr)
-        self._q_append(entry[0])
-        self._q_extend((child_addr, m.origin))
 
     # ------------------------------------------------------------------
     # Reference counting
@@ -269,11 +167,14 @@ class CPythonVM(BaseVM):
                                   objects=freed_objects,
                                   bytes=freed_bytes)
 
-    def _emit_gc_child(self, child_addr: int) -> None:
-        """Visit one contained reference during container teardown."""
+    def _rows_gc_child(self, child_addr: int) -> None:
         m = self.machine
         m.load(self.s_gc + 36, _GC, child_addr)
         m.store(self.s_gc + 40, _GC, child_addr)
+
+    def _emit_gc_child(self, child_addr: int) -> None:
+        """Visit one contained reference during container teardown."""
+        self.emit_rows(("_rows_gc_child",), [child_addr])
 
     # ------------------------------------------------------------------
     # Frames

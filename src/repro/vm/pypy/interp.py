@@ -29,6 +29,9 @@ class PyPyVM(BaseVM):
 
     runtime_name = "pypy"
     refcounting = False
+    #: The tracing JIT's recorder emits rows between dispatch and the
+    #: handler, so this loop emits every dispatch itself.
+    handlers_emit_dispatch = False
 
     def __init__(self, machine: HostMachine, program: Program,
                  config: RuntimeConfig | None = None) -> None:
@@ -79,26 +82,27 @@ class PyPyVM(BaseVM):
         handlers = self._handlers
         ops = frame.code.ops
         args = frame.code.args
+        bc_base = frame.bc_base
         stats = self.stats
         machine = self.machine
         jit = self.jit
         while True:
-            op = ops[frame.pc]
-            arg = args[frame.pc]
+            pc = frame.pc
+            op = ops[pc]
             mode = jit.mode
             if mode == 2:  # compiled execution
                 if not jit.before_op(frame, op):
                     # Guard exit: resume interpretation of this very op.
-                    self.emit_dispatch(frame, op)
+                    self.emit_dispatch(op, bc_base + 2 * pc)
             else:
-                self.emit_dispatch(frame, op)
+                self.emit_dispatch(op, bc_base + 2 * pc)
                 if mode == 1:  # recording
                     jit.record_op(frame, op)
-            frame.pc += 1
+            frame.pc = pc + 1
             stats.bytecodes += 1
             if not (stats.bytecodes & 0x3FF):
                 machine.check_budget()
-            signal = handlers[op](frame, arg)
+            signal = handlers[op](frame, args[pc])
             if signal:
                 return
 

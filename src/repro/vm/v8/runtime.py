@@ -27,7 +27,7 @@ from ...host.address_space import AddressSpace
 from ...host.machine import HostMachine
 from ...objects.model import PyBoundMethod, PyInstance
 from ...telemetry import TELEMETRY
-from ..base import _NEXT, Frame  # type: ignore[attr-defined]
+from ..base import _NEXT, _OP_LOAD_GLOBAL, Frame
 from ..stablehash import stable_hash
 from ..pypy.interp import PyPyVM
 
@@ -67,20 +67,26 @@ class V8VM(PyPyVM):
             TELEMETRY.metrics.counter("v8.ic.megamorphic").inc()
             TELEMETRY.events.emit("v8.ic.megamorphic", name=name)
 
-    def lookup_global(self, name: str):
-        """Globals resolve through a global-property cell IC."""
+    def _rows_global_ic(self, cell_addr: int) -> None:
+        """Global-property cell IC: load the cell, check it is valid."""
         m = self.machine
-        m.origin = m.site("ceval.handler.LOAD_GLOBAL")
-        m.load(self.s_ic + 12, _NAME,
-               m.space.vm_data.base + 0x1000 + (stable_hash(name) & 0x3FF8))
+        m.origin = self._handler_site_by_op[_OP_LOAD_GLOBAL]
+        m.load(self.s_ic + 12, _NAME, cell_addr)
         m.branch(self.s_ic + 16, _NAME, taken=False)
+
+    def op_load_global(self, frame: Frame, arg: int) -> int:
+        """Globals resolve through a global-property cell IC."""
+        name = frame.code.names[arg]
+        self.emit_rows(("_rows_global_ic",), [
+            self.machine.space.vm_data.base + 0x1000
+            + (stable_hash(name) & 0x3FF8)])
         obj = self.globals.get(name)
-        if obj is not None:
-            return obj
-        obj = self.builtins.get(name)
+        if obj is None:
+            obj = self.builtins.get(name)
         if obj is None:
             raise GuestNameError(f"name {name!r} is not defined")
-        return obj
+        self.emit_push(frame, obj)
+        return _NEXT
 
     def op_load_attr(self, frame: Frame, arg: int) -> int:
         name = frame.code.names[arg]

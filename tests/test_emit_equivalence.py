@@ -193,21 +193,41 @@ def test_generated_programs_equivalent_across_backends(monkeypatch,
         assert len(outputs) == 1, (runtime, index)
 
 
-@pytest.mark.parametrize("workload,runtime,jit",
-                         [("richards", "cpython", False),
-                          ("nqueens", "cpython", False),
-                          ("chaos", "pypy", True),
-                          ("richards", "v8", True)])
+#: Golden trace digests. Both backends run the same ``_rows_*`` bodies
+#: (eagerly or through recorded templates), so cross-backend agreement
+#: alone cannot catch a change to the emission choreography itself;
+#: these pins do. Re-pin only with a change that is allowed to move
+#: figure bytes (``bench/reference.json``).
+_GOLDEN = [
+    ("richards", "cpython", False,
+     "73f43b91e34f998d16e8414d8e3ee29ad8800d37c88d3f5b8935e9e4596e5cd1"),
+    ("nqueens", "cpython", False,
+     "2887d79090492320145bd52186498619ec8ac569a763c80431a08dd0193b9de1"),
+    ("chaos", "pypy", True,
+     "539389d42c580634b5ba0bae8ea37ab31d8add459aaa3690e087ea753ab1a733"),
+    ("richards", "v8", True,
+     "5cf9794f9b6e51f9ca596455f6357c689d5583e6bdc4c9b1843ddfb94298154f"),
+    ("richards", "pypy", False,
+     "037545df45cdb8532cc1ef9e5b7f7e2478d4a29a4f6dfe596675abdad00d0c87"),
+]
+
+
+@pytest.mark.parametrize(
+    "workload,runtime,jit,golden",
+    [pytest.param(*cell, id="-".join(map(str, cell[:3])))
+     for cell in _GOLDEN])
 def test_workload_sample_equivalent_across_backends(monkeypatch, tmp_path,
                                                     workload, runtime,
-                                                    jit):
+                                                    jit, golden):
     digests = set()
     for backend in ("scalar", "burst"):
         monkeypatch.setenv("REPRO_EMIT_BACKEND", backend)
         runner = ExperimentRunner(disk_cache=DiskCache(None))
         handle = runner.run(workload, runtime, jit=jit,
                             nursery=64 * 1024)
-        digests.add(_trace_digest(handle))
+        digest = _trace_digest(handle)
+        digests.add(digest)
+        assert digest == golden, backend
     assert len(digests) == 1
 
 

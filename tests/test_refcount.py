@@ -1,7 +1,14 @@
 """CPython-model memory management: refcounting and the freelist."""
 
+import pytest
+
 from conftest import run_source
 from repro.categories import OverheadCategory as C
+from repro.frontend.compiler import compile_source
+from repro.host.address_space import AddressSpace
+from repro.host.machine import HostMachine
+from repro.objects.model import PyList
+from repro.vm.cpython import _FREED, CPythonVM
 
 
 def test_freelist_reuse_dominates_steady_state():
@@ -72,3 +79,48 @@ x = [9] * 10
 print(len(x))
 """)
     assert vm.output == ["10"]
+
+
+def _lists_after_run(source):
+    """Run ``source``; return every list it allocated (by allocation)."""
+    vm = CPythonVM(HostMachine(AddressSpace()),
+                   compile_source(source, "<test>"))
+    made = []
+    alloc_object = vm.alloc_object
+
+    def spy(obj, *args, **kwargs):
+        if isinstance(obj, PyList):
+            made.append(obj)
+        return alloc_object(obj, *args, **kwargs)
+
+    vm.alloc_object = spy
+    vm.run()
+    return made
+
+
+def test_local_list_is_freed_on_return():
+    (keep,) = _lists_after_run("""
+def f():
+    keep = [1000, 2000]
+    n = len(keep)
+
+
+f()
+""")
+    assert keep.refcount == _FREED
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "LOAD_METHOD's builtin-type branch pops the receiver and never "
+    "releases it; the fix adds decref/dealloc rows, which moves the "
+    "figure bytes bench/reference.json pins"))
+def test_builtin_method_call_releases_receiver():
+    (keep,) = _lists_after_run("""
+def f():
+    keep = [1000, 2000]
+    keep.append(3000)
+
+
+f()
+""")
+    assert keep.refcount == _FREED
