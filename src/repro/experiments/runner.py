@@ -22,6 +22,7 @@ describe — every failure is a recomputable miss, never an exception.
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -273,6 +274,12 @@ class ExperimentRunner:
             self._note_trace_eviction(evicted)
         self.last_handle = handle
         self.disk_cache.store_run(disk_key, handle, key_params=trace_params)
+        # A finished VM is a reference cycle that holds the whole guest
+        # heap; collect it here (~10 ms per run) instead of whenever the
+        # cyclic collector next runs, so peak memory does not depend on
+        # allocation timing.
+        del vm, machine
+        gc.collect()
         if self.metrics_out is not None:
             self.write_manifest(self.metrics_out)
         return handle
@@ -396,10 +403,10 @@ class ExperimentRunner:
 
         Memory-side states are computed (or fetched) once per distinct
         memory-side geometry, then the whole batch goes through
-        :meth:`SimulatedSystem.run_many_configs`, which walks the trace
-        once per distinct state instead of once per config. Results are
-        bit-identical to per-config :meth:`simulate` calls, in input
-        order.
+        :meth:`SimulatedSystem.run_many_configs`, which prepares the
+        trace once per distinct state instead of once per config.
+        Results are bit-identical to per-config :meth:`simulate` calls,
+        in input order.
         """
         states = [self.memory_side(handle, config) for config in configs]
         with TELEMETRY.tracer.span("sim.core_batch",

@@ -5,34 +5,21 @@ its time turning uint64 zigzag values into LEB128 varint bytes and
 back. Both directions are tight byte-at-a-time loops over buffers the
 delta/zigzag stages have already prepared, so — exactly like the OOO
 core's :mod:`repro.uarch._ooo_kernel` and the burst flush's
-:mod:`repro.host._emit_kernel` — this module builds them into a
-per-process shared library with one ``cc -O2 -shared`` invocation at
-first use. Everything is best-effort: no compiler, a failed build, or
-``REPRO_CODEC_KERNEL=off`` all degrade silently to the pure-NumPy
-reference in ``codec.py``, and both paths produce bit-identical bytes
-(LEB128 is canonical: one encoding per value, so the kernel is an
+:mod:`repro.host._emit_kernel` — :mod:`repro.host.kernel_loader`
+builds them into a per-process shared library at first use. No
+compiler or a failed build leaves the pure-NumPy reference in
+``codec.py``, and both paths produce bit-identical bytes (LEB128 is
+canonical: one encoding per value, so the kernel is an
 evaluation-order change, not a format change).
-
-This is deliberately *not* a build-time extension: the repository must
-stay importable from source with nothing but numpy.
 """
 
 from __future__ import annotations
 
-import atexit
 import ctypes
-import os
-import shutil
-import subprocess
-import sys
-import tempfile
-import threading
 
 import numpy as np
 
-#: Environment switch: ``auto`` (default) compiles when possible,
-#: ``off`` disables the kernel entirely (pure-NumPy codec).
-KERNEL_ENV = "REPRO_CODEC_KERNEL"
+from .kernel_loader import KernelSlot, compile_library
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -82,38 +69,20 @@ int64_t varint_decode(const uint8_t *buf, int64_t nbytes,
 }
 """
 
-_lock = threading.Lock()
-_kernel = None
-_kernel_tried = False
-
 _PU64 = ctypes.POINTER(ctypes.c_uint64)
 _PU8 = ctypes.POINTER(ctypes.c_uint8)
 
 
-def _build() -> ctypes.CDLL | None:
-    cc = (os.environ.get("CC") or shutil.which("cc")
-          or shutil.which("gcc") or shutil.which("clang"))
-    if cc is None:
-        return None
-    tmpdir = tempfile.mkdtemp(prefix="repro-codec-kernel-")
-    atexit.register(shutil.rmtree, tmpdir, ignore_errors=True)
-    src = os.path.join(tmpdir, "codec_kernel.c")
-    suffix = ".dylib" if sys.platform == "darwin" else ".so"
-    lib = os.path.join(tmpdir, "codec_kernel" + suffix)
-    with open(src, "w", encoding="utf-8") as fh:
-        fh.write(_SOURCE)
-    cmd = [cc, "-O2", "-shared", "-fPIC", "-o", lib, src]
-    try:
-        subprocess.run(cmd, check=True, capture_output=True, timeout=120)
-        dll = ctypes.CDLL(lib)
-    except (OSError, subprocess.SubprocessError):
+def _build() -> _CodecKernel | None:
+    dll = compile_library("codec_kernel", _SOURCE)
+    if dll is None:
         return None
     i64 = ctypes.c_int64
     dll.varint_encode.restype = i64
     dll.varint_encode.argtypes = [_PU64, i64, _PU8]
     dll.varint_decode.restype = i64
     dll.varint_decode.argtypes = [_PU8, i64, _PU64, i64]
-    return dll
+    return _CodecKernel(dll)
 
 
 class _CodecKernel:
@@ -138,18 +107,10 @@ class _CodecKernel:
             out.ctypes.data_as(_PU64), out.size))
 
 
+_slot: KernelSlot[_CodecKernel] = KernelSlot()
+
+
 def get_kernel() -> _CodecKernel | None:
     """The compiled codec kernel, building on first use (or ``None``)."""
-    global _kernel, _kernel_tried
-    if os.environ.get(KERNEL_ENV, "auto").lower() in ("off", "0", "no"):
-        return None
-    with _lock:
-        if not _kernel_tried:
-            _kernel_tried = True
-            dll = _build()
-            _kernel = _CodecKernel(dll) if dll is not None else None
-    return _kernel
+    return _slot.get(_build)
 
-
-def kernel_available() -> bool:
-    return get_kernel() is not None

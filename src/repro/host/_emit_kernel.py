@@ -4,34 +4,20 @@ The burst engine's flush is a deterministic expansion: walk the queue of
 template ids, copy each template's static rows into the trace buffer,
 and add the linear fixups from the flat dynamic-operand stream. That is
 a ~40-line C loop, so — exactly like the OOO core's
-:mod:`repro.uarch._ooo_kernel` — this module builds it into a
-per-process shared library with one ``cc -O2 -shared`` invocation at
-first use and the engine dispatches flushes to it. Everything is
-best-effort: no compiler, a failed build, or ``REPRO_EMIT_KERNEL=off``
-all degrade silently to the batched-NumPy flush, and both paths stamp
-bit-identical rows (the kernel is an evaluation order change, not a
-model change).
-
-This is deliberately *not* a build-time extension: the repository must
-stay importable from source with nothing but numpy.
+:mod:`repro.uarch._ooo_kernel` — :mod:`repro.host.kernel_loader`
+builds it into a per-process shared library at first use and the
+engine dispatches flushes to it. No compiler or a failed build leaves
+the batched-NumPy flush, and both paths stamp bit-identical rows (the
+kernel is an evaluation order change, not a model change).
 """
 
 from __future__ import annotations
 
-import atexit
 import ctypes
-import os
-import shutil
-import subprocess
-import sys
-import tempfile
-import threading
 
 import numpy as np
 
-#: Environment switch: ``auto`` (default) compiles when possible,
-#: ``off`` disables the kernel entirely (pure-NumPy flush).
-KERNEL_ENV = "REPRO_EMIT_KERNEL"
+from .kernel_loader import KernelSlot, compile_library
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -82,37 +68,19 @@ int64_t burst_flush(const int64_t *order, int64_t n_entries,
 }
 """
 
-_lock = threading.Lock()
-_kernel = None
-_kernel_tried = False
-
 _P64 = ctypes.POINTER(ctypes.c_int64)
 
 
-def _build() -> ctypes.CDLL | None:
-    cc = (os.environ.get("CC") or shutil.which("cc")
-          or shutil.which("gcc") or shutil.which("clang"))
-    if cc is None:
-        return None
-    tmpdir = tempfile.mkdtemp(prefix="repro-emit-kernel-")
-    atexit.register(shutil.rmtree, tmpdir, ignore_errors=True)
-    src = os.path.join(tmpdir, "emit_kernel.c")
-    suffix = ".dylib" if sys.platform == "darwin" else ".so"
-    lib = os.path.join(tmpdir, "emit_kernel" + suffix)
-    with open(src, "w", encoding="utf-8") as fh:
-        fh.write(_SOURCE)
-    cmd = [cc, "-O2", "-shared", "-fPIC", "-o", lib, src]
-    try:
-        subprocess.run(cmd, check=True, capture_output=True, timeout=120)
-        dll = ctypes.CDLL(lib)
-    except (OSError, subprocess.SubprocessError):
+def _build() -> _FlushKernel | None:
+    dll = compile_library("emit_kernel", _SOURCE)
+    if dll is None:
         return None
     dll.burst_flush.restype = ctypes.c_int64
     dll.burst_flush.argtypes = [
         _P64, ctypes.c_int64, _P64,
         _P64, _P64, _P64, _P64, _P64, _P64, _P64, _P64,
     ]
-    return dll
+    return _FlushKernel(dll)
 
 
 class _FlushKernel:
@@ -134,18 +102,10 @@ class _FlushKernel:
             p(out)))
 
 
+_slot: KernelSlot[_FlushKernel] = KernelSlot()
+
+
 def get_kernel() -> _FlushKernel | None:
     """The compiled flush kernel, building on first use (or ``None``)."""
-    global _kernel, _kernel_tried
-    if os.environ.get(KERNEL_ENV, "auto").lower() in ("off", "0", "no"):
-        return None
-    with _lock:
-        if not _kernel_tried:
-            _kernel_tried = True
-            dll = _build()
-            _kernel = _FlushKernel(dll) if dll is not None else None
-    return _kernel
+    return _slot.get(_build)
 
-
-def kernel_available() -> bool:
-    return get_kernel() is not None

@@ -38,10 +38,10 @@ load or rejected here with a typed :class:`~repro.errors.TraceError`
 (varint streams validate their value count, byte count, and length
 bounds; the directory validates segment ranges).
 
-The varint hot loop optionally dispatches to a compiled C kernel
-(:mod:`repro.host._codec_kernel`, ``REPRO_CODEC_KERNEL=off`` to
-disable); the pure-NumPy reference here is bit-identical — LEB128 is
-canonical, one encoding per value.
+The varint hot loop dispatches to a compiled C kernel
+(:mod:`repro.host._codec_kernel`) when a C compiler built one; the
+pure-NumPy reference here is bit-identical — LEB128 is canonical, one
+encoding per value.
 """
 
 from __future__ import annotations

@@ -3,35 +3,24 @@
 The OOO model is a pure forward max-plus recurrence over integer ticks
 (:func:`~repro.uarch.ooo_core.ooo_cycles_scalar`), so a ~60-line C loop
 reproduces it bit for bit at memory speed. When a C compiler is
-available this module builds that loop into a per-process shared
-library (one ``cc -O2`` invocation, cached for the process lifetime)
-and the vectorized backend dispatches single-config walks to it,
-releasing the GIL so config sweeps can also thread. Everything is
-best-effort: no compiler, a failed build, or ``REPRO_OOO_KERNEL=off``
-all degrade silently to the batched-NumPy engine.
-
-This is deliberately *not* a build-time extension: the repository must
-stay importable from source with nothing but numpy, so the kernel is
-an opportunistic accelerator with the same contract as the pure-Python
-engines — bit-identical results for every trace and config.
+available, :mod:`repro.host.kernel_loader` builds that loop into a
+per-process shared library and :func:`~repro.uarch.ooo_core.ooo_cycles`
+runs every walk through it, releasing the GIL so config sweeps can
+also thread. Without a compiler the scalar loop runs instead; both
+return the same bits for every trace and config.
 """
 
 from __future__ import annotations
 
-import atexit
 import ctypes
-import os
-import shutil
-import subprocess
-import sys
-import tempfile
-import threading
 
 import numpy as np
 
-#: Environment switch: ``auto`` (default) compiles when possible,
-#: ``off`` disables the kernel entirely (pure-NumPy vector path).
-KERNEL_ENV = "REPRO_OOO_KERNEL"
+from ..host.kernel_loader import KernelSlot, compile_library
+from .ooo_core import (KIND_LATENCY_TICKS, MSHRS, TICKS, _LOAD, _STORE,
+                       _fetch_penalties, _load_latencies,
+                       front_interval_ticks, max_dep_distance, ring_size,
+                       ticks_per_byte)
 
 _MAX_MSHRS = 64
 
@@ -109,52 +98,31 @@ void ooo_kernel(int64_t n,
 }
 """
 
-_lock = threading.Lock()
-_kernel = None
-_kernel_tried = False
+_P64 = ctypes.POINTER(ctypes.c_int64)
+_PU8 = ctypes.POINTER(ctypes.c_uint8)
 
 
 def _build() -> ctypes.CDLL | None:
-    cc = (os.environ.get("CC") or shutil.which("cc")
-          or shutil.which("gcc") or shutil.which("clang"))
-    if cc is None:
-        return None
-    tmpdir = tempfile.mkdtemp(prefix="repro-ooo-kernel-")
-    atexit.register(shutil.rmtree, tmpdir, ignore_errors=True)
-    src = os.path.join(tmpdir, "ooo_kernel.c")
-    suffix = ".dylib" if sys.platform == "darwin" else ".so"
-    lib = os.path.join(tmpdir, "ooo_kernel" + suffix)
-    with open(src, "w", encoding="utf-8") as fh:
-        fh.write(_SOURCE)
-    cmd = [cc, "-O2", "-shared", "-fPIC", "-o", lib, src]
-    try:
-        subprocess.run(cmd, check=True, capture_output=True, timeout=120)
-        dll = ctypes.CDLL(lib)
-    except (OSError, subprocess.SubprocessError):
+    dll = compile_library("ooo_kernel", _SOURCE)
+    if dll is None:
         return None
     i64 = ctypes.c_int64
-    p64 = ctypes.POINTER(ctypes.c_int64)
-    pu8 = ctypes.POINTER(ctypes.c_uint8)
     dll.ooo_kernel.restype = None
     dll.ooo_kernel.argtypes = [
-        i64, p64, p64, p64, p64, pu8,
-        i64, i64, i64, p64, p64, p64,
+        i64, _P64, _P64, _P64, _P64, _PU8,
+        i64, i64, i64, _P64, _P64, _P64,
         i64, i64, i64, i64, i64, i64, i64,
-        i64, p64, p64,
+        i64, _P64, _P64,
     ]
     return dll
 
 
+_slot: KernelSlot[ctypes.CDLL] = KernelSlot()
+
+
 def get_kernel() -> ctypes.CDLL | None:
     """The compiled kernel, building it on first use (or ``None``)."""
-    global _kernel, _kernel_tried
-    if os.environ.get(KERNEL_ENV, "auto").lower() in ("off", "0", "no"):
-        return None
-    with _lock:
-        if not _kernel_tried:
-            _kernel_tried = True
-            _kernel = _build()
-    return _kernel
+    return _slot.get(_build)
 
 
 def kernel_available() -> bool:
@@ -183,16 +151,7 @@ class PreparedTrace:
         self.dlev = _as_i64(dlevel)
         self.ilev = _as_i64(ilevel)
         self.misp = np.ascontiguousarray(mispredicted, dtype=np.uint8)
-        self.max_dep = 0
-        if self.n:
-            valid = ((self.dep > 0)
-                     & (self.dep <= np.arange(self.n, dtype=np.int64)))
-            if valid.any():
-                self.max_dep = int(self.dep[valid].max())
-
-
-def prepare(trace_arrays, dlevel, ilevel, mispredicted) -> PreparedTrace:
-    return PreparedTrace(trace_arrays, dlevel, ilevel, mispredicted)
+        self.max_dep = max_dep_distance(self.dep)
 
 
 def run_prepared(prep: PreparedTrace, config) -> float:
@@ -200,50 +159,28 @@ def run_prepared(prep: PreparedTrace, config) -> float:
 
     Callers must check :func:`kernel_available` first.
     """
-    from .ooo_core import (KIND_LATENCY_TICKS, MSHRS, TICKS, _RING,
-                           _fetch_penalties, _load_latencies,
-                           front_interval_ticks, ticks_per_byte,
-                           _LOAD, _STORE)
-    dll = get_kernel()
     n = prep.n
     if n == 0:
         return 0.0
     if MSHRS > _MAX_MSHRS:  # pragma: no cover - compile-time constant
         raise ValueError("MSHRS exceeds the kernel's ring capacity")
+    rob = config.core.rob_entries
     load_lat = _as_i64(_load_latencies(config))
     fetch_pen = _as_i64(_fetch_penalties(config))
-    kind_lat = _as_i64(KIND_LATENCY_TICKS)
-    # Same growth rule as ooo_core.ring_size, off the prescanned dep max.
-    need = max(min(config.core.rob_entries, n - 1), prep.max_dep)
-    ring = _RING
-    while ring <= need:
-        ring <<= 1
-    fin = np.zeros(ring, dtype=np.int64)
+    fin = np.zeros(ring_size(rob, n, prep.max_dep), dtype=np.int64)
     out = np.zeros(1, dtype=np.int64)
 
-    p64 = ctypes.POINTER(ctypes.c_int64)
-    pu8 = ctypes.POINTER(ctypes.c_uint8)
-
     def p(a):
-        return a.ctypes.data_as(p64)
+        return a.ctypes.data_as(_P64)
 
-    dll.ooo_kernel(
+    get_kernel().ooo_kernel(
         n, p(prep.kind), p(prep.dep), p(prep.dlev), p(prep.ilev),
-        prep.misp.ctypes.data_as(pu8),
-        front_interval_ticks(config), config.core.rob_entries,
+        prep.misp.ctypes.data_as(_PU8),
+        front_interval_ticks(config), rob,
         config.branch.mispredict_penalty * TICKS,
-        p(load_lat), p(fetch_pen), p(kind_lat),
+        p(load_lat), p(fetch_pen), p(KIND_LATENCY_TICKS),
         _LOAD, _STORE, TICKS,
         config.l1d.line_size, ticks_per_byte(config),
         config.memory.latency * TICKS, MSHRS,
-        ring - 1, p(fin), p(out))
+        len(fin) - 1, p(fin), p(out))
     return out[0] / TICKS
-
-
-def run_kernel(trace_arrays, dlevel, ilevel, mispredicted, config) -> float:
-    """One compiled walk of the trace; bit-identical to the scalar loop.
-
-    Callers must check :func:`kernel_available` first.
-    """
-    return run_prepared(
-        prepare(trace_arrays, dlevel, ilevel, mispredicted), config)

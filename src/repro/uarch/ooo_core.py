@@ -28,31 +28,34 @@ Independent misses overlap up to the MSHR limit — memory-level
 parallelism falls out of the dependence model rather than being a
 parameter.
 
-Two interchangeable engines implement the model:
+Two bit-identical engines implement the model:
 
 * the **scalar** engine below walks the trace one instruction at a time
-  (the reference), and
-* the **vectorized** engine in :mod:`~repro.uarch.ooo_vector` processes
-  the trace in blocks, solving each block's timing recurrences by
-  fixed-point relaxation built from exact prefix scans, and can batch a
-  whole config sweep through one walk of the trace
-  (:func:`ooo_cycles_many`).
+  (the reference and test oracle), and
+* the **compiled kernel** in :mod:`~repro.uarch._ooo_kernel` runs the
+  same loop in C whenever a C compiler is present; a config sweep
+  (:func:`ooo_cycles_many`) prepares each memory-side state once and
+  threads its configs through the kernel.
 
-Both engines do all time arithmetic in integer **ticks** (``TICKS`` per
-cycle, a power of two), so every sum and max is exact and the two
-engines are bit-identical for any block size — the same discipline the
-memory-side engines use, extended to the core model's fractional issue
-intervals. ``REPRO_SIM_BACKEND=auto|vector|scalar`` (or the ``backend``
-argument) selects the engine, exactly as for the cache and branch
-simulations.
+Both do all time arithmetic in integer **ticks** (``TICKS`` per cycle,
+a power of two), so every sum and max is exact — the same discipline
+the memory-side engines use, extended to the core model's fractional
+issue intervals. ``REPRO_SIM_BACKEND=scalar`` (or ``backend="scalar"``)
+forces the reference loop; ``auto`` and ``vector`` run the kernel when
+one was built and the scalar loop otherwise.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from ..config import MachineConfig
+from ..errors import ReproError
 from ..host.isa import KIND_LATENCY, InstrKind
+from ..telemetry import TELEMETRY
 
 #: Integer time resolution: ticks per clock cycle (power of two, so
 #: ``ticks / TICKS`` is an exact float division). 1/65536 of a cycle is
@@ -62,9 +65,8 @@ TICKS = 1 << TICK_BITS
 
 #: Maximum off-chip misses in flight (miss status holding registers).
 MSHRS = 10
-_MSHRS = MSHRS  # backwards-compatible alias
 
-#: Floor for the scalar engine's finish ring. The ring grows past this
+#: Floor for the engines' finish ring. The ring grows past this
 #: whenever the ROB or the largest dependence distance needs it (the
 #: seed engine silently *ignored* deps >= 4096 and corrupted the ROB
 #: constraint for rob_entries >= 4096).
@@ -113,22 +115,28 @@ def ticks_per_byte(config: MachineConfig) -> int:
     return max(1, round(TICKS / config.memory.bytes_per_cycle))
 
 
-def ring_size(rob: int, dep: np.ndarray) -> int:
+def max_dep_distance(dep: np.ndarray) -> int:
+    """Largest dependence distance a walk can dereference (0 if none).
+
+    Distances beyond the instruction index can never be dereferenced,
+    so they do not count.
+    """
+    n = len(dep)
+    if not n:
+        return 0
+    d = np.asarray(dep, dtype=np.int64)
+    valid = (d > 0) & (d <= np.arange(n, dtype=np.int64))
+    return int(d[valid].max()) if valid.any() else 0
+
+
+def ring_size(rob: int, n: int, max_dep: int) -> int:
     """Finish-ring size covering both the ROB and every dependence.
 
     The ring must hold at least ``max(rob, max dep distance)`` finished
-    instructions or lookups would read slots that were already
-    overwritten (or, worse, not yet written). ``dep`` is the trace's dep
-    column; distances beyond the instruction index can never be
-    dereferenced, so they do not force growth.
+    instructions of an ``n``-instruction trace or lookups would read
+    slots that were already overwritten (or, worse, not yet written).
     """
-    n = len(dep)
-    need = min(rob, max(n - 1, 0))
-    if n:
-        d = np.asarray(dep, dtype=np.int64)
-        valid = (d > 0) & (d <= np.arange(n, dtype=np.int64))
-        if valid.any():
-            need = max(need, int(d[valid].max()))
+    need = max(min(rob, max(n - 1, 0)), max_dep)
     size = _RING
     while size <= need:
         size <<= 1
@@ -160,7 +168,7 @@ def ooo_cycles_scalar(trace_arrays: dict[str, np.ndarray],
     tpb = ticks_per_byte(config)
     mem_latency = config.memory.latency * TICKS
 
-    ring = ring_size(rob, trace_arrays["dep"])
+    ring = ring_size(rob, n, max_dep_distance(trace_arrays["dep"]))
     fin = [0] * ring
     front = 0             # next front-end delivery time (ticks)
     mem_bytes = 0         # cumulative off-chip traffic (bytes)
@@ -234,6 +242,40 @@ def ooo_cycles_scalar(trace_arrays: dict[str, np.ndarray],
     return max(last_finish, front) / TICKS
 
 
+def _use_kernel(backend: str | None) -> bool:
+    from . import _ooo_kernel
+    from .cache import _resolve_backend
+    return (_resolve_backend(backend) != "scalar"
+            and _ooo_kernel.kernel_available())
+
+
+def _kernel_walks(trace_arrays: dict[str, np.ndarray], dlevel: np.ndarray,
+                  ilevel: np.ndarray, mispredicted: np.ndarray,
+                  configs) -> list[float]:
+    """Compiled walks of one memory-side state under many configs.
+
+    The trace and state are prepared once; several configs run on
+    threads (the kernel releases the GIL).
+    """
+    from . import _ooo_kernel
+    line_size = configs[0].l1d.line_size
+    if any(config.l1d.line_size != line_size for config in configs):
+        raise ReproError(
+            "ooo_cycles_many: configs sharing one memory-side state "
+            "must share its geometry (line size differs)")
+    if TELEMETRY.enabled:
+        TELEMETRY.metrics.counter("sim.ooo.kernel_calls").inc(len(configs))
+    prep = _ooo_kernel.PreparedTrace(trace_arrays, dlevel, ilevel,
+                                     mispredicted)
+    if len(configs) == 1:
+        return [_ooo_kernel.run_prepared(prep, configs[0])]
+    workers = min(len(configs), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(
+            lambda config: _ooo_kernel.run_prepared(prep, config),
+            configs))
+
+
 def ooo_cycles(trace_arrays: dict[str, np.ndarray], dlevel: np.ndarray,
                ilevel: np.ndarray, mispredicted: np.ndarray,
                config: MachineConfig, backend: str | None = None) -> float:
@@ -241,42 +283,35 @@ def ooo_cycles(trace_arrays: dict[str, np.ndarray], dlevel: np.ndarray,
 
     ``backend`` selects the engine (``auto``/``vector``/``scalar``); by
     default the ``REPRO_SIM_BACKEND`` environment variable decides,
-    falling back to ``auto``. All engines are bit-identical.
+    falling back to ``auto``. Both engines are bit-identical.
     """
-    from .cache import _resolve_backend
-    if _resolve_backend(backend) == "scalar":
-        return ooo_cycles_scalar(trace_arrays, dlevel, ilevel,
-                                 mispredicted, config)
-    from .ooo_vector import ooo_cycles_many_vector
-    return ooo_cycles_many_vector(trace_arrays, dlevel, ilevel,
-                                  mispredicted, [config])[0]
+    if _use_kernel(backend):
+        return _kernel_walks(trace_arrays, dlevel, ilevel, mispredicted,
+                             [config])[0]
+    return ooo_cycles_scalar(trace_arrays, dlevel, ilevel, mispredicted,
+                             config)
 
 
 def ooo_cycles_many(trace_arrays: dict[str, np.ndarray], states,
                     configs, backend: str | None = None) -> list[float]:
-    """OOO cycles for many configs in (at most) one walk of the trace.
+    """OOO cycles for many configs, preparing each state once.
 
     ``states`` and ``configs`` are parallel sequences; each state is a
     :class:`~repro.uarch.system.MemorySideState` (or anything with
     ``dlevel``/``ilevel``/``mispredicted`` arrays) matching its config's
     memory-side geometry. Configs that share a state object — a latency
-    or issue-width sweep over one trace — are evaluated together by the
-    batched engine, which walks the trace once with a config axis
-    instead of once per point. Results come back in input order and are
-    bit-identical to per-config :func:`ooo_cycles` calls for every
-    backend.
+    or issue-width sweep over one trace — run together through the
+    kernel, on one prepared copy of the trace. Results come back in
+    input order and are bit-identical to per-config :func:`ooo_cycles`
+    calls for every backend.
     """
     if len(states) != len(configs):
         raise ValueError("states and configs must be parallel sequences")
-    from .cache import _resolve_backend
+    if not _use_kernel(backend):
+        return [ooo_cycles_scalar(trace_arrays, state.dlevel, state.ilevel,
+                                  state.mispredicted, config)
+                for state, config in zip(states, configs)]
     out: list[float | None] = [None] * len(configs)
-    if _resolve_backend(backend) == "scalar":
-        for i, (state, config) in enumerate(zip(states, configs)):
-            out[i] = ooo_cycles_scalar(trace_arrays, state.dlevel,
-                                       state.ilevel, state.mispredicted,
-                                       config)
-        return out
-    from .ooo_vector import ooo_cycles_many_vector
     groups: dict[int, tuple] = {}
     for i, (state, config) in enumerate(zip(states, configs)):
         positions, _, cfgs = groups.setdefault(
@@ -284,9 +319,8 @@ def ooo_cycles_many(trace_arrays: dict[str, np.ndarray], states,
         positions.append(i)
         cfgs.append(config)
     for positions, state, cfgs in groups.values():
-        cycles = ooo_cycles_many_vector(trace_arrays, state.dlevel,
-                                        state.ilevel, state.mispredicted,
-                                        cfgs)
+        cycles = _kernel_walks(trace_arrays, state.dlevel, state.ilevel,
+                               state.mispredicted, cfgs)
         for pos, value in zip(positions, cycles):
             out[pos] = value
     return out

@@ -156,9 +156,10 @@ class SimulatedSystem:
         ``configs`` and ``states`` are parallel sequences; configs that
         share a :class:`MemorySideState` *object* (a latency/bandwidth/
         issue-width axis over one trace) are evaluated together by the
-        batched OOO engine, so the trace is walked once per distinct
-        state instead of once per config. Results are bit-identical to
-        per-config :meth:`run` calls, in input order.
+        OOO kernel, so the trace is prepared once per distinct state
+        instead of once per config and the configs run on threads.
+        Results are bit-identical to per-config :meth:`run` calls, in
+        input order.
         """
         if len(states) != len(configs):
             raise ValueError("states and configs must be parallel "

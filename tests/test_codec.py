@@ -121,8 +121,9 @@ def test_kernel_matches_numpy_bit_for_bit():
 
 
 def test_kernel_env_switch_disables(monkeypatch):
-    monkeypatch.setenv(_codec_kernel.KERNEL_ENV, "off")
-    assert _codec_kernel.get_kernel() is None
+    """``CC=false`` is the one switch: no compiler, no kernel."""
+    monkeypatch.setenv("CC", "false")
+    assert _codec_kernel._build() is None
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +181,7 @@ def test_numpy_and_kernel_encodings_are_identical(tmp_path,
     arrays = _random_arrays(np.random.default_rng(11), 10_000)
     with_kernel = tmp_path / "kernel.rpt"
     codec.encode_arrays(with_kernel, arrays)
-    monkeypatch.setenv(_codec_kernel.KERNEL_ENV, "off")
+    monkeypatch.setattr(_codec_kernel, "get_kernel", lambda: None)
     without = tmp_path / "numpy.rpt"
     codec.encode_arrays(without, arrays)
     assert with_kernel.read_bytes() == without.read_bytes()

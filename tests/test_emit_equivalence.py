@@ -3,9 +3,9 @@
 The burst engine, the compiled flush kernel, and spill-to-disk storage
 are pure performance features: traces, category breakdowns, and cache
 keys must be byte-identical across every ``REPRO_EMIT_BACKEND`` x
-``REPRO_EMIT_KERNEL`` x spill combination — and across interpreter
-hash-seed randomization, since nothing observable may depend on
-``hash()``.
+kernel (on, or ``get_kernel`` patched to ``None``) x spill combination
+— and across interpreter hash-seed randomization, since nothing
+observable may depend on ``hash()``.
 """
 
 from __future__ import annotations
@@ -24,9 +24,13 @@ from repro.analysis.breakdown import breakdown_for_run
 from repro.errors import TraceError
 from repro.experiments.diskcache import DiskCache
 from repro.experiments.runner import ExperimentRunner
+from repro.host import _emit_kernel
 from repro.host.trace import InstructionTrace
 
 WORKLOAD = "richards"
+
+#: The unpatched kernel accessor (``None`` when no compiler builds it).
+_BUILT_KERNEL = _emit_kernel.get_kernel
 
 #: (backend, kernel on, spill on). The scalar path never consults the
 #: kernel or the burst queues, so its kernel axis is not enumerated.
@@ -43,7 +47,8 @@ COMBOS = [
 def _run_combo(monkeypatch, tmp_path, backend: str, kernel: bool,
                spill: bool):
     monkeypatch.setenv("REPRO_EMIT_BACKEND", backend)
-    monkeypatch.setenv("REPRO_EMIT_KERNEL", "auto" if kernel else "off")
+    monkeypatch.setattr(_emit_kernel, "get_kernel",
+                        _BUILT_KERNEL if kernel else lambda: None)
     if spill:
         # 1 MB ~ 16K rows: well under the workload's trace, so the
         # buffer genuinely migrates to a memmap mid-run.

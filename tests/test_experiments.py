@@ -1,5 +1,7 @@
 """Experiment runner and figure harnesses (tiny configurations)."""
 
+import gc
+
 import pytest
 
 from repro.analysis.nursery import (
@@ -12,8 +14,10 @@ from repro.analysis.report import format_percent, render_series, render_table
 from repro.analysis.sweeps import SWEEP_AXES, axis_config, quick_axes
 from repro.config import scaled_config, skylake_config
 from repro.errors import ExperimentError
+from repro.experiments.diskcache import DiskCache
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments import figures
+from repro.vm.base import BaseVM
 
 
 def test_runner_caches_traces():
@@ -29,6 +33,23 @@ def test_runner_distinguishes_runtime_params():
     jit = runner.run("sym_sum", runtime="pypy", jit=True)
     assert interp is not jit
     assert len(jit.trace) < len(interp.trace)
+
+
+def test_finished_guest_run_is_collected():
+    """A finished VM is a reference cycle holding the guest heap; the
+    runner frees it when the run ends instead of leaving it to the next
+    cyclic collection."""
+    runner = ExperimentRunner(scale=1, disk_cache=DiskCache(None))
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, BaseVM)}
+    gc.disable()
+    try:
+        runner.run("sym_sum", runtime="cpython")
+        left = [o for o in gc.get_objects()
+                if isinstance(o, BaseVM) and id(o) not in before]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 def test_runner_rejects_unknown_runtime():

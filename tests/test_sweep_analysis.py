@@ -13,6 +13,7 @@ from repro.analysis.sweeps import (
 )
 from repro.config import skylake_config
 from repro.experiments.runner import ExperimentRunner
+from repro.uarch import _ooo_kernel
 
 
 def test_axes_match_paper_grids():
@@ -55,22 +56,25 @@ def test_run_sweep_tiny():
 def test_run_sweep_identical_across_backends_and_jobs(monkeypatch):
     """The Figure 7/9 engine: same grid bytes for every backend/jobs.
 
-    Covers the batched ``simulate_many_configs`` path (vector, with and
-    without the compiled kernel) against the scalar reference, and the
-    ``jobs`` fan-out against the serial loop — all must agree exactly.
+    Covers the batched ``simulate_many_configs`` path (vector, with the
+    compiled kernel and with the kernel unavailable) against the scalar
+    reference, and the ``jobs`` fan-out against the serial loop — all
+    must agree exactly.
     """
     axes = quick_axes()
     results = {}
-    for name, backend, kernel in (("scalar", "scalar", "auto"),
-                                  ("numpy", "vector", "off"),
-                                  ("kernel", "vector", "auto"),
-                                  ("auto", "auto", "auto")):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
-        monkeypatch.setenv("REPRO_OOO_KERNEL", kernel)
-        runner = ExperimentRunner(scale=1)
-        results[name] = run_sweep(runner, ["sym_sum"], axes=axes).cpi
-    assert results["scalar"] == results["numpy"] == results["kernel"] \
-        == results["auto"]
+    for name, backend, kernel in (("scalar", "scalar", True),
+                                  ("no-kernel", "vector", False),
+                                  ("kernel", "vector", True),
+                                  ("auto", "auto", True)):
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_SIM_BACKEND", backend)
+            if not kernel:
+                patch.setattr(_ooo_kernel, "get_kernel", lambda: None)
+            runner = ExperimentRunner(scale=1)
+            results[name] = run_sweep(runner, ["sym_sum"], axes=axes).cpi
+    assert results["scalar"] == results["no-kernel"] \
+        == results["kernel"] == results["auto"]
     monkeypatch.setenv("REPRO_SIM_BACKEND", "auto")
     parallel = run_sweep(ExperimentRunner(scale=1), ["sym_sum"],
                          axes=axes, jobs=2)

@@ -2,11 +2,12 @@
 
 Property-style checks: randomized traces (hot/cold address mixes,
 conditional/indirect branch patterns, dependence forests with long
-edges) run through both the scalar and the vectorized cache/branch/OOO
-engines, and every output the rest of the pipeline consumes — per-
-instruction service levels, mispredict flags, aggregate statistics,
-core cycle counts — must be bit-identical for every chunk size and for
-single- and batched-config walks alike.
+edges) run through both the scalar and the vectorized cache/branch
+engines and both OOO engines (scalar loop and compiled kernel), and
+every output the rest of the pipeline consumes — per-instruction
+service levels, mispredict flags, aggregate statistics, core cycle
+counts — must be bit-identical for single- and batched-config walks
+alike. The OOO engines also face invariants that need no reference.
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ from repro.uarch.cache import (
 from repro.uarch.ooo_core import (
     KIND_LATENCY_TICKS,
     TICKS,
+    front_interval_ticks,
+    max_dep_distance,
     ooo_cycles,
     ooo_cycles_many,
     ooo_cycles_scalar,
     ring_size,
 )
-from repro.uarch.ooo_vector import CHUNK_ENV, ooo_cycles_many_vector
 
 _KINDS = (InstrKind.ALU, InstrKind.LOAD, InstrKind.STORE,
           InstrKind.BRANCH, InstrKind.ICALL, InstrKind.CALL,
@@ -138,7 +140,7 @@ def test_empty_trace_all_backends():
 
 
 # ----------------------------------------------------------------------
-# OOO core: scalar reference vs chunked/batched vector engine vs kernel
+# OOO core: scalar reference vs compiled kernel, plus invariants
 # ----------------------------------------------------------------------
 
 _LOAD = int(InstrKind.LOAD)
@@ -166,6 +168,15 @@ def random_ooo_inputs(seed: int, n: int, max_dep: int = 300):
     return trace, dl, il, misp
 
 
+@dataclasses.dataclass
+class _State:
+    """The memory-side arrays ``ooo_cycles_many`` reads from a state."""
+
+    dlevel: np.ndarray
+    ilevel: np.ndarray
+    mispredicted: np.ndarray
+
+
 def _ooo_sweep_configs() -> list[MachineConfig]:
     base = skylake_config()
     small_rob = dataclasses.replace(
@@ -175,20 +186,6 @@ def _ooo_sweep_configs() -> list[MachineConfig]:
             base.with_memory_bandwidth(200)]
 
 
-@pytest.mark.parametrize("chunk", [7, 1000, 16384])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_ooo_vector_bit_identical_any_chunk(seed, chunk, monkeypatch):
-    """NumPy relaxation path == scalar loop for any chunk size."""
-    monkeypatch.setenv(_ooo_kernel.KERNEL_ENV, "off")
-    monkeypatch.setenv(CHUNK_ENV, str(chunk))
-    configs = _ooo_sweep_configs()
-    for n in (1, 3, 17, 1000, 5000):
-        trace, dl, il, misp = random_ooo_inputs(seed, n)
-        ref = [ooo_cycles_scalar(trace, dl, il, misp, c) for c in configs]
-        got = ooo_cycles_many_vector(trace, dl, il, misp, configs)
-        assert got == ref, (n, seed, chunk)
-
-
 def test_ooo_kernel_bit_identical():
     """Compiled kernel path == scalar loop (single and batched)."""
     if not _ooo_kernel.kernel_available():
@@ -196,12 +193,84 @@ def test_ooo_kernel_bit_identical():
     configs = _ooo_sweep_configs()
     for seed, n in ((0, 2500), (1, 5000)):
         trace, dl, il, misp = random_ooo_inputs(seed, n)
+        state = _State(dl, il, misp)
         ref = [ooo_cycles_scalar(trace, dl, il, misp, c) for c in configs]
-        got = ooo_cycles_many_vector(trace, dl, il, misp, configs)
+        got = ooo_cycles_many(trace, [state] * len(configs), configs,
+                              backend="vector")
         assert got == ref
-        one = [_ooo_kernel.run_kernel(trace, dl, il, misp, c)
+        one = [ooo_cycles(trace, dl, il, misp, c, backend="vector")
                for c in configs]
         assert one == ref
+
+
+def _ooo_engine(name: str):
+    """The scalar oracle, or the kernel (skipped without a compiler)."""
+    if name == "scalar":
+        return ooo_cycles_scalar
+    if not _ooo_kernel.kernel_available():
+        pytest.skip("no C compiler available")
+    return lambda *args: ooo_cycles(*args, backend="auto")
+
+
+#: (seed, length) of the randomized inputs the invariants run on.
+_INVARIANT_INPUTS = [(seed, 1 + (seed * 389) % 3000) for seed in range(40)]
+
+
+@pytest.mark.parametrize("engine", ["scalar", "kernel"])
+def test_ooo_cycles_respect_front_end_bandwidth(engine):
+    """No engine finishes faster than the front end can deliver."""
+    walk = _ooo_engine(engine)
+    configs = _ooo_sweep_configs()
+    for seed, n in _INVARIANT_INPUTS:
+        trace, dl, il, misp = random_ooo_inputs(seed, n)
+        for config in configs:
+            cycles = walk(trace, dl, il, misp, config)
+            assert cycles * TICKS >= n * front_interval_ticks(config), \
+                (seed, n, config)
+
+
+def _critical_path(kinds: np.ndarray, dep: np.ndarray) -> int:
+    """Longest dep chain, in cycles, summed over KIND_LATENCY."""
+    path = [0] * len(kinds)
+    for i, (kind, d) in enumerate(zip(kinds.tolist(), dep.tolist())):
+        path[i] = KIND_LATENCY[InstrKind(kind)] + (
+            path[i - d] if 0 < d <= i else 0)
+    return max(path, default=0)
+
+
+@pytest.mark.parametrize("engine", ["scalar", "kernel"])
+def test_ooo_cycles_cover_the_dependence_critical_path(engine):
+    """Without memory operations, cycles >= the longest dep chain."""
+    walk = _ooo_engine(engine)
+    configs = _ooo_sweep_configs()
+    for seed, n in _INVARIANT_INPUTS:
+        trace, _, _, misp = random_ooo_inputs(seed, n)
+        memory = (trace["kind"] == _LOAD) | (trace["kind"] == _STORE)
+        trace["kind"] = np.where(memory, int(InstrKind.ALU),
+                                 trace["kind"])
+        dl = np.full(n, -1, dtype=np.int64)
+        il = np.zeros(n, dtype=np.int64)
+        floor = _critical_path(trace["kind"], trace["dep"])
+        for config in configs:
+            assert walk(trace, dl, il, misp, config) >= floor, \
+                (seed, n, config)
+
+
+@pytest.mark.parametrize("engine", ["scalar", "kernel"])
+def test_ooo_one_more_mispredict_never_lowers_cycles(engine):
+    """A front-end restart can only delay every later instruction."""
+    walk = _ooo_engine(engine)
+    configs = _ooo_sweep_configs()
+    for seed, n in _INVARIANT_INPUTS:
+        trace, dl, il, misp = random_ooo_inputs(seed, n)
+        correct = np.flatnonzero(~misp)
+        if not correct.size:
+            continue
+        worse = misp.copy()
+        worse[np.random.default_rng(seed).choice(correct)] = True
+        for config in configs:
+            assert walk(trace, dl, il, worse, config) >= \
+                walk(trace, dl, il, misp, config), (seed, n, config)
 
 
 @pytest.mark.parametrize("backend", ["scalar", "vector", "auto"])
@@ -215,13 +284,6 @@ def test_ooo_backend_arg_dispatch(backend):
 def test_ooo_many_configs_matches_per_config_runs():
     """Batched walk == per-config walks, in input order, shared or
     distinct states, mixed ROB sizes included."""
-
-    @dataclasses.dataclass
-    class _State:
-        dlevel: np.ndarray
-        ilevel: np.ndarray
-        mispredicted: np.ndarray
-
     trace, dl, il, misp = random_ooo_inputs(4, 6000)
     shared = _State(dl, il, misp)
     dl2, il2, misp2 = dl.copy(), il.copy(), misp.copy()
@@ -251,11 +313,12 @@ def test_ooo_long_dependence_and_large_rob_regression():
     trace["kind"][2000] = _LOAD
     dl[2000] = 3
     trace["dep"][8000] = 6000
-    assert ring_size(224, trace["dep"]) > 4096
+    max_dep = max_dep_distance(trace["dep"])
+    assert ring_size(224, n, max_dep) > 4096
     base = skylake_config()
     huge_rob = dataclasses.replace(
         base, core=dataclasses.replace(base.core, rob_entries=8192))
-    assert ring_size(8192, trace["dep"]) > 8192
+    assert ring_size(8192, n, max_dep) > 8192
     for config in (base, huge_rob):
         ref = ooo_cycles_scalar(trace, dl, il, misp, config)
         for backend in ("vector", "auto"):
@@ -276,13 +339,15 @@ def test_ooo_empty_and_tiny_traces():
              "kind": np.zeros(0, dtype=np.int64),
              "dep": np.zeros(0, dtype=np.int64)}
     zeros = np.zeros(0, dtype=np.int64)
-    assert ooo_cycles_many_vector(empty, zeros, zeros,
-                                  zeros.astype(bool), [config]) == [0.0]
-    assert ooo_cycles_many_vector(empty, zeros, zeros,
-                                  zeros.astype(bool), []) == []
+    state = _State(zeros, zeros, zeros.astype(bool))
+    for backend in ("scalar", "auto"):
+        assert ooo_cycles_many(empty, [state], [config],
+                               backend=backend) == [0.0]
+        assert ooo_cycles_many(empty, [], [], backend=backend) == []
     trace, dl, il, misp = random_ooo_inputs(6, 1)
     ref = ooo_cycles_scalar(trace, dl, il, misp, config)
-    assert ooo_cycles_many_vector(trace, dl, il, misp, [config]) == [ref]
+    assert ooo_cycles_many(trace, [_State(dl, il, misp)], [config],
+                           backend="auto") == [ref]
 
 
 def test_real_guest_trace_bit_identical(pypy_run):
