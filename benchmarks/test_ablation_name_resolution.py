@@ -12,7 +12,8 @@ from repro.categories import OverheadCategory as C
 from repro.experiments.figures import FigureResult
 from repro.frontend import compile_source
 from repro.host import AddressSpace, HostMachine
-from repro.pintool import compute_breakdown
+from repro.pintool import attribute
+from repro.uarch import SimulatedSystem
 from repro.vm.cpython import CPythonVM
 from repro.workloads import get_workload
 
@@ -24,7 +25,9 @@ def _run(name, global_cache):
     machine = HostMachine(AddressSpace(), max_instructions=30_000_000)
     vm = CPythonVM(machine, program, global_cache=global_cache)
     vm.run()
-    return compute_breakdown(machine.trace, machine, workload=name)
+    state = SimulatedSystem().memory_side(machine.trace)
+    return attribute(machine.trace, machine.site_table,
+                     state).breakdown(workload=name)
 
 
 def ablation():

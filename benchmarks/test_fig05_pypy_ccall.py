@@ -23,6 +23,7 @@ def test_fig5(benchmark, breakdown_runner):
     cpython_total = 0.0
     for name in BREAKDOWN_QUICK_SUITE:
         handle = breakdown_runner.run(name, runtime="cpython")
-        cpython_total += breakdown_for_run(handle).c_function_call_share
+        cpython_total += breakdown_for_run(
+            breakdown_runner, handle).c_function_call_share
     cpython_avg = cpython_total / len(BREAKDOWN_QUICK_SUITE)
     assert pypy_avg < cpython_avg

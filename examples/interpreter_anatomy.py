@@ -10,9 +10,8 @@ Run:  python examples/interpreter_anatomy.py
 
 from repro import compile_source, disassemble, run_cpython
 from repro.analysis.report import render_table
-from repro.categories import OverheadCategory
 from repro.config import skylake_config
-from repro.pintool import StatsCollector, compute_breakdown
+from repro.pintool import StatsCollector, attribute
 from repro.uarch import SimulatedSystem
 from repro.workloads import get_workload
 
@@ -52,8 +51,9 @@ def main():
                        title="hottest static instructions (Pin export)"))
 
     # 4. Breakdown with origin-resolved categories.
-    breakdown = compute_breakdown(machine.trace, machine,
-                                  runtime="cpython", workload=spec.name)
+    state = SimulatedSystem().memory_side(machine.trace)
+    breakdown = attribute(machine.trace, machine.site_table,
+                          state).breakdown("cpython", spec.name)
     print("\nexecution-time breakdown (simple core, Table II):")
     for label, share in breakdown.top_categories(8):
         print(f"    {label:<24s} {share:6.1%}")

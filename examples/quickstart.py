@@ -9,15 +9,13 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    OverheadCategory,
+    SimulatedSystem,
+    attribute,
     compile_source,
-    compute_breakdown,
-    label_of,
     run_cpython,
     run_pypy,
 )
 from repro.config import pypy_runtime
-from repro.uarch import SimulatedSystem
 
 SOURCE = """
 def score(words):
@@ -40,9 +38,12 @@ print(score(words))
 
 
 def report(name, vm, machine):
-    breakdown = compute_breakdown(machine.trace, machine, runtime=name)
     system = SimulatedSystem()
-    timing = system.run(machine.trace, core="ooo")
+    # One memory-side result serves both core models.
+    state = system.memory_side(machine.trace)
+    breakdown = attribute(machine.trace, machine.site_table, state,
+                          system.config).breakdown(runtime=name)
+    timing = system.run(machine.trace, core="ooo", state=state)
     print(f"--- {name} ---")
     print(f"guest output:        {vm.output}")
     print(f"guest bytecodes:     {vm.stats.bytecodes}")

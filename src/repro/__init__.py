@@ -18,11 +18,13 @@ The package models the paper's full measurement pipeline in pure Python:
 
 Quick start::
 
-    from repro import compile_source, run_cpython, compute_breakdown
+    from repro import SimulatedSystem, attribute, compile_source, run_cpython
 
     program = compile_source(open("my_bench.py").read())
     vm, machine = run_cpython(program)
-    breakdown = compute_breakdown(machine.trace, machine)
+    state = SimulatedSystem().memory_side(machine.trace)
+    breakdown = attribute(machine.trace, machine.site_table,
+                          state).breakdown()
     print(breakdown.top_categories())
 """
 
@@ -41,7 +43,7 @@ from .config import (
 from .errors import ReproError, CompileError, GuestError
 from .frontend import compile_source, Program, disassemble
 from .host import HostMachine, AddressSpace, InstructionTrace
-from .pintool import Breakdown, compute_breakdown, StatsCollector
+from .pintool import Attribution, Breakdown, attribute, StatsCollector
 from .uarch import SimulatedSystem, SimResult
 from .vm.cpython import CPythonVM, run_cpython
 from .vm.pypy import PyPyVM, run_pypy
@@ -59,7 +61,7 @@ __all__ = [
     "ReproError", "CompileError", "GuestError",
     "compile_source", "Program", "disassemble",
     "HostMachine", "AddressSpace", "InstructionTrace",
-    "Breakdown", "compute_breakdown", "StatsCollector",
+    "Attribution", "Breakdown", "attribute", "StatsCollector",
     "SimulatedSystem", "SimResult",
     "CPythonVM", "run_cpython", "PyPyVM", "run_pypy", "V8VM", "run_v8",
     "PYTHON_SUITE", "get_workload",

@@ -42,12 +42,12 @@ import sys
 
 from . import telemetry
 from .analysis.report import format_percent, render_span_tree, render_table
-from .categories import OverheadCategory, label_of
+from .categories import label_of
 from .config import pypy_runtime, v8_runtime
 from .errors import ReproError
 from .frontend import compile_source
 from .host import AddressSpace, HostMachine
-from .pintool import compute_breakdown
+from .pintool import attribute
 from .telemetry import TELEMETRY
 from .telemetry.export import (
     load_last_manifest,
@@ -91,7 +91,8 @@ def _load_program(path: str):
         return compile_source(handle.read(), path)
 
 
-def cmd_run(args) -> int:
+def _run_guest(args):
+    """Execute the guest file or workload; returns (vm, machine)."""
     program = _load_program(args.file)
     machine = HostMachine(AddressSpace(nursery_size=args.nursery * _MB))
     with TELEMETRY.tracer.span("guest.run", workload=args.file,
@@ -102,27 +103,38 @@ def cmd_run(args) -> int:
         vm.run()
     TELEMETRY.metrics.counter(
         "guest.instructions", runtime=args.runtime).inc(len(machine.trace))
+    args._manifest_stats = vm.stats.as_dict()
+    return vm, machine
+
+
+def _breakdown(args, machine, system: SimulatedSystem, state):
+    """Origin-resolved simple-core breakdown of the guest run; its
+    cycles per category go into the manifest."""
+    with TELEMETRY.tracer.span("analysis.breakdown", workload=args.file):
+        breakdown = attribute(machine.trace, machine.site_table, state,
+                              system.config).breakdown(args.runtime,
+                                                       args.file)
+    args._manifest_stats["category_cycles"] = {
+        label_of(category): cycles
+        for category, cycles in breakdown.cycles.items()}
+    return breakdown
+
+
+def cmd_run(args) -> int:
+    vm, machine = _run_guest(args)
     for line in vm.output:
         print(line)
     system = SimulatedSystem()
     # Memory-side state is core-independent: compute it once and share
-    # it between the OOO timing run and the simple-core attribution run.
+    # it between the OOO timing run and the simple-core attribution.
     with TELEMETRY.tracer.span("sim.memory_side", workload=args.file):
         state = system.memory_side(machine.trace)
     with TELEMETRY.tracer.span("sim.core", workload=args.file,
                                core="ooo"):
         timing = system.run(machine.trace, core="ooo", state=state)
-    with TELEMETRY.tracer.span("sim.core", workload=args.file,
-                               core="simple"):
-        attribution = system.run(machine.trace, core="simple",
-                                 state=state)
-    args._manifest_stats = vm.stats.as_dict()
+    _breakdown(args, machine, system, state)
     args._manifest_stats["host_instructions"] = len(machine.trace)
     args._manifest_stats["cycles"] = timing.cycles
-    args._manifest_stats["category_cycles"] = {
-        label_of(OverheadCategory(i)): float(cycles)
-        for i, cycles in enumerate(attribution.category_cycles)
-        if cycles > 0}
     print(f"-- {args.runtime}: {vm.stats.bytecodes} bytecodes, "
           f"{len(machine.trace)} host instructions, "
           f"{timing.cycles:.0f} cycles (CPI {timing.cpi:.2f})",
@@ -131,19 +143,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    program = _load_program(args.file)
-    machine = HostMachine(AddressSpace(nursery_size=args.nursery * _MB))
-    with TELEMETRY.tracer.span("guest.run", workload=args.file,
-                               runtime=args.runtime,
-                               jit=not args.no_jit):
-        vm = _build_vm(args.runtime, machine, program,
-                       jit=not args.no_jit, nursery=args.nursery * _MB)
-        vm.run()
-    args._manifest_stats = vm.stats.as_dict()
-    with TELEMETRY.tracer.span("analysis.breakdown", workload=args.file):
-        breakdown = compute_breakdown(machine.trace, machine,
-                                      runtime=args.runtime,
-                                      workload=args.file)
+    _, machine = _run_guest(args)
+    system = SimulatedSystem()
+    with TELEMETRY.tracer.span("sim.memory_side", workload=args.file):
+        state = system.memory_side(machine.trace)
+    breakdown = _breakdown(args, machine, system, state)
     rows = [[label, format_percent(share)]
             for label, share in breakdown.top_categories(20)]
     print(render_table(["category", "share of cycles"], rows,

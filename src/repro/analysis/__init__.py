@@ -2,6 +2,7 @@
 
 from .report import render_table, render_series, format_percent
 from .breakdown import (
+    attribute_run,
     breakdown_for_run,
     suite_breakdowns,
     average_shares,
@@ -17,7 +18,8 @@ from .nursery import (
 
 __all__ = [
     "render_table", "render_series", "format_percent",
-    "breakdown_for_run", "suite_breakdowns", "average_shares",
+    "attribute_run", "breakdown_for_run", "suite_breakdowns",
+    "average_shares",
     "indirect_call_fraction",
     "SWEEP_AXES", "SweepResult", "run_sweep", "phase_cpis",
     "NURSERY_RATIOS", "NurseryPoint", "nursery_sweep",

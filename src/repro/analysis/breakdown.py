@@ -7,40 +7,34 @@ caller-dependent sites through the pintool's origin rules.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..categories import OverheadCategory
 from ..config import MachineConfig, skylake_config
 from ..host.isa import InstrKind
-from ..pintool.annotate import AnnotationTable
-from ..pintool.postprocess import Breakdown, resolve_categories
-from ..uarch.cache import simulate_cache_hierarchy
-from ..uarch.simple_core import simple_core_cycles
+from ..pintool.postprocess import Attribution, Breakdown, attribute
 from ..experiments.runner import ExperimentRunner, RunHandle
 
 _CCALL = int(OverheadCategory.C_FUNCTION_CALL)
 
 
-def breakdown_for_run(handle: RunHandle,
-                      config: MachineConfig | None = None,
-                      annotations: AnnotationTable | None = None,
-                      ) -> Breakdown:
-    """Category breakdown of one finished run."""
+def attribute_run(runner: ExperimentRunner, handle: RunHandle,
+                  config: MachineConfig | None = None) -> Attribution:
+    """Simple-core attribution of one finished run.
+
+    The cache service levels come from ``runner.memory_side``, so one
+    (run, memory geometry) pair is simulated once and then served from
+    the runner's memory and disk caches.
+    """
     if config is None:
         config = skylake_config()
-    arrays = handle.trace.arrays()
-    cache_result = simulate_cache_hierarchy(arrays, config)
-    cycles = simple_core_cycles(cache_result.dlevel, cache_result.ilevel,
-                                config)
-    categories = resolve_categories(handle.trace, handle.site_table,
-                                    annotations)
-    sums = np.bincount(categories, weights=cycles, minlength=32)
-    breakdown = Breakdown(runtime=handle.runtime, workload=handle.workload)
-    for category in OverheadCategory:
-        value = float(sums[int(category)])
-        if value > 0:
-            breakdown.cycles[category] = value
-    return breakdown
+    return attribute(handle.trace, handle.site_table,
+                     runner.memory_side(handle, config), config)
+
+
+def breakdown_for_run(runner: ExperimentRunner, handle: RunHandle,
+                      config: MachineConfig | None = None) -> Breakdown:
+    """Category breakdown of one finished run."""
+    return attribute_run(runner, handle, config).breakdown(
+        handle.runtime, handle.workload)
 
 
 def suite_breakdowns(runner: ExperimentRunner, workloads,
@@ -53,7 +47,7 @@ def suite_breakdowns(runner: ExperimentRunner, workloads,
     for name in workloads:
         handle = runner.run(name, runtime=runtime, jit=jit,
                             nursery=nursery)
-        results[name] = breakdown_for_run(handle, config)
+        results[name] = breakdown_for_run(runner, handle, config)
     return results
 
 
@@ -73,22 +67,16 @@ def average_shares(breakdowns: dict[str, Breakdown],
 
 
 def indirect_call_fraction(handle: RunHandle,
-                           config: MachineConfig | None = None) -> tuple:
+                           attribution: Attribution) -> tuple:
     """(indirect share of C-call cycles, indirect share of all cycles).
 
     Section IV-C.1 reports indirect calls as 11.9% of the C function
     call overhead and ~1.9% of overall execution on average.
     """
-    if config is None:
-        config = skylake_config()
-    arrays = handle.trace.arrays()
-    cache_result = simulate_cache_hierarchy(arrays, config)
-    cycles = simple_core_cycles(cache_result.dlevel, cache_result.ilevel,
-                                config)
-    categories = arrays["category"]
-    kinds = arrays["kind"]
-    ccall_mask = categories == _CCALL
-    indirect_mask = ccall_mask & (kinds == int(InstrKind.ICALL))
+    cycles = attribution.cycles
+    ccall_mask = attribution.categories == _CCALL
+    indirect_mask = ccall_mask & (handle.trace.column("kind")
+                                  == int(InstrKind.ICALL))
     ccall_cycles = float(cycles[ccall_mask].sum())
     indirect_cycles = float(cycles[indirect_mask].sum())
     total = float(cycles.sum())

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from ..categories import OverheadCategory
 from ..config import MachineConfig, scaled_config
-from ..uarch.simple_core import simple_core_cycles
 from ..experiments.runner import ExperimentRunner
+from ..pintool.postprocess import attribute
 
 MB = 1024 * 1024
 
@@ -118,11 +118,11 @@ def nursery_sweep(runner: ExperimentRunner, workload: str,
                             nursery=nursery)
         state = runner.memory_side(handle, config)
         ooo = runner.simulate(handle, config, core="ooo")
-        arrays = handle.trace.arrays()
-        per_instr = simple_core_cycles(state.dlevel, state.ilevel, config)
-        categories = arrays["category"]
-        gc_cycles = float(per_instr[categories == _GC].sum())
-        simple_total = float(per_instr.sum())
+        attribution = attribute(handle.trace, handle.site_table, state,
+                                config)
+        cycles = attribution.cycles
+        gc_cycles = float(cycles[attribution.categories == _GC].sum())
+        simple_total = float(cycles.sum())
         points.append(NurseryPoint(
             ratio=ratio, nursery_bytes=nursery,
             label=paper_equivalent_label(ratio),

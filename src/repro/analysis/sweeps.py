@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from ..categories import OverheadCategory
 from ..config import MachineConfig, skylake_config
 from ..errors import ExperimentError
-from ..uarch.simple_core import simple_core_cycles
 from ..experiments.runner import ExperimentRunner, RunHandle
+from .breakdown import attribute_run
 
 KB = 1024
 MB = 1024 * KB
@@ -51,7 +51,6 @@ RUNTIME_VARIANTS = (
 
 _GC = int(OverheadCategory.GARBAGE_COLLECTION)
 _JIT_CODE = int(OverheadCategory.JIT_COMPILED_CODE)
-_JIT_COMPILING = int(OverheadCategory.JIT_COMPILING)
 
 
 @dataclass
@@ -150,22 +149,16 @@ def run_sweep(runner: ExperimentRunner, workloads,
     return result
 
 
-def phase_cpis(handle: RunHandle, config: MachineConfig | None = None,
-               ) -> dict[str, float]:
+def phase_cpis(runner: ExperimentRunner, handle: RunHandle,
+               config: MachineConfig | None = None) -> dict[str, float]:
     """Simple-core CPI per PyPy execution phase (Figure 7 legend).
 
     Phases follow the paper: the bytecode interpreter (including the
     meta-interpreter/tracing work), the garbage collector, and JIT
     compiled code.
     """
-    if config is None:
-        config = skylake_config()
-    from ..uarch.cache import simulate_cache_hierarchy
-    arrays = handle.trace.arrays()
-    cache_result = simulate_cache_hierarchy(arrays, config)
-    cycles = simple_core_cycles(cache_result.dlevel, cache_result.ilevel,
-                                config)
-    categories = arrays["category"]
+    attribution = attribute_run(runner, handle, config)
+    cycles, categories = attribution.cycles, attribution.categories
     gc_mask = categories == _GC
     jit_mask = categories == _JIT_CODE
     interp_mask = ~(gc_mask | jit_mask)

@@ -15,8 +15,9 @@ artifact kinds to disk:
 
 ``states/``
     one :class:`~repro.uarch.system.MemorySideState` per entry: service
-    level and mispredict arrays in an ``.npz``, cache/branch counters
-    in the sidecar.
+    level and mispredict arrays in a compressed ``.npz`` (long runs of
+    equal levels deflate to well under 0.1 B per instruction),
+    cache/branch counters in the sidecar.
 
 Entries are content-addressed: the file name is the SHA-256 of the
 canonical JSON of every parameter that determines the artifact (run
@@ -452,8 +453,9 @@ class DiskCache:
 
         def writer(tmp: Path) -> None:
             with open(tmp, "wb") as handle:
-                np.savez(handle, dlevel=state.dlevel, ilevel=state.ilevel,
-                         mispredicted=state.mispredicted)
+                np.savez_compressed(handle, dlevel=state.dlevel,
+                                    ilevel=state.ilevel,
+                                    mispredicted=state.mispredicted)
 
         try:
             npz_path.parent.mkdir(parents=True, exist_ok=True)

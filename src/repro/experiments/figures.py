@@ -19,10 +19,10 @@ import functools
 from dataclasses import dataclass, field
 
 from ..analysis.breakdown import (
+    attribute_run,
     average_shares,
     breakdown_for_run,
     indirect_call_fraction,
-    suite_breakdowns,
 )
 from ..analysis.nursery import (
     NURSERY_RATIOS,
@@ -157,19 +157,22 @@ def _breakdown_cell(runner: ExperimentRunner, workload: str,
     """(C-call share) of one workload — Figures 5 and 6."""
     handle = runner.run(workload, runtime=runtime, jit=True,
                         nursery=1 * MB)
-    return breakdown_for_run(handle).c_function_call_share
+    return breakdown_for_run(runner, handle).c_function_call_share
 
 
 def _fig4_cell(runner: ExperimentRunner, workload: str):
+    """(breakdown, indirect share of C-call cycles, of all cycles), both
+    from one attribution of the run."""
     handle = runner.run(workload, runtime="cpython")
-    of_ccall, of_total = indirect_call_fraction(handle)
-    return breakdown_for_run(handle), of_ccall, of_total
+    attribution = attribute_run(runner, handle)
+    return (attribution.breakdown(handle.runtime, handle.workload),
+            *indirect_call_fraction(handle, attribution))
 
 
 def _fig7_phase_cell(runner: ExperimentRunner, workload: str):
     handle = runner.run(workload, runtime="pypy", jit=True,
                         nursery=1 * MB)
-    return phase_cpis(handle)
+    return phase_cpis(runner, handle)
 
 
 def _fig8_cell(runner: ExperimentRunner, workload: str, axis: str,
@@ -186,7 +189,7 @@ def _fig13_cell(runner: ExperimentRunner, workload: str, jit: bool,
                 nursery: int, config):
     handle = runner.run(workload, runtime="pypy", jit=jit,
                         nursery=nursery)
-    return breakdown_for_run(handle, config).gc_share
+    return breakdown_for_run(runner, handle, config).gc_share
 
 
 # ----------------------------------------------------------------------

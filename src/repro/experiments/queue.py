@@ -1036,11 +1036,14 @@ def work_loop(root: str | Path | None = None,
                     queue.reclaim_expired()
                     continue
                 claimed = True
-                idle_since = time.monotonic()
                 report.claims += 1
                 handled = _execute_claim(
                     queue, claim, worker_id, heart, runners, faults,
                     metrics, report, emit)
+                # Idle time starts when the cell is done, not when it
+                # was claimed: a campaign publishes the next figure's
+                # cells only once this figure's have all landed.
+                idle_since = time.monotonic()
                 if not handled:
                     break
             if not claimed:

@@ -151,10 +151,6 @@ class ExperimentRunner:
         self._programs: dict[tuple, Program] = {}
         #: Next RunHandle.token; never reused within a runner.
         self._next_token = 1
-        #: id()s of evicted (hence possibly freed) trace objects — used
-        #: to count how often a fresh trace reuses one, i.e. how often
-        #: the old id()-keyed state cache would have aliased.
-        self._retired_trace_ids: set[int] = set()
         #: Disk keys of entries LRU-evicted from the in-memory caches
         #: that survive on disk. A later disk hit on one of these is a
         #: "spill hit": the disk cache acted as an overflow tier for
@@ -243,11 +239,6 @@ class ExperimentRunner:
             measure_start = len(machine.trace)
             vm.run()
         wall_seconds = time.perf_counter() - start
-        if id(machine.trace) in self._retired_trace_ids:
-            # This fresh trace reuses the id of an evicted one: exactly
-            # the aliasing the id()-keyed state cache suffered from.
-            self._retired_trace_ids.discard(id(machine.trace))
-            metrics.counter("runner.state_cache.id_collisions").inc()
         stats = vm.stats
         handle = RunHandle(
             workload=workload, runtime=runtime, jit=jit, nursery=nursery,
@@ -308,7 +299,6 @@ class ExperimentRunner:
 
     def _note_trace_eviction(self, evicted: RunHandle) -> None:
         """One trace left memory; if it lives on disk, that is a spill."""
-        self._retired_trace_ids.add(id(evicted.trace))
         if not self.disk_cache.enabled:
             return
         disk_key = content_key(self._trace_key_params(
@@ -320,11 +310,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Microarchitecture simulation
     # ------------------------------------------------------------------
-
-    #: The full memory-side geometry. An earlier revision keyed on a
-    #: hand-picked subset (no L1/L2 ways, no history/L2/BTB shapes), so
-    #: states silently aliased across configs differing only in those.
-    _config_key = staticmethod(memory_side_key)
 
     def _state_key_params(self, handle: RunHandle,
                           config: MachineConfig) -> dict:

@@ -11,15 +11,21 @@ pipeline:
   rules per site name and the origin-dependent rules for shared helpers
   such as ``lookdict``.
 * :mod:`~repro.pintool.postprocess` resolves function-granularity
-  (UNRESOLVED) instructions using the origin rules and produces the final
-  per-category cycle attribution.
+  (UNRESOLVED) instructions using the origin rules and charges every
+  instruction its simple-core cycles (:func:`attribute`), from which
+  every per-category breakdown derives.
 """
 
 from .annotate import AnnotationTable, default_annotations
 from .collector import PCStats, StatsCollector
-from .postprocess import Breakdown, compute_breakdown, resolve_categories
+from .postprocess import (
+    Attribution,
+    Breakdown,
+    attribute,
+    resolve_categories,
+)
 
 __all__ = [
     "AnnotationTable", "default_annotations", "PCStats", "StatsCollector",
-    "Breakdown", "compute_breakdown", "resolve_categories",
+    "Attribution", "Breakdown", "attribute", "resolve_categories",
 ]

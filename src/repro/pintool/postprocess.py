@@ -1,10 +1,11 @@
-"""Post-processing: origin resolution and breakdown assembly (IV-B.3).
+"""Post-processing: origin resolution and cycle attribution (IV-B.3).
 
-Takes a finished trace plus the machine's site table, resolves every
-UNRESOLVED instruction to a concrete category using the annotation
-table's origin rules, attributes simple-core cycles per category, and
-returns a :class:`Breakdown` — the data behind Figures 4, 5, 6, 11 and
-13.
+Takes a finished trace, the machine's site table and the trace's
+memory-side state, resolves every UNRESOLVED instruction to a concrete
+category using the annotation table's origin rules, and charges each
+instruction its simple-core cycles (:func:`attribute`). Every breakdown
+— Figures 4, 5, 6, 7's phase CPIs, 11 and 13, ``repro run`` and
+``repro breakdown`` — derives from that one :class:`Attribution`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from ..categories import (
     label_of,
 )
 from ..config import MachineConfig, skylake_config
-from ..host.machine import HostMachine
 from ..host.trace import InstructionTrace
-from ..uarch.cache import simulate_cache_hierarchy
 from ..uarch.simple_core import simple_core_cycles
+from ..uarch.system import MemorySideState
 from .annotate import AnnotationTable, default_annotations
 
 _UNRESOLVED = int(OverheadCategory.UNRESOLVED)
@@ -39,17 +39,16 @@ def resolve_categories(trace: InstructionTrace,
 
     Resolution uses the recorded origin PC and the annotation table, the
     way the paper's post-processing maps (function, origin PC) pairs to
-    categories.
+    categories. Only the ``category`` and ``origin`` columns are read.
     """
     if annotations is None:
         annotations = default_annotations()
-    arrays = trace.arrays()
-    categories = arrays["category"].astype(np.int64).copy()
+    categories = trace.column("category").astype(np.int64)
     unresolved = categories == _UNRESOLVED
     if not unresolved.any():
         return categories
     bound = annotations.bind(site_table)
-    origins = arrays["origin"][unresolved]
+    origins = trace.column("origin")[unresolved]
     resolved = np.full(len(origins), int(annotations.default_category),
                        dtype=np.int64)
     for origin_pc, category in bound.items():
@@ -114,24 +113,46 @@ class Breakdown:
         return [(label_of(cat), self.share(cat)) for cat, _ in ranked[:n]]
 
 
-def compute_breakdown(trace: InstructionTrace, machine: HostMachine,
-                      config: MachineConfig | None = None,
-                      runtime: str = "cpython",
-                      workload: str = "<unknown>",
-                      annotations: AnnotationTable | None = None,
-                      ) -> Breakdown:
-    """Full pipeline: cache sim, simple-core cycles, origin resolution."""
+@dataclass
+class Attribution:
+    """Simple-core cycles and resolved category of every instruction.
+
+    Every simple-core cycle is a whole number, so any sum over any
+    subset of instructions is exact in float64 and does not depend on
+    summation order.
+    """
+
+    cycles: np.ndarray
+    categories: np.ndarray
+
+    def breakdown(self, runtime: str = "cpython",
+                  workload: str = "<unknown>") -> Breakdown:
+        """Cycles per category, in category order, empty ones dropped."""
+        sums = np.bincount(self.categories, weights=self.cycles,
+                           minlength=len(OverheadCategory))
+        breakdown = Breakdown(runtime=runtime, workload=workload)
+        for category in OverheadCategory:
+            value = float(sums[int(category)])
+            if value > 0:
+                breakdown.cycles[category] = value
+        return breakdown
+
+
+def attribute(trace: InstructionTrace, site_table: dict[str, int],
+              state: MemorySideState,
+              config: MachineConfig | None = None,
+              annotations: AnnotationTable | None = None,
+              ) -> Attribution:
+    """Charge every instruction its simple-core cycles (Section IV-B.2)
+    and its origin-resolved category.
+
+    ``state`` is the trace's memory-side result for ``config``'s cache
+    geometry (``SimulatedSystem.memory_side`` or the experiment
+    runner's cached ``memory_side``); ``config`` supplies the miss
+    latencies.
+    """
     if config is None:
         config = skylake_config()
-    arrays = trace.arrays()
-    cache_result = simulate_cache_hierarchy(arrays, config)
-    cycles = simple_core_cycles(cache_result.dlevel, cache_result.ilevel,
-                                config)
-    categories = resolve_categories(trace, machine.site_table, annotations)
-    sums = np.bincount(categories, weights=cycles, minlength=32)
-    breakdown = Breakdown(runtime=runtime, workload=workload)
-    for category in OverheadCategory:
-        value = float(sums[int(category)])
-        if value > 0:
-            breakdown.cycles[category] = value
-    return breakdown
+    return Attribution(
+        cycles=simple_core_cycles(state.dlevel, state.ilevel, config),
+        categories=resolve_categories(trace, site_table, annotations))

@@ -15,13 +15,13 @@ paper (Section IV-B.2), two core models are provided:
 from .cache import CacheHierarchy, CacheStats, simulate_cache_hierarchy
 from .branch import BranchPredictor, BranchStats, simulate_branches
 from .dram import DramModel
-from .simple_core import simple_core_cycles, attribute_cycles
+from .simple_core import simple_core_cycles
 from .ooo_core import ooo_cycles
 from .system import SimulatedSystem, SimResult, MemorySideState
 
 __all__ = [
     "CacheHierarchy", "CacheStats", "simulate_cache_hierarchy",
     "BranchPredictor", "BranchStats", "simulate_branches",
-    "DramModel", "simple_core_cycles", "attribute_cycles", "ooo_cycles",
+    "DramModel", "simple_core_cycles", "ooo_cycles",
     "SimulatedSystem", "SimResult", "MemorySideState",
 ]

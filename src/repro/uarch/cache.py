@@ -93,13 +93,14 @@ class _Level:
         stats = self.stats
         stats.accesses += 1
         set_idx = line & self.set_mask
-        tag = line >> 1  # any injective function of the line id works
+        # The line number is its own tag, so no two lines of a set can
+        # alias, even when the level has one set.
         ways = self.sets[set_idx]
         try:
-            pos = ways.index(tag)
+            pos = ways.index(line)
         except ValueError:
             stats.misses += 1
-            ways.insert(0, tag)
+            ways.insert(0, line)
             if len(ways) > self.ways:
                 victim = ways.pop()
                 stats.evictions += 1
@@ -107,12 +108,12 @@ class _Level:
                     self.dirty.discard((set_idx, victim))
                     stats.writebacks += 1
             if write:
-                self.dirty.add((set_idx, tag))
+                self.dirty.add((set_idx, line))
             return False
         if pos:
             ways.insert(0, ways.pop(pos))
         if write:
-            self.dirty.add((set_idx, tag))
+            self.dirty.add((set_idx, line))
         return True
 
 
@@ -320,7 +321,7 @@ class _VecLevel:
         sets = (lines & self.set_mask).astype(set_dtype)
         order = np.argsort(sets, kind="stable")
         s_sets = sets[order]
-        s_tags = lines[order] >> 1  # same injective tag fn as _Level
+        s_tags = lines[order]  # the line is its own tag, as in _Level
         head = np.empty(m, dtype=bool)
         head[0] = True
         np.logical_or(s_sets[1:] != s_sets[:-1],

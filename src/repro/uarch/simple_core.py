@@ -4,7 +4,8 @@
 in the instruction and data caches. Otherwise, an instruction takes a
 single cycle." Because every cycle belongs to exactly one instruction,
 cycles can be attributed to overhead categories exactly — this model backs
-all of the breakdown figures (Figs 4, 5, 6, 11, 13).
+all of the breakdown figures (Figs 4, 5, 6, 11, 13) through
+:func:`repro.pintool.postprocess.attribute`.
 """
 
 from __future__ import annotations
@@ -40,24 +41,4 @@ def simple_core_cycles(dlevel: np.ndarray, ilevel: np.ndarray,
     return cycles
 
 
-def attribute_cycles(categories: np.ndarray, cycles: np.ndarray,
-                     num_categories: int = 32) -> np.ndarray:
-    """Sum per-instruction cycles into per-category buckets."""
-    if len(categories) == 0:
-        return np.zeros(num_categories, dtype=np.float64)
-    return np.bincount(categories.astype(np.int64), weights=cycles,
-                       minlength=num_categories)
-
-
-def total_simple_cycles(dlevel: np.ndarray, ilevel: np.ndarray,
-                        config: MachineConfig) -> float:
-    """Total simple-core cycle count for a trace."""
-    if len(dlevel) == 0:
-        return 0.0
-    return float(simple_core_cycles(dlevel, ilevel, config).sum())
-
-
-__all__ = [
-    "simple_core_cycles", "attribute_cycles", "total_simple_cycles",
-    "SERVICE_L1", "SERVICE_MEM",
-]
+__all__ = ["simple_core_cycles", "SERVICE_L1", "SERVICE_MEM"]

@@ -5,13 +5,15 @@ model, and a core model together. The memory-side state (cache service
 levels, branch mispredict flags) is computed once per (trace, machine
 config) and can be reused across core-model parameters — the experiment
 sweeps exploit this so that, say, an issue-width sweep does not re-run the
-cache simulation.
+cache simulation. :meth:`SimulatedSystem.memory_side` is the only place
+the cache hierarchy is simulated: every core model and every breakdown
+reads its cache service levels from a :class:`MemorySideState`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from ..telemetry import TELEMETRY
 from .branch import BranchStats, simulate_branches
 from .cache import CacheStats, simulate_cache_hierarchy
 from .ooo_core import ooo_cycles, ooo_cycles_many
-from .simple_core import attribute_cycles, simple_core_cycles
+from .simple_core import simple_core_cycles
 
 
 @dataclass
@@ -49,10 +51,6 @@ class SimResult:
     core_model: str
     cache_stats: dict[str, CacheStats]
     branch_stats: BranchStats
-    #: Cycles per category (simple core only; index = OverheadCategory).
-    category_cycles: np.ndarray | None = None
-    #: Per-instruction cycles (simple core only).
-    per_instruction: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def cpi(self) -> float:
@@ -108,36 +106,32 @@ class SimulatedSystem:
             backend: str | None = None) -> SimResult:
         """Simulate the trace end to end.
 
-        ``core`` selects the timing model: ``"simple"`` for per-category
-        attribution (Section IV-B.2) or ``"ooo"`` for the sweeps.
+        ``core`` selects the timing model: ``"simple"`` (Section IV-B.2;
+        its per-category attribution is
+        :func:`repro.pintool.postprocess.attribute`) or ``"ooo"`` for
+        the sweeps.
         A precomputed ``state`` may be passed to reuse memory-side
         results. ``backend`` selects the core engine
         (``auto``/``vector``/``scalar``; default ``REPRO_SIM_BACKEND``) —
         all backends are bit-identical.
         """
-        arrays = trace.arrays()
         if state is None:
             state = self.memory_side(trace)
         start = time.perf_counter() if TELEMETRY.enabled else 0.0
         if core == "simple":
-            per_instruction = simple_core_cycles(
-                state.dlevel, state.ilevel, self.config)
-            category_cycles = attribute_cycles(
-                arrays["category"], per_instruction)
-            cycles = float(per_instruction.sum())
+            cycles = float(simple_core_cycles(
+                state.dlevel, state.ilevel, self.config).sum())
             if TELEMETRY.enabled:
                 self._note_throughput("core.simple", len(trace),
                                       time.perf_counter() - start)
             return SimResult(
                 instructions=len(trace), cycles=cycles, core_model="simple",
                 cache_stats=state.cache_stats,
-                branch_stats=state.branch_stats,
-                category_cycles=category_cycles,
-                per_instruction=per_instruction)
+                branch_stats=state.branch_stats)
         if core == "ooo":
-            cycles = ooo_cycles(arrays, state.dlevel, state.ilevel,
-                                state.mispredicted, self.config,
-                                backend=backend)
+            cycles = ooo_cycles(trace.arrays(), state.dlevel,
+                                state.ilevel, state.mispredicted,
+                                self.config, backend=backend)
             if TELEMETRY.enabled:
                 self._note_throughput("core.ooo", len(trace),
                                       time.perf_counter() - start)

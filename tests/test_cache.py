@@ -1,6 +1,7 @@
 """Cache hierarchy: LRU behavior, service levels, miss accounting."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +72,19 @@ def make_mem_trace(addrs, write=False):
         "addr": np.array(addrs, dtype=np.int64),
     }
     return arrays
+
+
+@pytest.mark.parametrize("backend", ["scalar", "vector", "auto"])
+def test_one_set_level_keeps_adjacent_lines_apart(backend):
+    """With one set every line shares set 0, so the tag alone tells
+    lines apart: loading line 2 must not make line 3 a hit."""
+    one_set = CacheConfig("L1D", size=512, ways=8, line_size=64)
+    assert one_set.num_sets == 1
+    result = simulate_cache_hierarchy(make_mem_trace([2 * 64, 3 * 64]),
+                                      MachineConfig(l1d=one_set),
+                                      backend=backend)
+    assert result.dlevel.tolist() == [SERVICE_MEM, SERVICE_MEM]
+    assert result.stats["L1D"].misses == 2
 
 
 def test_simulate_assigns_dlevel_only_to_memory_ops():

@@ -1,8 +1,15 @@
 """The ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.categories import OverheadCategory
+from repro.frontend import compile_source
+from repro.host import AddressSpace, HostMachine
+from repro.uarch import SimulatedSystem
+from repro.vm.cpython import CPythonVM
 
 
 def test_run_builtin_workload(capsys):
@@ -30,6 +37,45 @@ def test_breakdown_command(capsys):
     assert "Dispatch" in out
     assert "C function call" in out
     assert "identified overhead" in out
+
+
+#: Global and attribute lookups reach ``lookdict`` from name-binding
+#: opcodes, dict subscripts reach it from guest code: both origins.
+_CALLER_DEPENDENT = """
+g = 5
+
+def f():
+    return g + 1
+
+items = []
+d = {}
+for i in range(40):
+    items.append(i)
+    d[i] = f()
+print(len(items) + d[3])
+"""
+
+
+def test_run_manifest_cycles_match_breakdown(tmp_path, capsys):
+    """``run`` and ``breakdown`` charge cycles through one attribution:
+    origin-resolved, with nothing left Unresolved, same total."""
+    path = tmp_path / "prog.py"
+    path.write_text(_CALLER_DEPENDENT)
+    cycles = {}
+    for command in ("run", "breakdown"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, str(path), "--metrics-out", str(out)]) == 0
+        cycles[command] = json.loads(
+            out.read_text())["stats"]["category_cycles"]
+    capsys.readouterr()
+    assert cycles["run"] == cycles["breakdown"]
+    assert "Unresolved" not in cycles["run"]
+    machine = HostMachine(AddressSpace(nursery_size=1 << 20))
+    CPythonVM(machine, compile_source(_CALLER_DEPENDENT, str(path))).run()
+    assert (machine.trace.column("category")
+            == int(OverheadCategory.UNRESOLVED)).any()
+    assert sum(cycles["run"].values()) == \
+        SimulatedSystem().run(machine.trace, core="simple").cycles
 
 
 def test_workloads_listing(capsys):

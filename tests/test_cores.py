@@ -7,10 +7,7 @@ from repro.config import skylake_config
 from repro.host import AddressSpace, HostMachine
 from repro.uarch.cache import simulate_cache_hierarchy
 from repro.uarch.ooo_core import ooo_cycles
-from repro.uarch.simple_core import (
-    attribute_cycles,
-    simple_core_cycles,
-)
+from repro.uarch.simple_core import simple_core_cycles
 from repro.uarch.system import SimulatedSystem
 
 
@@ -46,16 +43,6 @@ def test_simple_core_adds_miss_penalties():
     expected = 1 + config.l2.latency + config.l3.latency \
         + config.memory.latency
     assert np.median(load_cycles) == expected
-
-
-def test_attribute_cycles_sums_to_total():
-    m = build_machine(300, loads=True)
-    config = skylake_config()
-    result = simulate_cache_hierarchy(m.trace.arrays(), config)
-    cycles = simple_core_cycles(result.dlevel, result.ilevel, config)
-    buckets = attribute_cycles(m.trace.column("category"), cycles)
-    assert np.isclose(buckets.sum(), cycles.sum())
-    assert buckets[int(C.EXECUTE)] > 0
 
 
 def _run_ooo(machine, config):
@@ -122,7 +109,6 @@ def test_system_run_both_cores():
     assert ooo.cpi > 0
     assert simple.core_model == "simple"
     assert ooo.core_model == "ooo"
-    assert simple.category_cycles is not None
     # The simple core never reorders, so it is at least as slow.
     assert simple.cycles >= ooo.cycles * 0.9
 

@@ -240,9 +240,9 @@ def test_category_breakdowns_match_across_backends(monkeypatch, tmp_path):
     cycles = None
     for backend, kernel, spill in (("scalar", False, False),
                                    ("burst", True, True)):
-        _, handle = _run_combo(monkeypatch, tmp_path, backend, kernel,
-                               spill)
-        breakdown = breakdown_for_run(handle)
+        runner, handle = _run_combo(monkeypatch, tmp_path, backend,
+                                    kernel, spill)
+        breakdown = breakdown_for_run(runner, handle)
         if cycles is None:
             cycles = breakdown.cycles
         else:

@@ -1,15 +1,14 @@
 """Pin-analog statistics collection and origin-PC resolution."""
 
-import numpy as np
-
 from conftest import run_source
 from repro.categories import OverheadCategory as C
 from repro.pintool import (
     StatsCollector,
-    compute_breakdown,
+    attribute,
     default_annotations,
     resolve_categories,
 )
+from repro.uarch import SimulatedSystem
 
 
 def test_collector_aggregates_per_pc(tmp_path):
@@ -89,11 +88,22 @@ def test_unknown_origins_fall_back_to_default():
     assert (categories == int(C.UNRESOLVED)).sum() == 0
 
 
-def test_compute_breakdown_totals_match_simple_core():
+def test_attribute_totals_match_simple_core():
     vm, machine = run_source("total = 0\nfor i in range(50):\n"
                              "    total = total + i * i\nprint(total)\n")
-    breakdown = compute_breakdown(machine.trace, machine)
-    assert breakdown.total_cycles > 0
+    system = SimulatedSystem()
+    state = system.memory_side(machine.trace)
+    attribution = attribute(machine.trace, machine.site_table, state)
+    assert len(attribution.cycles) == len(attribution.categories) \
+        == len(machine.trace)
+    assert (attribution.categories != int(C.UNRESOLVED)).all()
+    breakdown = attribution.breakdown()
+    # Every cycle lands in exactly one category, and the total is the
+    # simple core's, exactly: each cycle is a whole number.
+    assert breakdown.total_cycles == attribution.cycles.sum() \
+        == system.run(machine.trace, core="simple", state=state).cycles
+    assert breakdown.cycles[C.EXECUTE] > 0
+    assert C.UNRESOLVED not in breakdown.cycles
     shares = [breakdown.share(c) for c in C]
     assert abs(sum(shares) - 1.0) < 1e-9
     assert breakdown.share(C.DISPATCH) > 0.02
@@ -103,7 +113,9 @@ def test_compute_breakdown_totals_match_simple_core():
 def test_breakdown_top_categories():
     vm, machine = run_source("total = 0\nfor i in range(80):\n"
                              "    total = total + i\nprint(total)\n")
-    breakdown = compute_breakdown(machine.trace, machine)
+    state = SimulatedSystem().memory_side(machine.trace)
+    breakdown = attribute(machine.trace, machine.site_table,
+                          state).breakdown()
     top = breakdown.top_categories(3)
     assert len(top) == 3
     assert all(isinstance(label, str) and 0 < share <= 1

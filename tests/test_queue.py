@@ -65,6 +65,16 @@ def _failing_cell(runner, value):
     raise ValueError(f"cell {value} is broken")
 
 
+def _next_wave_cell(runner, queue_dir, seconds, delay):
+    """Run for ``seconds``, then publish the next cell ``delay`` seconds
+    after returning, the way a coordinator publishes the next figure's
+    cells once the last one of this figure has landed."""
+    time.sleep(seconds)
+    threading.Timer(delay, WorkQueue(queue_dir).publish,
+                    ([make_cell(_double_cell, (7,), _PARAMS)],)).start()
+    return 0
+
+
 _PARAMS = {"scale": 1}
 
 
@@ -468,6 +478,24 @@ def test_worker_loop_completes_cells_in_process(tmp_path, monkeypatch):
     records = queue.results()
     assert sorted(decode_result(r["result"])
                   for r in records.values()) == [0, 2, 4]
+
+
+def test_worker_idle_clock_starts_when_its_cell_is_done(tmp_path,
+                                                       monkeypatch):
+    """A cell longer than the idle window must not count as idle time:
+    the worker stays for the next wave of cells published just after."""
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    queue = WorkQueue(queue_root() / "camp-w", ttl=5.0).ensure()
+    queue.publish([make_cell(_next_wave_cell,
+                             (str(queue.directory), 0.6, 0.1), _PARAMS)])
+    report = work_loop(campaign="camp-w", worker_id="wW",
+                       poll_seconds=0.01, max_cells=2,
+                       idle_exit_seconds=0.5,
+                       faults=FaultPlan(), emit=lambda *_: None)
+    assert report.reason == "max-cells"
+    assert report.completed == 2
+    assert sorted(decode_result(r["result"])
+                  for r in queue.results().values()) == [0, 14]
 
 
 def test_worker_loop_ignores_closed_campaigns(tmp_path, monkeypatch):

@@ -84,7 +84,7 @@ def test_run_sweep_identical_across_backends_and_jobs(monkeypatch):
 def test_phase_cpis_cover_execution():
     runner = ExperimentRunner(scale=1)
     handle = runner.run("crypto_pyaes", runtime="pypy", jit=True)
-    phases = phase_cpis(handle)
+    phases = phase_cpis(runner, handle)
     assert phases["jit_compiled_code"] > 0
     assert phases["garbage_collection"] >= 0
     assert phases["bytecode_interpreter"] > 0
@@ -99,5 +99,5 @@ def test_phase_cpis_cover_execution():
 def test_interpreter_has_no_compiled_phase():
     runner = ExperimentRunner(scale=1)
     handle = runner.run("sym_sum", runtime="pypy", jit=False)
-    phases = phase_cpis(handle)
+    phases = phase_cpis(runner, handle)
     assert phases["jit_compiled_code"] == 0.0

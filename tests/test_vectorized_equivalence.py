@@ -7,7 +7,10 @@ engines and both OOO engines (scalar loop and compiled kernel), and
 every output the rest of the pipeline consumes — per-instruction
 service levels, mispredict flags, aggregate statistics, core cycle
 counts — must be bit-identical for single- and batched-config walks
-alike. The OOO engines also face invariants that need no reference.
+alike. Every engine also faces invariants that need no reference:
+LRU inclusion and access conservation for the caches, mispredicts only
+on predicted branches, and front-end, dependence and mispredict bounds
+for the OOO core.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 
 from repro.config import (
     BranchPredictorConfig,
+    CacheConfig,
     MachineConfig,
     scaled_config,
     skylake_config,
@@ -36,6 +40,8 @@ from repro.uarch.branch import (
     simulate_branches_scalar,
 )
 from repro.uarch.cache import (
+    SERVICE_L1,
+    SERVICE_L3,
     simulate_cache_hierarchy,
     simulate_cache_hierarchy_scalar,
 )
@@ -140,12 +146,120 @@ def test_empty_trace_all_backends():
 
 
 # ----------------------------------------------------------------------
-# OOO core: scalar reference vs compiled kernel, plus invariants
+# Memory side: invariants that need no reference engine
 # ----------------------------------------------------------------------
 
+_MEMORY_BACKENDS = ["scalar", "vector", "auto"]
 _LOAD = int(InstrKind.LOAD)
 _STORE = int(InstrKind.STORE)
 
+
+def _level(name: str, sets: int, ways: int,
+           latency: int = 4) -> CacheConfig:
+    return CacheConfig(name, size=sets * ways * 64, ways=ways,
+                       latency=latency)
+
+
+def _memory_configs() -> list[MachineConfig]:
+    """Generated geometries, from one set per level to many."""
+    rng = np.random.default_rng(11)
+    configs = [MachineConfig(l1i=_level("L1I", 1, 4),
+                             l1d=_level("L1D", 1, 8),
+                             l2=_level("L2", 1, 16),
+                             l3=_level("L3", 1, 32))]
+    for _ in range(5):
+        sets = [int(1 << rng.integers(0, 8)) for _ in range(4)]
+        ways = [int(rng.choice([1, 2, 4, 8])) for _ in range(4)]
+        configs.append(MachineConfig(
+            l1i=_level("L1I", sets[0], ways[0]),
+            l1d=_level("L1D", sets[1], ways[1]),
+            l2=_level("L2", sets[2], ways[2]),
+            l3=_level("L3", sets[3], ways[3])))
+    return configs
+
+
+_MEMORY_INPUTS = [(seed, 1 + (seed * 1187) % 2000) for seed in range(4)]
+
+
+@pytest.mark.parametrize("backend", _MEMORY_BACKENDS)
+def test_more_ways_never_add_misses(backend):
+    """Mattson inclusion: at a fixed set count, an LRU level with more
+    ways hits on every access the smaller one hit on. L1D sees the data
+    stream and L3 the L2 misses, neither of which its own ways change."""
+    for seed, n in _MEMORY_INPUTS:
+        arrays = random_trace(seed, n)
+        for config in _memory_configs():
+            for field, name, hit in (("l1d", "L1D", SERVICE_L1),
+                                     ("l3", "L3", SERVICE_L3)):
+                sets = getattr(config, field).num_sets
+                previous = None
+                for ways in (1, 2, 4, 16):
+                    result = simulate_cache_hierarchy(
+                        arrays, dataclasses.replace(
+                            config, **{field: _level(name, sets, ways)}),
+                        backend=backend)
+                    if previous is not None:
+                        assert result.stats[name].misses <= \
+                            previous.stats[name].misses, (seed, ways)
+                        for column in ("dlevel", "ilevel"):
+                            was_hit = (getattr(previous, column) >= 0) \
+                                & (getattr(previous, column) <= hit)
+                            assert (getattr(result, column)[was_hit]
+                                    <= hit).all(), (seed, name, ways)
+                    previous = result
+
+
+@pytest.mark.parametrize("backend", _MEMORY_BACKENDS)
+def test_cache_accesses_are_conserved_between_levels(backend):
+    """Every miss is the next level's access, and the service levels
+    count exactly the misses the statistics report."""
+    for seed, n in _MEMORY_INPUTS:
+        arrays = random_trace(seed, n)
+        for config in _memory_configs():
+            result = simulate_cache_hierarchy(arrays, config,
+                                              backend=backend)
+            stats, dl, il = result.stats, result.dlevel, result.ilevel
+            memory = np.isin(arrays["kind"], (_LOAD, _STORE))
+            assert stats["L1D"].accesses == np.count_nonzero(memory)
+            assert np.array_equal(dl >= 0, memory)
+            assert stats["L1D"].misses == np.count_nonzero(dl >= 1)
+            assert stats["L1I"].misses == np.count_nonzero(il >= 1)
+            assert stats["L2"].accesses == \
+                stats["L1I"].misses + stats["L1D"].misses
+            assert stats["L2"].misses == \
+                np.count_nonzero(dl >= 2) + np.count_nonzero(il >= 2)
+            assert stats["L3"].accesses == stats["L2"].misses
+            assert stats["L3"].misses == \
+                np.count_nonzero(dl == 3) + np.count_nonzero(il == 3)
+
+
+@pytest.mark.parametrize("backend", _MEMORY_BACKENDS)
+@pytest.mark.parametrize("scale", [1.0, 1 / 64])
+def test_mispredicts_fall_only_on_predicted_branches(backend, scale):
+    """Only conditional and indirect branches can mispredict, and the
+    flags add up to the statistics."""
+    config = BranchPredictorConfig(scale=scale)
+    for seed, n in _MEMORY_INPUTS:
+        arrays = random_trace(seed, n)
+        kind, flags = arrays["kind"], arrays["flags"]
+        indirect = np.isin(kind, (int(InstrKind.ICALL),
+                                  int(InstrKind.BRANCH))) \
+            & ((flags & FLAG_INDIRECT) != 0)
+        conditional = (kind == int(InstrKind.BRANCH)) \
+            & ((flags & FLAG_COND) != 0) & ~indirect
+        mispredicted, stats = simulate_branches(arrays, config,
+                                                backend=backend)
+        assert not mispredicted[~(conditional | indirect)].any()
+        assert np.count_nonzero(mispredicted) == stats.total_mispredicts
+        assert stats.conditional == np.count_nonzero(conditional)
+        assert stats.indirect == np.count_nonzero(indirect)
+        assert stats.conditional_mispredicts == \
+            np.count_nonzero(mispredicted & conditional)
+
+
+# ----------------------------------------------------------------------
+# OOO core: scalar reference vs compiled kernel, plus invariants
+# ----------------------------------------------------------------------
 
 def random_ooo_inputs(seed: int, n: int, max_dep: int = 300):
     """Synthetic OOO-core inputs: dep forests, misses, mispredicts."""
