@@ -52,18 +52,16 @@ def append_text(name: str, text: str) -> Path:
 @pytest.fixture(scope="session")
 def breakdown_runner():
     """Runner shared by the breakdown figures (scale 1)."""
-    return ExperimentRunner(scale=1, trace_cache_size=3)
+    return ExperimentRunner(scale=1)
 
 
 @pytest.fixture(scope="session")
 def sweep_runner():
     """Runner shared by the microarchitecture sweep figures."""
-    return ExperimentRunner(scale=1, trace_cache_size=3,
-                            state_cache_size=24)
+    return ExperimentRunner(scale=1)
 
 
 @pytest.fixture(scope="session")
 def nursery_runner():
     """Runner shared by the nursery-study figures (scaled workloads)."""
-    return ExperimentRunner(scale=NURSERY_SCALE, trace_cache_size=2,
-                            state_cache_size=8)
+    return ExperimentRunner(scale=NURSERY_SCALE)

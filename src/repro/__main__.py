@@ -248,8 +248,7 @@ def cmd_cache(args) -> int:
         stats = cache.gc(max_bytes=int(args.max_mb * 1024 * 1024))
         print(f"evicted {stats['evicted']} entries "
               f"({stats['bytes_freed'] / 1e6:.1f} MB), "
-              f"swept {stats['tmp_removed']} tmp files "
-              f"and {stats['spill_removed']} dead spill files; "
+              f"swept {stats['tmp_removed']} tmp files; "
               f"{stats['kept_entries']} entries "
               f"({stats['kept_bytes'] / 1e6:.1f} MB) remain "
               f"under {cache.root}")
@@ -287,7 +286,7 @@ def cmd_cache(args) -> int:
     rows = [[kind,
              str(usage.get(kind, {}).get("entries", 0)),
              f"{usage.get(kind, {}).get('bytes', 0) / 1e6:.1f} MB"]
-            for kind in ("traces", "states", "spill", "telemetry")]
+            for kind in ("traces", "states", "telemetry")]
     queue = usage.get("queue", {})
     rows.append(["queue",
                  f"{queue.get('campaigns', 0)} campaigns / "

@@ -124,18 +124,10 @@ def run_sweep(runner: ExperimentRunner, workloads,
     if axes is None:
         axes = {name: values for name, (values, _) in SWEEP_AXES.items()}
     from ..experiments.parallel import fan_out
-    from ..experiments.runner import memory_side_key
     result = SweepResult(axes=dict(axes))
     cells = [(label, runtime, jit, workload, dict(axes), base, nursery)
              for label, runtime, jit in variants
              for workload in workloads]
-    # Size the runner's caches to this sweep's own grid: one trace per
-    # (variant, workload) cell, one memory-side state per distinct
-    # memory geometry the axes touch (latency/width axes share one).
-    mem_keys = {memory_side_key(axis_config(base, axis, value))
-                for axis, values in axes.items() for value in values}
-    runner.ensure_cache_capacity(
-        traces=len(cells), states=len(cells) * len(mem_keys))
     sums: dict[tuple, float] = {}
     for cell_cpis in fan_out(runner, _variant_cell, cells, jobs):
         for key, cpi in cell_cpis.items():

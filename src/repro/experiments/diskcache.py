@@ -1,11 +1,11 @@
 """Persistent content-addressed cache for guest runs and sim states.
 
-The in-memory caches on :class:`~repro.experiments.runner.
-ExperimentRunner` are bounded, so the nursery figure family (Figures
+The in-memory cache on :class:`~repro.experiments.runner.
+ExperimentRunner` is bounded, so the nursery figure family (Figures
 10-17), which revisits the same (workload, nursery) grid across several
 machine configurations and across *separate* benchmark invocations,
-used to re-interpret every evicted guest. This module spills both
-artifact kinds to disk:
+used to re-interpret every evicted guest. This module stores both
+artifact kinds on disk:
 
 ``traces/``
     one finished guest run per entry: the instruction trace as a
@@ -96,10 +96,6 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: Subdirectory corrupt entries are moved to (never read back).
 QUARANTINE_DIR = "quarantine"
 
-#: Subdirectory live traces memmap their buffers into when they grow
-#: past ``REPRO_TRACE_SPILL_MB`` (see :mod:`repro.host.trace`).
-SPILL_DIR = "spill"
-
 #: ``sweep_tmp`` default: temp files younger than this may belong to a
 #: live writer in another process and are left alone.
 TMP_MAX_AGE_SECONDS = 3600.0
@@ -140,20 +136,6 @@ def file_sha256(path: Path) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _pid_alive(pid: int) -> bool:
-    """Is a process with this pid running (signal-0 probe)?"""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        # EPERM and friends: the process exists but is not ours.
-        return True
-    return True
 
 
 class DiskCache:
@@ -495,71 +477,6 @@ class DiskCache:
             TELEMETRY.metrics.counter("cache.tmp_swept").inc(removed)
         return removed
 
-    def sweep_spill(self) -> dict:
-        """Govern the live-trace spill directory (``spill/``).
-
-        Spill files are memory-mapped buffers of traces still owned by
-        a *running* process (:mod:`repro.host.trace` migrates a growing
-        trace there), so size-based LRU does not apply — deleting a
-        live file would yank the mapping out from under its writer.
-        The sidecar, written last as the commit record, carries the
-        writer's pid, and that decides:
-
-        * ``.bin`` without its ``.json`` sidecar: a partial write
-          (the writer died mid-spill) — dropped as an orphan.
-        * sidecar whose pid is dead or unparseable: the memmap died
-          with its process — removed sidecar-first, the same eviction
-          order the artifact kinds use.
-        * sidecar whose pid is alive: kept and counted.
-
-        Returns ``{"removed", "bytes_freed", "kept", "kept_bytes"}``.
-        """
-        stats = {"removed": 0, "bytes_freed": 0, "kept": 0,
-                 "kept_bytes": 0}
-        if not self.enabled:
-            return stats
-        directory = self.root / SPILL_DIR
-        if not directory.is_dir():
-            return stats
-        sidecars = {p.stem: p for p in directory.glob("*.json")}
-        payloads = {p.stem: p for p in directory.glob("*.bin")}
-        for stem, path in payloads.items():
-            if stem not in sidecars:
-                self._drop_orphan("spill", path)
-                stats["removed"] += 1
-        for stem, meta_path in sorted(sidecars.items()):
-            bin_path = payloads.get(stem)
-            if bin_path is None:
-                self._drop_orphan("spill", meta_path)
-                stats["removed"] += 1
-                continue
-            try:
-                meta = json.loads(meta_path.read_text(encoding="utf-8"))
-                pid = int(meta["pid"])
-            except (OSError, ValueError, TypeError, KeyError):
-                pid = -1
-            try:
-                size = bin_path.stat().st_size
-            except OSError:
-                size = 0
-            if _pid_alive(pid):
-                stats["kept"] += 1
-                stats["kept_bytes"] += size
-                continue
-            try:
-                meta_path.unlink(missing_ok=True)
-                bin_path.unlink(missing_ok=True)
-            except OSError:
-                stats["kept"] += 1
-                stats["kept_bytes"] += size
-                continue
-            stats["removed"] += 1
-            stats["bytes_freed"] += size
-        if stats["removed"]:
-            TELEMETRY.metrics.counter("cache.spill_swept").inc(
-                stats["removed"])
-        return stats
-
     def _entries(self):
         """All committed pairs: (mtime, bytes, kind, key) per entry.
 
@@ -663,26 +580,23 @@ class DiskCache:
 
         Also sweeps all ``.tmp*`` litter and deletes orphans. Returns a
         stats dict (``evicted``, ``bytes_freed``, ``kept_entries``,
-        ``kept_bytes``, ``tmp_removed``).
+        ``kept_bytes``, ``tmp_removed``, and the ``queue_*`` sweep
+        counts).
 
         Size-based LRU covers the artifact kinds (``traces/``,
-        ``states/``); the live-trace spill dir is governed separately
-        by pid-aliveness (:meth:`sweep_spill`, whose ``removed`` count
-        surfaces here as ``spill_removed``). The run registry under
-        ``telemetry/`` is never evicted by size — its retention is
-        record-count based and explicit
-        (:meth:`repro.telemetry.registry.RunRegistry.prune`, invoked by
-        ``repro cache gc``).
+        ``states/``). The run registry under ``telemetry/`` is never
+        evicted by size — its retention is record-count based and
+        explicit (:meth:`repro.telemetry.registry.RunRegistry.prune`,
+        invoked by ``repro cache gc``).
         """
         stats = {"evicted": 0, "bytes_freed": 0, "kept_entries": 0,
-                 "kept_bytes": 0, "tmp_removed": 0, "spill_removed": 0,
+                 "kept_bytes": 0, "tmp_removed": 0,
                  "queue_campaigns_removed": 0,
                  "queue_leases_reclaimed": 0,
                  "queue_heartbeats_removed": 0}
         if not self.enabled:
             return stats
         stats["tmp_removed"] = self.sweep_tmp(max_age=0.0)
-        stats["spill_removed"] = self.sweep_spill()["removed"]
         from .queue import sweep_queues
         queue_stats = sweep_queues(self.root)
         stats["queue_campaigns_removed"] = \
@@ -753,20 +667,6 @@ class DiskCache:
                         rows * tracecodec.RAW_ROW_BYTES / payload_bytes
             usage["entries"] += count
             usage["bytes"] += size
-        spill_dir = self.root / SPILL_DIR
-        spill_entries = spill_bytes = 0
-        if spill_dir.is_dir():
-            for meta_path in spill_dir.glob("*.json"):
-                bin_path = meta_path.with_suffix(".bin")
-                if not bin_path.exists():
-                    continue
-                spill_entries += 1
-                try:
-                    spill_bytes += bin_path.stat().st_size \
-                        + meta_path.stat().st_size
-                except OSError:
-                    continue
-        usage["spill"] = {"entries": spill_entries, "bytes": spill_bytes}
         from .queue import queue_usage
         usage["queue"] = queue_usage(self.root)
         quarantine = self.root / QUARANTINE_DIR

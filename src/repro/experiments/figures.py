@@ -59,7 +59,7 @@ from ..workloads import (
     SWEEP_BENCHMARKS,
 )
 from .parallel import fan_out
-from .runner import ExperimentRunner, memory_side_key
+from .runner import ExperimentRunner
 
 MB = 1024 * 1024
 
@@ -137,11 +137,6 @@ def _prefetch_sweeps(runner: ExperimentRunner, cells: list[dict],
     identical to a fully serial run.
     """
     from .parallel import active_executor, resolve_jobs
-    # One trace and one memory-side state per (sweep cell, ratio point):
-    # size the runner's caches to the figure's own grid up front.
-    points = sum(len(cell.get("ratios", NURSERY_RATIOS))
-                 for cell in cells)
-    runner.ensure_cache_capacity(traces=points, states=points)
     if resolve_jobs(jobs) <= 1 and active_executor() is None:
         return
     memo = sweep_memo(runner)
@@ -398,10 +393,6 @@ def fig8(runner: ExperimentRunner | None = None, quick: bool = True,
     cells = [(workload, axis, values, base)
              for axis, values in axes.items()
              for workload in workloads]
-    mem_keys = {memory_side_key(axis_config(base, axis, value))
-                for axis, values in axes.items() for value in values}
-    runner.ensure_cache_capacity(
-        traces=len(workloads), states=len(workloads) * len(mem_keys))
     results = fan_out(runner, _fig8_cell, cells, jobs)
     cpis_by_cell = {(axis, workload): cpis
                     for (workload, axis, _, _), cpis

@@ -3,10 +3,14 @@
 Experiments sweep microarchitecture parameters over fixed traces (cache,
 branch, and core models re-run; the guest does not), and sweep run-time
 parameters (nursery size, JIT on/off) by re-running the guest. The
-runner caches a bounded number of recent traces so figure harnesses can
-loop workload-outer / config-inner without re-interpreting.
+runner keeps recent traces and memory-side states in memory, least
+recently used first out, within one byte budget
+(:attr:`ExperimentRunner.CACHE_BUDGET_BYTES`), so figure harnesses can
+loop workload-outer / config-inner without re-interpreting. Every trace
+is frozen as its guest run ends: it holds only its narrow columns, not
+the row buffer or the machine that produced it.
 
-Both in-memory caches are backed by a write-through persistent
+The in-memory cache is backed by a write-through persistent
 :class:`~repro.experiments.diskcache.DiskCache`: every fresh guest run
 and memory-side state is also stored on disk, and a memory miss
 consults disk before re-computing. Repeated benchmark invocations —
@@ -37,6 +41,7 @@ from ..config import (
 from ..errors import ExperimentError
 from ..frontend.compiler import Program, compile_source
 from ..host.address_space import AddressSpace
+from ..host.codec import RAW_ROW_BYTES
 from ..host.machine import HostMachine
 from ..host.trace import InstructionTrace
 from ..telemetry import TELEMETRY
@@ -119,21 +124,15 @@ def _runtime_config(runtime: str, jit: bool, nursery: int) -> RuntimeConfig:
 class ExperimentRunner:
     """Runs workloads and caches (trace, memory-side) results."""
 
-    #: Default in-memory cache sizes. The nursery figure family is the
-    #: sizing constraint: Figure 12 touches 4 configs x 4 workloads x 5
-    #: ratios = up to 20 live traces and 80 states per quick run (the
-    #: seed's 4/12 thrashed both caches, see
-    #: benchmarks/results/telemetry_smoke.txt).
-    TRACE_CACHE_SIZE = 16
-    STATE_CACHE_SIZE = 48
-    #: Hard ceilings for :meth:`ensure_cache_capacity` — a huge grid
-    #: degrades to LRU thrashing rather than unbounded memory use.
-    TRACE_CACHE_CAP = 64
-    STATE_CACHE_CAP = 256
+    #: Bytes of traces and memory-side states held in memory. A trace is
+    #: charged its decoded columns (35 B per row), a state the bytes of
+    #: its arrays. 512 MiB keeps the sweep server's working set of
+    #: figures resident; larger grids, such as the nursery figures',
+    #: cycle through it least recently used first, with the disk cache
+    #: behind it.
+    CACHE_BUDGET_BYTES = 512 * _MB
 
     def __init__(self, scale: int = 1, max_instructions: int = 120_000_000,
-                 trace_cache_size: int = TRACE_CACHE_SIZE,
-                 state_cache_size: int = STATE_CACHE_SIZE,
                  metrics_out: str | None = None,
                  jobs: int | None = None,
                  disk_cache: DiskCache | None = None) -> None:
@@ -144,23 +143,15 @@ class ExperimentRunner:
         self.jobs = jobs
         self.disk_cache = disk_cache if disk_cache is not None \
             else DiskCache()
-        self._traces: OrderedDict[tuple, RunHandle] = OrderedDict()
-        self._states: OrderedDict[tuple, MemorySideState] = OrderedDict()
-        self._trace_cache_size = trace_cache_size
-        self._state_cache_size = state_cache_size
+        #: ("trace", run key) -> RunHandle and ("state", state key) ->
+        #: MemorySideState, least recently used first, with the bytes
+        #: each is charged.
+        self._held: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        #: Sum of the charges in ``_held``.
+        self.cache_bytes = 0
         self._programs: dict[tuple, Program] = {}
         #: Next RunHandle.token; never reused within a runner.
         self._next_token = 1
-        #: Disk keys of entries LRU-evicted from the in-memory caches
-        #: that survive on disk. A later disk hit on one of these is a
-        #: "spill hit": the disk cache acted as an overflow tier for
-        #: this runner, not just a cross-invocation store.
-        self._spilled_keys: set[str] = set()
-        #: In-memory state key -> disk key. A MemorySideState carries
-        #: no run parameters, so its eviction can only be attributed to
-        #: a disk entry through this map (traces recompute theirs from
-        #: the evicted handle).
-        self._state_disk_keys: dict[tuple, str] = {}
         #: When set, a manifest is written here after every fresh run.
         self.metrics_out = metrics_out
         self.last_handle: RunHandle | None = None
@@ -200,10 +191,9 @@ class ExperimentRunner:
             jit = False
             nursery = 0
         key = (workload, runtime, jit, nursery, self.scale, warmup_runs)
-        handle = self._traces.get(key)
+        handle = self._lookup("trace", key)
         metrics = TELEMETRY.metrics
         if handle is not None:
-            self._traces.move_to_end(key)
             metrics.counter("runner.trace_cache.hit", runtime=runtime).inc()
             return handle
         trace_params = self._trace_key_params(*key[:4], warmup_runs)
@@ -212,8 +202,6 @@ class ExperimentRunner:
         if cached is not None:
             metrics.counter("runner.trace_cache.hit", runtime=runtime).inc()
             metrics.counter("runner.disk_cache.hit", kind="trace").inc()
-            if disk_key in self._spilled_keys:
-                metrics.counter("cache.spill_hits", kind="trace").inc()
             self.last_cache_key = disk_key
             return self._adopt_handle(key, cached)
         metrics.counter("runner.trace_cache.miss", runtime=runtime).inc()
@@ -239,10 +227,12 @@ class ExperimentRunner:
             measure_start = len(machine.trace)
             vm.run()
         wall_seconds = time.perf_counter() - start
+        trace = machine.trace
+        trace.freeze()
         stats = vm.stats
         handle = RunHandle(
             workload=workload, runtime=runtime, jit=jit, nursery=nursery,
-            trace=machine.trace, site_table=dict(machine.site_table),
+            trace=trace, site_table=dict(machine.site_table),
             bytecodes=stats.bytecodes, allocations=stats.allocations,
             allocated_bytes=stats.allocated_bytes,
             minor_gcs=stats.minor_gcs, major_gcs=stats.major_gcs,
@@ -250,25 +240,20 @@ class ExperimentRunner:
             output=list(vm.output), measure_start=measure_start,
             warmup_runs=warmup_runs,
             token=self._next_token, wall_seconds=wall_seconds,
-            host_instructions=len(machine.trace))
+            host_instructions=len(trace))
         self._next_token += 1
-        metrics.counter("guest.instructions",
-                        runtime=runtime).inc(len(machine.trace))
+        metrics.counter("guest.instructions", runtime=runtime).inc(len(trace))
         if wall_seconds > 0:
             metrics.gauge("guest.instructions_per_second",
-                          runtime=runtime).set(
-                len(machine.trace) / wall_seconds)
+                          runtime=runtime).set(len(trace) / wall_seconds)
         self.last_cache_key = disk_key
-        self._traces[key] = handle
-        while len(self._traces) > self._trace_cache_size:
-            _, evicted = self._traces.popitem(last=False)
-            self._note_trace_eviction(evicted)
+        self._admit("trace", key, handle, len(trace) * RAW_ROW_BYTES)
         self.last_handle = handle
         self.disk_cache.store_run(disk_key, handle, key_params=trace_params)
         # A finished VM is a reference cycle that holds the whole guest
         # heap; collect it here (~10 ms per run) instead of whenever the
         # cyclic collector next runs, so peak memory does not depend on
-        # allocation timing.
+        # allocation timing. The frozen trace no longer reaches it.
         del vm, machine
         gc.collect()
         if self.metrics_out is not None:
@@ -290,22 +275,38 @@ class ExperimentRunner:
         this runner had run it: fresh token, normal eviction."""
         handle.token = self._next_token
         self._next_token += 1
-        self._traces[key] = handle
-        while len(self._traces) > self._trace_cache_size:
-            _, evicted = self._traces.popitem(last=False)
-            self._note_trace_eviction(evicted)
+        self._admit("trace", key, handle,
+                    len(handle.trace) * RAW_ROW_BYTES)
         self.last_handle = handle
         return handle
 
-    def _note_trace_eviction(self, evicted: RunHandle) -> None:
-        """One trace left memory; if it lives on disk, that is a spill."""
-        if not self.disk_cache.enabled:
-            return
-        disk_key = content_key(self._trace_key_params(
-            evicted.workload, evicted.runtime, evicted.jit,
-            evicted.nursery, evicted.warmup_runs))
-        self._spilled_keys.add(disk_key)
-        TELEMETRY.metrics.counter("cache.spilled", kind="trace").inc()
+    # ------------------------------------------------------------------
+    # In-memory cache: one LRU over traces and states, bounded in bytes
+    # ------------------------------------------------------------------
+
+    def _lookup(self, kind: str, key: tuple):
+        """The held entry, now most recently used; None on a miss."""
+        held = self._held.get((kind, key))
+        if held is None:
+            return None
+        self._held.move_to_end((kind, key))
+        return held[0]
+
+    def _admit(self, kind: str, key: tuple, entry, nbytes: int) -> None:
+        """Hold ``entry``, then evict least recently used entries until
+        the held bytes fit the budget. The newest entry always stays, so
+        the runner never holds more than the budget plus one entry."""
+        held = self._held
+        held[(kind, key)] = (entry, nbytes)
+        self.cache_bytes += nbytes
+        metrics = TELEMETRY.metrics
+        while self.cache_bytes > self.CACHE_BUDGET_BYTES and len(held) > 1:
+            (evicted_kind, _), (_, evicted_bytes) = held.popitem(last=False)
+            self.cache_bytes -= evicted_bytes
+            metrics.counter("runner.cache.evicted", kind=evicted_kind).inc()
+        metrics.gauge("runner.cache.bytes").set(self.cache_bytes)
+        metrics.gauge("runner.cache.budget_bytes").set(
+            self.CACHE_BUDGET_BYTES)
 
     # ------------------------------------------------------------------
     # Microarchitecture simulation
@@ -324,10 +325,9 @@ class ExperimentRunner:
                     ) -> MemorySideState:
         """Cache + branch simulation for one (run, machine) pair."""
         key = (handle.token, memory_side_key(config))
-        state = self._states.get(key)
+        state = self._lookup("state", key)
         metrics = TELEMETRY.metrics
         if state is not None:
-            self._states.move_to_end(key)
             metrics.counter("runner.state_cache.hit").inc()
             return state
         state_params = self._state_key_params(handle, config)
@@ -345,10 +345,7 @@ class ExperimentRunner:
         if state is not None:
             metrics.counter("runner.state_cache.hit").inc()
             metrics.counter("runner.disk_cache.hit", kind="state").inc()
-            if disk_key in self._spilled_keys:
-                metrics.counter("cache.spill_hits", kind="state").inc()
-            self._state_disk_keys[key] = disk_key
-            self._store_state(key, state)
+            self._admit("state", key, state, _state_bytes(state))
             return state
         metrics.counter("runner.state_cache.miss").inc()
         if self.disk_cache.enabled:
@@ -358,20 +355,9 @@ class ExperimentRunner:
                                    runtime=handle.runtime):
             system = SimulatedSystem(config)
             state = system.memory_side(handle.trace)
-        self._state_disk_keys[key] = disk_key
-        self._store_state(key, state)
+        self._admit("state", key, state, _state_bytes(state))
         self.disk_cache.store_state(disk_key, state, key_params=state_params)
         return state
-
-    def _store_state(self, key: tuple, state: MemorySideState) -> None:
-        self._states[key] = state
-        while len(self._states) > self._state_cache_size:
-            evicted_key, _ = self._states.popitem(last=False)
-            disk_key = self._state_disk_keys.pop(evicted_key, None)
-            if disk_key is not None and self.disk_cache.enabled:
-                self._spilled_keys.add(disk_key)
-                TELEMETRY.metrics.counter("cache.spilled",
-                                          kind="state").inc()
 
     def simulate(self, handle: RunHandle, config: MachineConfig,
                  core: str = "ooo"):
@@ -401,31 +387,6 @@ class ExperimentRunner:
             return SimulatedSystem.run_many_configs(
                 handle.trace, configs, states, core=core)
 
-    def ensure_cache_capacity(self, traces: int | None = None,
-                              states: int | None = None) -> None:
-        """Grow the in-memory caches to fit a figure's grid shape.
-
-        Figure harnesses call this with the number of live traces and
-        memory-side states their grid touches, so capacity follows the
-        requested grid instead of the fixed defaults. Growth only (a
-        running figure never shrinks a cache another figure grew), and
-        capped so a huge grid degrades to LRU thrash instead of
-        unbounded memory.
-        """
-        if traces is not None:
-            self._trace_cache_size = min(
-                max(self._trace_cache_size, traces),
-                self.TRACE_CACHE_CAP)
-        if states is not None:
-            self._state_cache_size = min(
-                max(self._state_cache_size, states),
-                self.STATE_CACHE_CAP)
-        metrics = TELEMETRY.metrics
-        metrics.gauge("runner.trace_cache.capacity").set(
-            self._trace_cache_size)
-        metrics.gauge("runner.state_cache.capacity").set(
-            self._state_cache_size)
-
     # ------------------------------------------------------------------
     # Parallel fan-out
     # ------------------------------------------------------------------
@@ -440,8 +401,6 @@ class ExperimentRunner:
         return {
             "scale": self.scale,
             "max_instructions": self.max_instructions,
-            "trace_cache_size": self._trace_cache_size,
-            "state_cache_size": self._state_cache_size,
             "disk_cache": self.disk_cache,
         }
 
@@ -457,8 +416,6 @@ class ExperimentRunner:
         return {
             "scale": self.scale,
             "max_instructions": self.max_instructions,
-            "trace_cache_size": self._trace_cache_size,
-            "state_cache_size": self._state_cache_size,
         }
 
     def _normalized_key(self, request: dict) -> tuple:
@@ -487,7 +444,7 @@ class ExperimentRunner:
         handles = []
         for request, handle in zip(requests, results):
             key = self._normalized_key(request)
-            existing = self._traces.get(key)
+            existing = self._lookup("trace", key)
             if existing is None:
                 existing = self._adopt_handle(key, handle)
             handles.append(existing)
@@ -535,13 +492,19 @@ class ExperimentRunner:
             "cache_key": self.last_cache_key,
             "scale": self.scale,
             "max_instructions": self.max_instructions,
-            "trace_cache_size": self._trace_cache_size,
-            "state_cache_size": self._state_cache_size,
+            "cache_budget_bytes": self.CACHE_BUDGET_BYTES,
+            "cache_bytes": self.cache_bytes,
             "disk_cache": str(self.disk_cache.root)
             if self.disk_cache.enabled else None,
         }
         return write_manifest(path, command="experiments.runner",
                               config=config, stats=stats)
+
+
+def _state_bytes(state: MemorySideState) -> int:
+    """What a held state is charged: the bytes of its arrays."""
+    return (state.dlevel.nbytes + state.ilevel.nbytes
+            + state.mispredicted.nbytes)
 
 
 def _run_cell(runner: ExperimentRunner, request: dict) -> RunHandle:

@@ -4,8 +4,9 @@
 observability plane records: how far the figure campaign has gotten
 (from the checkpoint journal), what the disk cache holds (from
 :meth:`~repro.experiments.diskcache.DiskCache.usage`), and what the run
-registry says about the most recent runs (hit rates, resilience
-recoveries, throughput gauges). ``--watch`` redraws the same snapshot
+registry says about the most recent runs (hit rates, the runner's
+in-memory bytes against its budget, resilience recoveries, throughput
+gauges). ``--watch`` redraws the same snapshot
 on an interval until interrupted.
 
 Everything here is **read-only**: status never enables telemetry,
@@ -91,10 +92,6 @@ def _cache_lines() -> list[str]:
         lines.append(
             f"  codec    : {traces['bytes_per_instruction']:.2f} B/instr, "
             f"{traces['compression_ratio']:.1f}x vs canonical")
-    spill = usage.get("spill")
-    if spill and spill["entries"]:
-        lines.append(f"  spill    : {spill['entries']} live files, "
-                     f"{_fmt_bytes(spill['bytes'])}")
     if usage.get("quarantined_files"):
         lines.append(f"  quarantine: {usage['quarantined_files']} files")
     telemetry = usage.get("telemetry")
@@ -203,6 +200,11 @@ def _registry_lines() -> list[str]:
         rate = _hit_rate(counters, prefix)
         if rate is not None:
             lines.append(f"  {label:9s}: {rate:6.1%} hit rate")
+    held = counters.get("runner.cache.bytes")
+    budget = counters.get("runner.cache.budget_bytes")
+    if held is not None and budget:
+        lines.append(f"  in memory: {_fmt_bytes(held)} held of "
+                     f"{_fmt_bytes(budget)} budget ({held / budget:.0%})")
     retries = sum(value for name, value in counters.items()
                   if name.startswith("resilience.retries"))
     rebuilds = sum(value for name, value in counters.items()

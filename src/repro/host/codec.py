@@ -218,8 +218,9 @@ def encode_file(path: str | Path, block_fn, rows: int,
 
     ``block_fn(start, stop)`` must return a dict of the canonical
     columns for rows ``[start, stop)`` — the encoder pulls one frame
-    at a time, so a spilled (memmap-backed) trace streams through
-    without ever materializing its full canonical columns.
+    at a time, so a trace hands over slices of the columns it holds
+    (:meth:`~repro.host.trace.InstructionTrace.slice_view`) and no
+    second copy of them is built.
     """
     if frame_rows < 1:
         raise TraceError(f"frame_rows must be >= 1, got {frame_rows}")

@@ -1,10 +1,14 @@
 """Columnar instruction traces.
 
 A trace is the interface between the run-time models (producers) and the
-microarchitecture models (consumers). Committed rows live in one
-preallocated row-major NumPy buffer (``int64``, shape ``(capacity, 8)``)
-that grows by doubling behind an explicit cursor; two *staging* paths
-feed it:
+microarchitecture models (consumers). It has two forms.
+
+**Live**, while a guest runs. Committed rows land in a fixed-size
+row-major NumPy buffer (``int64``, shape ``(rows, 8)``) behind an
+explicit cursor; each time it fills, its rows move into per-column
+blocks in the canonical narrow dtypes, so a live trace costs 35 bytes
+per row plus the buffer, never a 64 B/row image of the whole run. Two
+*staging* paths feed the buffer:
 
 * the scalar append path — eight flat ``array`` columns the
   :class:`~repro.host.machine.HostMachine` appends to directly, drained
@@ -13,13 +17,17 @@ feed it:
   :class:`~repro.host.burst.BurstEngine`, registered here as a *flusher*
   so length queries and readers always see a consistent trace.
 
-Traces past the ``REPRO_TRACE_SPILL_MB`` threshold migrate the buffer to
-a memory-mapped file under the disk cache's ``spill/`` directory, so
-10–100M-instruction traces stream through the page cache instead of
-living wholly in RAM. Consumers then receive ``int64`` memmap-backed
-column views; :meth:`InstructionTrace.save` always casts back to the
-canonical column dtypes, so persisted bytes are identical with spill on
-or off.
+**Finished**, once :meth:`InstructionTrace.freeze` has run (the
+experiment runner freezes every trace as its guest run ends) or when the
+trace was loaded from an encoded file. A finished trace is one dict of
+decoded columns in the canonical narrow dtypes, 35 bytes per row.
+Freezing moves the last buffered rows out, joins each column's blocks
+into one array, and drops the buffer, the staging columns and the
+flusher, and with the flusher the machine and burst engine that produced
+the trace. A loaded trace decodes its columns from the file
+(:mod:`.codec`) into the same dict on first use. Any trace pickles as a
+finished one: as the path of the file holding its bytes when there is
+one, and as its columns otherwise.
 
 Columns
 -------
@@ -36,7 +44,6 @@ origin    origin PC for caller-dependent annotation (Section IV-B.1)
 
 from __future__ import annotations
 
-import os
 from array import array
 from pathlib import Path
 
@@ -56,58 +63,34 @@ _DTYPES = tuple(np.dtype(code) for code in _TYPECODES)
 # The codec owns the persisted format; the column schemas must agree.
 assert _COLUMNS == _codec.COLUMNS and _DTYPES == _codec.DTYPES
 
-#: Initial committed-buffer capacity in rows. 128K rows (8 MB) covers
-#: small-to-medium traces outright, so most runs never pay a growth
-#: copy; larger traces grow geometrically from here.
-_INITIAL_ROWS = 1 << 17
+#: Rows the live buffer holds before they move into the column blocks.
+#: 128K rows (8 MB) keep a small trace in one block; a single burst
+#: flush larger than this widens the buffer to fit it.
+_BUFFER_ROWS = 1 << 17
 
 #: Drain the scalar staging columns into the buffer past this many rows.
 _STAGE_DRAIN_ROWS = 1 << 15
 
-SPILL_ENV = "REPRO_TRACE_SPILL_MB"
-
-_ROW_BYTES = 8 * 8  # eight int64 cells per row
-
-_spill_seq = 0
-
-
-def _spill_threshold_bytes() -> int | None:
-    """Spill threshold from ``REPRO_TRACE_SPILL_MB`` (None = disabled)."""
-    raw = os.environ.get(SPILL_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        mb = float(raw)
-    except ValueError:
-        return None
-    if mb <= 0:
-        return None
-    return int(mb * 1024 * 1024)
-
-
-def _spill_directory() -> Path | None:
-    """The disk cache's ``spill/`` dir, or None when caching is off.
-
-    Imported lazily: the host layer must stay importable without the
-    experiments package, and spill is pointless without a cache root to
-    govern the files (``repro cache gc`` evicts orphans).
-    """
-    try:
-        from ..experiments.diskcache import DiskCache
-    except ImportError:  # pragma: no cover - packaging safety net
-        return None
-    root = DiskCache().root
-    if root is None:
-        return None
-    return Path(root) / "spill"
-
 
 class InstructionTrace:
-    """Append-only columnar buffer of host instructions."""
+    """Columnar host-instruction trace: appendable while live, read-only
+    once finished (see the module docstring)."""
 
     def __init__(self) -> None:
-        self._buf = np.zeros((_INITIAL_ROWS, 8), dtype=np.int64)
-        self._n = 0  # committed rows in self._buf
+        #: Live row buffer; None once the trace is finished. Rows past
+        #: the cursor are written before they are ever read, so it is
+        #: left uninitialized.
+        self._buf: np.ndarray | None = np.empty((_BUFFER_ROWS, 8),
+                                                dtype=np.int64)
+        #: Rows of ``_buf`` in use.
+        self._fill = 0
+        #: Committed rows: the blocks' and the buffer's while live, the
+        #: whole trace once finished.
+        self._n = 0
+        #: Live only: per column, the narrow blocks moved out of the
+        #: buffer, in row order.
+        self._blocks: tuple[list[np.ndarray], ...] | None = tuple(
+            [] for _ in _COLUMNS)
         # Scalar staging columns: the machine's emit helpers bind and
         # append to these directly (array.append is far cheaper than a
         # per-row numpy assignment); they are drained in bulk.
@@ -115,26 +98,42 @@ class InstructionTrace:
         #: Optional deferred-emission queue (burst engine). Must expose
         #: ``pending_rows`` and ``flush()``.
         self._flusher = None
-        self._sealed = False
-        self._spill_bytes = _spill_threshold_bytes()
-        self._spill_path: Path | None = None
-        self._frozen: dict[str, np.ndarray] | None = None
-        self._frozen_len = -1
-        #: Lazy v2 reader backing this trace (see :meth:`_from_reader`).
+        #: Finished only: the decoded canonical columns (a loaded trace
+        #: fills them column by column).
+        self._columns: dict[str, np.ndarray] = {}
+        #: Lazy v2 reader backing a loaded trace (see :meth:`_from_reader`).
         self._reader: _codec.FrameReader | None = None
-        self._col_cache: dict[str, np.ndarray] = {}
-        #: On-disk file known to hold exactly this trace's bytes; when
-        #: live, pickling ships the path instead of the arrays.
+        #: On-disk file known to hold exactly this trace's bytes; while
+        #: it exists, pickling ships the path instead of the columns.
         self._ref_path: Path | None = None
         self._ref_rows = -1
+
+    @classmethod
+    def _finished(cls, columns: dict[str, np.ndarray], rows: int,
+                  reader: "_codec.FrameReader | None" = None,
+                  ) -> "InstructionTrace":
+        """A finished trace: ``columns`` whole, or filled on demand
+        from ``reader``."""
+        trace = cls.__new__(cls)
+        trace._buf = None
+        trace._fill = 0
+        trace._n = rows
+        trace._blocks = None
+        trace._stage = None
+        trace._flusher = None
+        trace._columns = columns
+        trace._reader = reader
+        trace._ref_path = Path(reader.path) if reader is not None else None
+        trace._ref_rows = rows if reader is not None else -1
+        return trace
 
     # ------------------------------------------------------------------
     # Length and synchronization
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._reader is not None:
-            return self._reader.rows
+        if self._buf is None:
+            return self._n
         n = self._n + len(self._stage[0])
         flusher = self._flusher
         if flusher is not None:
@@ -142,7 +141,9 @@ class InstructionTrace:
         return n
 
     def _sync(self) -> None:
-        """Drain staging and the burst queue into the committed buffer."""
+        """Drain staging and the burst queue into the committed rows."""
+        if self._buf is None:
+            return
         flusher = self._flusher
         if flusher is not None and flusher.pending_rows:
             flusher.flush()
@@ -154,8 +155,6 @@ class InstructionTrace:
         k = len(stage[0])
         if not k:
             return
-        if self._sealed:
-            raise TraceError("trace is frozen; late appends are invalid")
         start = self.alloc_rows(k)
         buf = self._buf
         for j, (column, dtype) in enumerate(zip(stage, _DTYPES)):
@@ -170,7 +169,7 @@ class InstructionTrace:
                size: int = 0, dep: int = 1, flags: int = 0,
                origin: int = 0) -> None:
         """Append one instruction. Hot path: keep argument handling flat."""
-        if self._sealed:
+        if self._buf is None:
             raise TraceError("trace is frozen; append is invalid")
         flusher = self._flusher
         if flusher is not None and flusher.pending_rows:
@@ -188,119 +187,54 @@ class InstructionTrace:
             self._drain_stage()
 
     def alloc_rows(self, count: int) -> int:
-        """Reserve ``count`` committed rows; return the start index.
+        """Reserve ``count`` committed rows; return their start index in
+        :meth:`buffer`.
 
-        The caller must fill ``buffer()[start:start+count]`` completely.
-        Used by the staging drain and the burst engine's flush.
+        The caller must fill ``buffer()[start:start+count]`` completely
+        before the next reservation. Used by the staging drain and the
+        burst engine's flush.
         """
-        if self._sealed:
+        buf = self._buf
+        if buf is None:
             raise TraceError("trace is frozen; appending rows is invalid")
-        needed = self._n + count
-        if needed > self._buf.shape[0]:
-            self._grow(needed)
-        start = self._n
-        self._n = needed
+        if self._fill + count > buf.shape[0]:
+            self._move_buffer()
+            if count > buf.shape[0]:
+                self._buf = np.empty((count, 8), dtype=np.int64)
+        start = self._fill
+        self._fill += count
+        self._n += count
         return start
 
-    def buffer(self) -> np.ndarray:
-        """The committed row-major buffer (valid rows: ``[:alloc'd]``)."""
+    def buffer(self) -> np.ndarray | None:
+        """The live row-major buffer (rows in use: ``[:start+count]`` of
+        the last reservation); None once the trace is finished."""
         return self._buf
 
-    def _grow(self, needed_rows: int) -> None:
-        # Grow 8x: geometric growth keeps total copy volume at ~1/7 of
-        # the final capacity (vs ~1x for doubling), and the copies are
-        # the only real cost here — rows past the cursor are written
-        # before they are ever read, so the buffer is left uninitialized.
-        cap = self._buf.shape[0]
-        new_cap = max(cap * 8, needed_rows)
-        spill = self._spill_bytes
-        if (self._spill_path is None and spill is not None
-                and new_cap * _ROW_BYTES >= spill):
-            if self._spill_to_disk(new_cap):
-                return
-        if self._spill_path is not None:
-            self._remap(new_cap)
+    def _move_buffer(self) -> None:
+        """Move the buffered rows into the narrow column blocks."""
+        k = self._fill
+        if not k:
             return
-        grown = np.empty((new_cap, 8), dtype=np.int64)
-        grown[:self._n] = self._buf[:self._n]
-        self._buf = grown
+        buf = self._buf
+        for j, (blocks, dtype) in enumerate(zip(self._blocks, _DTYPES)):
+            blocks.append(np.ascontiguousarray(buf[:k, j], dtype=dtype))
+        self._fill = 0
 
-    # ------------------------------------------------------------------
-    # Spill-to-disk storage
-    # ------------------------------------------------------------------
-
-    def _spill_to_disk(self, cap_rows: int) -> bool:
-        """Move the buffer to a memmap under the cache's spill dir."""
-        global _spill_seq
-        directory = _spill_directory()
-        if directory is None:
-            self._spill_bytes = None  # caching off: stay in memory
-            return False
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            _spill_seq += 1
-            stem = f"trace-{os.getpid()}-{_spill_seq}"
-            path = directory / f"{stem}.bin"
-            mm = np.memmap(path, dtype=np.int64, mode="w+",
-                           shape=(cap_rows, 8))
-            # Sidecar-last: the .json marks the spill file as live and
-            # complete, mirroring the cache's commit protocol so gc can
-            # treat sidecar-less files as partial writes.
-            sidecar = directory / f"{stem}.json"
-            sidecar.write_text(
-                '{"kind": "trace_spill", "pid": %d}\n' % os.getpid(),
-                encoding="utf-8")
-        except OSError:
-            self._spill_bytes = None  # unwritable spill dir: stay in RAM
-            return False
-        mm[:self._n] = self._buf[:self._n]
-        self._buf = mm
-        self._spill_path = path
-        from ..telemetry import TELEMETRY
-        TELEMETRY.metrics.counter("trace.spilled").inc()
-        return True
-
-    def _remap(self, cap_rows: int) -> None:
-        """Grow the spill file in place and re-map the buffer."""
-        path = self._spill_path
-        assert path is not None
-        old = self._buf
-        if isinstance(old, np.memmap):
-            old.flush()
-        del old
-        self._buf = np.memmap(path, dtype=np.int64, mode="r+",
-                              shape=(cap_rows, 8))
-
-    @property
-    def spill_path(self) -> Path | None:
-        """Backing spill file, when the trace has migrated to disk."""
-        return self._spill_path
+    def _join_blocks(self) -> dict[str, np.ndarray]:
+        """Each column as one array. Joins a column at a time, so the
+        peak is the blocks plus one joined column."""
+        for blocks, dtype in zip(self._blocks, _DTYPES):
+            if len(blocks) != 1:
+                blocks[:] = [np.concatenate(blocks) if blocks
+                             else np.empty(0, dtype=dtype)]
+        return {name: blocks[0]
+                for name, blocks in zip(_COLUMNS, self._blocks)}
 
     def close(self) -> None:
-        """Release the backing spill file and/or reader mapping."""
-        reader = self._reader
-        if reader is not None:
-            reader.close()
-        path = self._spill_path
-        if path is None:
-            return
-        self._spill_path = None
-        buf = self._buf
-        # Detach from the memmap before unlinking; keep the committed
-        # rows readable afterwards by pulling them back into memory.
-        self._buf = np.array(buf[:self._n], dtype=np.int64, copy=True)
-        del buf
-        for victim in (path, path.with_suffix(".json")):
-            try:
-                victim.unlink()
-            except OSError:
-                pass
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
+        """Release a loaded trace's file mapping (it re-maps on use)."""
+        if self._reader is not None:
+            self._reader.close()
 
     # ------------------------------------------------------------------
     # Pickling (cross-process fan-out)
@@ -328,118 +262,103 @@ class InstructionTrace:
         return path
 
     def _materialize(self) -> None:
-        """Pull a reader-backed trace fully into memory (drops the
-        reader). Used when the backing file may not outlive a pickle."""
-        reader = self._reader
-        if reader is None:
+        """Decode every column of a loaded trace and drop its reader.
+        Used when the backing file may not outlive a pickle."""
+        if self._reader is None:
             return
-        arrays = {name: self.column(name) for name in _COLUMNS}
-        count = reader.rows
+        self.arrays()
         self._reader = None
-        self._col_cache = {}
-        self._buf = np.zeros((max(count, 1), 8), dtype=np.int64)
-        self._n = count
-        for j, name in enumerate(_COLUMNS):
-            self._buf[:count, j] = arrays[name]
-        self._frozen = None
-        self._frozen_len = -1
 
     def __getstate__(self) -> dict:
-        # Drain staging and the burst queue first — the flusher holds
-        # the (unpicklable) compiled kernel and its queues are
-        # meaningless in another process.
-        self._sync()
+        # A trace travels finished: as the path of the file holding its
+        # bytes, or as its columns alone. The row buffer and the flusher
+        # (the compiled kernel and its queues) never cross a process.
         ref = self._pickle_ref()
         if ref is not None:
             from ..telemetry import TELEMETRY
             TELEMETRY.metrics.counter("trace.pickle_refs").inc()
             return {"_pickle_ref": str(ref), "_pickle_rows": len(self)}
-        if self._reader is not None:
-            self._materialize()
-        state = self.__dict__.copy()
-        state["_flusher"] = None
-        state["_reader"] = None
-        state["_col_cache"] = {}
-        return state
+        self._materialize()
+        return {"_columns": self.arrays()}
 
     def __setstate__(self, state: dict) -> None:
         ref = state.get("_pickle_ref")
         if ref is None:
-            self.__dict__.update(state)
-            return
-        # By-reference pickle: re-open the cache/trace file. If it was
-        # evicted in flight this raises TraceError, which the supervised
-        # fan-out treats like any worker failure and recomputes.
-        loaded = type(self).load(ref)
-        if len(loaded) != state["_pickle_rows"]:
-            raise TraceError(
-                f"trace reference {ref} holds {len(loaded)} rows, "
-                f"expected {state['_pickle_rows']} (file changed "
-                "between pickle and unpickle)")
-        self.__dict__.update(loaded.__dict__)
+            columns = state["_columns"]
+            finished = self._finished(columns, len(columns[_COLUMNS[0]]))
+        else:
+            # By-reference pickle: re-open the cache/trace file. If it
+            # was evicted in flight this raises TraceError, which the
+            # supervised fan-out treats like any worker failure and
+            # recomputes.
+            finished = type(self).load(ref)
+            if len(finished) != state["_pickle_rows"]:
+                raise TraceError(
+                    f"trace reference {ref} holds {len(finished)} rows, "
+                    f"expected {state['_pickle_rows']} (file changed "
+                    "between pickle and unpickle)")
+        self.__dict__.update(finished.__dict__)
 
     # ------------------------------------------------------------------
     # Freeze
     # ------------------------------------------------------------------
 
     def freeze(self) -> None:
-        """Seal the trace: further appends (any path) fail loudly."""
+        """Finish the trace: seal every append path, keep only columns.
+
+        Drains the burst queue and the staging columns, moves the last
+        buffered rows into the blocks, joins each column once, and drops
+        the row buffer, the staging arrays and the flusher, so the trace
+        no longer keeps the machine and burst engine that produced it
+        alive. Idempotent.
+        """
+        if self._buf is None:
+            return
         self._sync()
-        self._sealed = True
+        self._move_buffer()
+        self._buf = None
+        self._columns = self._join_blocks()
+        self._blocks = None
+        self._stage = None
+        self._flusher = None
 
     @property
     def frozen(self) -> bool:
-        return self._sealed
+        return self._buf is None
 
     # ------------------------------------------------------------------
     # Readers
     # ------------------------------------------------------------------
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Return the trace as numpy arrays (cached by length).
+        """Return the trace as numpy arrays in the canonical dtypes.
 
-        Producers append through staging buffers for speed, so the cache
-        is keyed on trace length rather than invalidated on every
-        append. In-memory traces are returned with the canonical narrow
-        dtypes; spilled traces return ``int64`` memmap-backed column
-        views so reading a 100M-row trace does not materialize it.
+        A finished trace returns its columns, decoding any a loaded
+        trace has not touched yet. A live trace moves its buffered rows
+        out and joins its blocks; the joined blocks stay, so the next
+        call only joins what was appended since.
         """
-        self._sync()
-        reader = self._reader
-        if reader is not None:
-            if self._frozen is None:
-                self._frozen = {name: self.column(name)
-                                for name in _COLUMNS}
-                self._frozen_len = reader.rows
-            return self._frozen
-        if self._frozen is None or self._frozen_len != self._n:
-            self._frozen_len = self._n
-            n = self._n
-            buf = self._buf
-            if self._spill_path is not None:
-                self._frozen = {name: buf[:n, j]
-                                for j, name in enumerate(_COLUMNS)}
-            else:
-                self._frozen = {
-                    name: np.ascontiguousarray(buf[:n, j], dtype=dtype)
-                    for j, (name, dtype) in
-                    enumerate(zip(_COLUMNS, _DTYPES))
-                }
-        return self._frozen
+        if self._buf is not None:
+            self._sync()
+            self._move_buffer()
+            return self._join_blocks()
+        columns = self._columns
+        if len(columns) < len(_COLUMNS):
+            self._columns = columns = {
+                name: self.column(name) for name in _COLUMNS}
+        return columns
 
     def column(self, name: str) -> np.ndarray:
         if name not in _COLUMNS:
             raise TraceError(f"unknown trace column: {name!r}")
-        reader = self._reader
-        if reader is not None and self._frozen is None:
+        if self._buf is not None:
+            return self.arrays()[name]
+        cached = self._columns.get(name)
+        if cached is None:
             # Per-column lazy decode: a consumer that only needs
             # ``category`` never pays for the pc/addr varint streams.
-            cached = self._col_cache.get(name)
-            if cached is None:
-                cached = reader.column(name)
-                self._col_cache[name] = cached
-            return cached
-        return self.arrays()[name]
+            cached = self._columns[name] = self._reader.column(name)
+        return cached
 
     def category_counts(self) -> np.ndarray:
         """Instruction count per category value (index = category)."""
@@ -447,51 +366,22 @@ class InstructionTrace:
             return np.zeros(32, dtype=np.int64)
         return np.bincount(self.column("category"), minlength=32)
 
-    def _block(self, start: int, stop: int) -> dict[str, np.ndarray]:
-        """Canonical-dtype columns for rows ``[start, stop)`` read
-        straight from the committed buffer — one frame's worth at a
-        time, so encoding a spilled trace streams through the memmap
-        without materializing full columns."""
-        buf = self._buf
-        return {name: np.ascontiguousarray(buf[start:stop, j],
-                                           dtype=dtype)
-                for j, (name, dtype) in
-                enumerate(zip(_COLUMNS, _DTYPES))}
-
     def save(self, path: str | Path) -> None:
         """Persist the trace as v2 columnar frames (:mod:`.codec`).
 
-        Columns are always cast to the canonical dtypes, so the bytes
-        on disk are identical whether or not the trace spilled.
+        Live or finished, the frames encode the same canonical columns,
+        so a live trace and the same trace frozen save identical bytes.
         """
         self._sync()
-        reader = self._reader
-        if reader is not None and self._frozen is None:
-            _codec.encode_file(path, reader.decode_range, reader.rows)
-        else:
-            _codec.encode_file(path, self._block, len(self))
+        _codec.encode_file(path, self.slice_view, len(self))
 
     @classmethod
     def _from_reader(cls, reader: "_codec.FrameReader",
                      ) -> "InstructionTrace":
-        """A sealed trace lazily backed by an encoded file — columns
+        """A finished trace lazily backed by an encoded file — columns
         and row ranges decode on demand; the full ``(n, 8)`` row-major
         buffer is never materialized."""
-        trace = cls.__new__(cls)
-        trace._buf = np.zeros((0, 8), dtype=np.int64)
-        trace._n = 0
-        trace._stage = tuple(array(code) for code in _TYPECODES)
-        trace._flusher = None
-        trace._sealed = True
-        trace._spill_bytes = None
-        trace._spill_path = None
-        trace._frozen = None
-        trace._frozen_len = -1
-        trace._reader = reader
-        trace._col_cache = {}
-        trace._ref_path = Path(reader.path)
-        trace._ref_rows = reader.rows
-        return trace
+        return cls._finished({}, reader.rows, reader)
 
     @classmethod
     def load(cls, path: str | Path) -> "InstructionTrace":
@@ -505,15 +395,15 @@ class InstructionTrace:
     def slice_view(self, start: int, stop: int) -> dict[str, np.ndarray]:
         """Read-only view of rows ``[start, stop)`` as numpy arrays.
 
-        On a reader-backed (v2-loaded) trace this decodes only the
-        frames covering the range — block-mapped access, never the
-        whole file.
+        On a loaded trace whose columns are not all decoded this decodes
+        only the frames covering the range — block-mapped access, never
+        the whole file.
         """
         if not (0 <= start <= stop <= len(self)):
             raise TraceError(
                 f"slice [{start}, {stop}) out of range for trace of "
                 f"length {len(self)}")
-        if self._reader is not None and self._frozen is None:
+        if self._buf is None and len(self._columns) < len(_COLUMNS):
             return self._reader.decode_range(start, stop)
         return {name: arr[start:stop]
                 for name, arr in self.arrays().items()}

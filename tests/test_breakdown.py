@@ -21,7 +21,7 @@ from repro.workloads import BREAKDOWN_QUICK_SUITE
 
 
 def make_runner():
-    return ExperimentRunner(scale=1, trace_cache_size=2)
+    return ExperimentRunner(scale=1)
 
 
 def test_breakdown_shares_sum_to_one():

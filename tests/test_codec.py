@@ -200,19 +200,18 @@ def test_frozen_trace_roundtrip_through_save_load(tmp_path):
     _assert_arrays_equal(trace.arrays(), loaded.arrays())
 
 
-def test_spilled_trace_saves_identically(tmp_path, monkeypatch):
-    rng = np.random.default_rng(5)
-    arrays = _random_arrays(rng, 200_000)
-    in_memory = _trace_from_arrays(arrays)
-    monkeypatch.setenv("REPRO_TRACE_SPILL_MB", "1")
-    spilled = _trace_from_arrays(arrays)
-    assert spilled.spill_path is not None, "trace did not spill"
-    a = tmp_path / "memory.rpt"
-    b = tmp_path / "spilled.rpt"
-    in_memory.save(a)
-    spilled.save(b)
-    assert a.read_bytes() == b.read_bytes()
-    spilled.close()
+def test_frozen_trace_saves_identically(tmp_path):
+    # Saving a live trace joins its blocks as they stand; a frozen one
+    # encodes the columns freeze joined. The file bytes must not differ.
+    arrays = _random_arrays(np.random.default_rng(5), 200_000)
+    trace = _trace_from_arrays(arrays)
+    live = tmp_path / "live.rpt"
+    trace.save(live)
+    trace.freeze()
+    assert trace.buffer() is None
+    frozen = tmp_path / "frozen.rpt"
+    trace.save(frozen)
+    assert live.read_bytes() == frozen.read_bytes()
 
 
 # ----------------------------------------------------------------------
@@ -308,11 +307,10 @@ def test_v2_load_is_lazy_per_column(tmp_path):
     assert trace._reader is not None
     assert len(trace) == 300
     trace.column("category")
-    assert set(trace._col_cache) == {"category"}
-    assert trace._frozen is None  # nothing else decoded
+    assert set(trace._columns) == {"category"}  # nothing else decoded
     window = trace.slice_view(10, 20)
     assert len(window["pc"]) == 10
-    assert trace._frozen is None
+    assert set(trace._columns) == {"category"}
     counts = trace.category_counts()
     assert counts.sum() == 300
 

@@ -407,83 +407,47 @@ def test_usage_counts_entries_and_quarantine(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Spill governance (live-trace memmaps under spill/)
+# The runner's in-memory LRU in front of the disk cache
 # ----------------------------------------------------------------------
 
 
-def _spill_pair(directory, stem, pid, payload=b"x" * 256):
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / f"{stem}.bin").write_bytes(payload)
-    (directory / f"{stem}.json").write_text(
-        '{"kind": "trace_spill", "pid": %d}' % pid)
-
-
-def test_sweep_spill_keeps_live_and_removes_dead(tmp_path):
-    cache = DiskCache(tmp_path / "cache")
-    spill = tmp_path / "cache" / "spill"
-    _spill_pair(spill, "trace-live-1", os.getpid())
-    _spill_pair(spill, "trace-dead-1", 2 ** 22 + 12345)  # beyond pid_max
-    (spill / "trace-part-1.bin").write_bytes(b"y")  # no sidecar: partial
-    (spill / "trace-gone-1.json").write_text(
-        '{"kind": "trace_spill", "pid": 1}')  # sidecar without payload
-    stats = cache.sweep_spill()
-    assert stats["removed"] == 3
-    assert stats["kept"] == 1
-    assert sorted(p.name for p in spill.iterdir()) == [
-        "trace-live-1.bin", "trace-live-1.json"]
-
-
-def test_sweep_spill_drops_unparseable_sidecars(tmp_path):
-    cache = DiskCache(tmp_path / "cache")
-    spill = tmp_path / "cache" / "spill"
-    spill.mkdir(parents=True)
-    (spill / "trace-bad-1.bin").write_bytes(b"z" * 64)
-    (spill / "trace-bad-1.json").write_text("not json")
-    assert cache.sweep_spill()["removed"] == 1
-    assert not list(spill.iterdir())
-
-
-def test_gc_reports_and_usage_counts_spill(tmp_path):
-    cache = DiskCache(tmp_path / "cache")
-    spill = tmp_path / "cache" / "spill"
-    _spill_pair(spill, "trace-live-1", os.getpid())
-    _spill_pair(spill, "trace-dead-1", 2 ** 22 + 54321)
-    usage = cache.usage()
-    assert usage["spill"]["entries"] == 2
-    assert usage["spill"]["bytes"] > 0
-    stats = cache.gc(max_bytes=1 << 30)
-    assert stats["spill_removed"] == 1
-    assert cache.usage()["spill"]["entries"] == 1
-
-
-def test_eviction_and_disk_refetch_count_as_spill(tmp_path):
+def test_eviction_and_disk_refetch_are_counted(tmp_path, monkeypatch):
     from repro import telemetry
     telemetry.enable()
-    runner = ExperimentRunner(disk_cache=DiskCache(tmp_path / "cache"),
-                              trace_cache_size=1, state_cache_size=1)
+    # A one-byte budget holds only the newest entry.
+    monkeypatch.setattr(ExperimentRunner, "CACHE_BUDGET_BYTES", 1)
+    runner = ExperimentRunner(disk_cache=DiskCache(tmp_path / "cache"))
     runner.run("chaos", runtime="pypy", jit=True, nursery=64 * 1024)
     runner.run("nbody", runtime="pypy", jit=True, nursery=64 * 1024)
-    assert _counter("cache.spilled{kind=trace}") == 1
-    # Re-running the evicted workload hits disk: a spill round-trip.
+    assert _counter("runner.cache.evicted{kind=trace}") == 1
+    # Re-running the evicted workload reads it back from disk.
     runner.run("chaos", runtime="pypy", jit=True, nursery=64 * 1024)
-    assert _counter("cache.spill_hits{kind=trace}") == 1
+    assert _counter("runner.disk_cache.hit{kind=trace}") == 1
     handle = runner.last_handle
     state_a = runner.memory_side(handle, skylake_config())
-    state_b = runner.memory_side(handle, scaled_config(1))
-    assert _counter("cache.spilled{kind=state}") == 1
+    runner.memory_side(handle, scaled_config(1))
+    assert _counter("runner.cache.evicted{kind=state}") == 1
     refetched = runner.memory_side(handle, skylake_config())
-    assert _counter("cache.spill_hits{kind=state}") == 1
+    assert _counter("runner.disk_cache.hit{kind=state}") == 1
     assert refetched.mem_lines == state_a.mem_lines
+    assert runner.cache_bytes == _counter("runner.cache.bytes")
 
 
-def test_no_spill_counters_when_disk_cache_disabled(tmp_path):
+def test_eviction_without_disk_cache_recomputes(tmp_path, monkeypatch):
     from repro import telemetry
     telemetry.enable()
-    runner = ExperimentRunner(disk_cache=DiskCache(None),
-                              trace_cache_size=1)
-    runner.run("chaos", runtime="pypy", jit=True, nursery=64 * 1024)
+    monkeypatch.setattr(ExperimentRunner, "CACHE_BUDGET_BYTES", 1)
+    runner = ExperimentRunner(disk_cache=DiskCache(None))
+    first = runner.run("chaos", runtime="pypy", jit=True, nursery=64 * 1024)
     runner.run("nbody", runtime="pypy", jit=True, nursery=64 * 1024)
-    assert _counter("cache.spilled") == 0
+    assert _counter("runner.cache.evicted{kind=trace}") == 1
+    # With no disk tier behind it, an evicted trace is interpreted again.
+    again = runner.run("chaos", runtime="pypy", jit=True, nursery=64 * 1024)
+    assert again is not first
+    assert _counter("runner.trace_cache.miss") == 3
+    assert _counter("runner.disk_cache") == 0
+    assert np.array_equal(again.trace.arrays()["pc"],
+                          first.trace.arrays()["pc"])
 
 
 # -- verify_entries: the `repro cache verify` audit --------------------

@@ -1,11 +1,11 @@
 """Emission-path equivalence: every backend produces the same bytes.
 
-The burst engine, the compiled flush kernel, and spill-to-disk storage
-are pure performance features: traces, category breakdowns, and cache
-keys must be byte-identical across every ``REPRO_EMIT_BACKEND`` x
-kernel (on, or ``get_kernel`` patched to ``None``) x spill combination
-— and across interpreter hash-seed randomization, since nothing
-observable may depend on ``hash()``.
+The burst engine and the compiled flush kernel are pure performance
+features: traces, category breakdowns, and cache keys must be
+byte-identical across every ``REPRO_EMIT_BACKEND`` x kernel (on, or
+``get_kernel`` patched to ``None``) combination — and across
+interpreter hash-seed randomization, since nothing observable may
+depend on ``hash()``.
 """
 
 from __future__ import annotations
@@ -32,41 +32,29 @@ WORKLOAD = "richards"
 #: The unpatched kernel accessor (``None`` when no compiler builds it).
 _BUILT_KERNEL = _emit_kernel.get_kernel
 
-#: (backend, kernel on, spill on). The scalar path never consults the
-#: kernel or the burst queues, so its kernel axis is not enumerated.
+#: (backend, kernel on). The scalar path never consults the kernel or
+#: the burst queues, so its kernel axis is not enumerated.
 COMBOS = [
-    ("scalar", False, False),
-    ("scalar", False, True),
-    ("burst", False, False),
-    ("burst", False, True),
-    ("burst", True, False),
-    ("burst", True, True),
+    ("scalar", False),
+    ("burst", False),
+    ("burst", True),
 ]
 
 
-def _run_combo(monkeypatch, tmp_path, backend: str, kernel: bool,
-               spill: bool):
+def _run_combo(monkeypatch, tmp_path, backend: str, kernel: bool):
     monkeypatch.setenv("REPRO_EMIT_BACKEND", backend)
     monkeypatch.setattr(_emit_kernel, "get_kernel",
                         _BUILT_KERNEL if kernel else lambda: None)
-    if spill:
-        # 1 MB ~ 16K rows: well under the workload's trace, so the
-        # buffer genuinely migrates to a memmap mid-run.
-        monkeypatch.setenv("REPRO_TRACE_SPILL_MB", "1")
-    else:
-        monkeypatch.delenv("REPRO_TRACE_SPILL_MB", raising=False)
     # A disabled disk cache isolates the combos from one another: every
-    # run interprets from scratch (spill still works; it keys off
-    # REPRO_CACHE_DIR, which conftest points at tmp_path).
+    # run interprets from scratch.
     runner = ExperimentRunner(disk_cache=DiskCache(None))
     handle = runner.run(WORKLOAD, "cpython", jit=False)
     return runner, handle
 
 
 def _trace_digest(handle) -> str:
-    # Normalize to int64: spilled traces hand back memmap int64
-    # columns, in-memory traces the canonical narrower dtypes. The
-    # *values* must agree; save() canonicalizes dtypes on persist.
+    # Every column is hashed widened to int64, so the pinned digests
+    # below do not depend on the column dtypes.
     digest = hashlib.sha256()
     for name, column in sorted(handle.trace.arrays().items()):
         digest.update(name.encode())
@@ -77,20 +65,16 @@ def _trace_digest(handle) -> str:
 
 def test_all_emission_combos_are_bit_identical(monkeypatch, tmp_path):
     reference = None
-    for backend, kernel, spill in COMBOS:
+    for backend, kernel in COMBOS:
         runner, handle = _run_combo(monkeypatch, tmp_path, backend,
-                                    kernel, spill)
+                                    kernel)
         result = (_trace_digest(handle), runner.last_cache_key,
                   handle.site_table, handle.bytecodes,
                   handle.allocations)
-        # The digest above forces a full drain, so by now the buffer
-        # has migrated (burst spills mid-run; scalar at first read).
-        spilled = handle.trace.spill_path is not None
-        assert spilled == spill, (backend, kernel, spill)
         if reference is None:
             reference = result
         else:
-            assert result == reference, (backend, kernel, spill)
+            assert result == reference, (backend, kernel)
 
 
 #: Seeded program generator: each snippet leans on a different fused
@@ -238,10 +222,9 @@ def test_workload_sample_equivalent_across_backends(monkeypatch, tmp_path,
 
 def test_category_breakdowns_match_across_backends(monkeypatch, tmp_path):
     cycles = None
-    for backend, kernel, spill in (("scalar", False, False),
-                                   ("burst", True, True)):
+    for backend, kernel in (("scalar", False), ("burst", True)):
         runner, handle = _run_combo(monkeypatch, tmp_path, backend,
-                                    kernel, spill)
+                                    kernel)
         breakdown = breakdown_for_run(runner, handle)
         if cycles is None:
             cycles = breakdown.cycles
@@ -304,7 +287,7 @@ def test_frozen_trace_rejects_all_append_paths(monkeypatch):
 
 
 def test_frozen_trace_rejects_burst_flush(monkeypatch, tmp_path):
-    """A burst VM whose trace is frozen mid-run fails loudly on flush."""
+    """A burst VM's frozen trace fails loudly on any further flush."""
     monkeypatch.setenv("REPRO_EMIT_BACKEND", "burst")
     runner = ExperimentRunner(disk_cache=DiskCache(None))
     handle = runner.run(WORKLOAD, "cpython", jit=False)

@@ -99,44 +99,19 @@ def test_simulate_many_configs_matches_serial():
     assert [sim.cpi for sim in batched] == [sim.cpi for sim in serial]
 
 
-def test_ensure_cache_capacity_grow_only_and_capped():
-    from repro import telemetry
-    telemetry.enable()
-    telemetry.reset()
-    runner = ExperimentRunner(scale=1)
-    before_traces = runner._trace_cache_size
-    runner.ensure_cache_capacity(traces=before_traces + 8,
-                                 states=before_traces + 40)
-    assert runner._trace_cache_size == before_traces + 8
-    # Growth only: a smaller figure never shrinks another figure's grid.
-    runner.ensure_cache_capacity(traces=2, states=2)
-    assert runner._trace_cache_size == before_traces + 8
-    # Capped: huge grids degrade to LRU instead of unbounded memory.
-    runner.ensure_cache_capacity(traces=10_000, states=10_000)
-    assert runner._trace_cache_size == ExperimentRunner.TRACE_CACHE_CAP
-    assert runner._state_cache_size == ExperimentRunner.STATE_CACHE_CAP
-    snapshot = telemetry.TELEMETRY.metrics.snapshot()
-    assert snapshot["runner.trace_cache.capacity"] \
-        == ExperimentRunner.TRACE_CACHE_CAP
-    assert snapshot["runner.state_cache.capacity"] \
-        == ExperimentRunner.STATE_CACHE_CAP
-    telemetry.disable()
-
-
 def test_adaptive_capacity_keeps_grid_resident():
-    """A grid bigger than the default cache stays hot once grown.
+    """A grid that fits the byte budget stays hot, however many entries.
 
-    Telemetry hit counters prove it: with capacity sized to the grid, a
-    second pass over the same (workload, nursery) points re-misses
-    nothing — the regression the nursery figures would otherwise hit.
+    Telemetry hit counters prove it: a second pass over the same
+    (workload, nursery) points re-misses nothing — the regression the
+    nursery figures would otherwise hit.
     """
     from repro import telemetry
-    runner = ExperimentRunner(scale=1, trace_cache_size=2)
+    runner = ExperimentRunner(scale=1)
     nurseries = [64 * 1024 * (i + 1) for i in range(4)]
-    runner.ensure_cache_capacity(traces=len(nurseries),
-                                 states=len(nurseries))
     first = [runner.run("sym_sum", runtime="pypy", jit=True, nursery=nb)
              for nb in nurseries]
+    assert runner.cache_bytes <= ExperimentRunner.CACHE_BUDGET_BYTES
     telemetry.enable()
     telemetry.reset()
     second = [runner.run("sym_sum", runtime="pypy", jit=True, nursery=nb)
@@ -148,6 +123,38 @@ def test_adaptive_capacity_keeps_grid_resident():
     hits = sum(v for k, v in snapshot.items()
                if k.startswith("runner.trace_cache.hit"))
     assert misses == 0 and hits == len(nurseries)
+    telemetry.disable()
+
+
+def test_byte_budget_bounds_a_nursery_sweep(monkeypatch):
+    """A budget smaller than the grid bounds what the runner holds to
+    the budget plus the entry just admitted, and changes no result."""
+    from repro import telemetry
+    sweep = dict(workload="sym_sum", jit=True, ratios=(0.25, 0.5, 1.0),
+                 config=scaled_config(5))
+    unbounded = ExperimentRunner(disk_cache=DiskCache(None))
+    want = nursery_sweep(unbounded, **sweep)
+    # Three traces and three states; a third of their bytes must evict.
+    budget = unbounded.cache_bytes // 3
+    monkeypatch.setattr(ExperimentRunner, "CACHE_BUDGET_BYTES", budget)
+    runner = ExperimentRunner(disk_cache=DiskCache(None))
+    held = []
+    admit = runner._admit
+
+    def recording_admit(kind, key, entry, nbytes):
+        admit(kind, key, entry, nbytes)
+        held.append((runner.cache_bytes, nbytes))
+
+    monkeypatch.setattr(runner, "_admit", recording_admit)
+    telemetry.enable()
+    telemetry.reset()
+    got = nursery_sweep(runner, **sweep)
+    assert got == want
+    assert held and all(total <= budget + newest for total, newest in held)
+    snapshot = telemetry.TELEMETRY.metrics.snapshot()
+    assert sum(v for k, v in snapshot.items()
+               if k.startswith("runner.cache.evicted")) > 0
+    assert snapshot["runner.cache.budget_bytes"] == budget
     telemetry.disable()
 
 

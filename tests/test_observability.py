@@ -329,6 +329,9 @@ def test_status_renders_all_three_sections(tmp_path):
     telemetry.reset()
     TELEMETRY.metrics.counter("runner.disk_cache.hit").inc(3)
     TELEMETRY.metrics.counter("runner.disk_cache.miss").inc()
+    TELEMETRY.metrics.gauge("runner.cache.bytes").set(128 * 1024 * 1024)
+    TELEMETRY.metrics.gauge("runner.cache.budget_bytes").set(
+        512 * 1024 * 1024)
     write_manifest(command="run chaos")
     text = render_status(checkpoint=tmp_path / "journal")
     assert "campaign" in text
@@ -336,6 +339,7 @@ def test_status_renders_all_three_sections(tmp_path):
     assert "registry   : 1 records" in text
     assert "seq 1 [run] run chaos" in text
     assert "75.0% hit rate" in text
+    assert "128.0 MiB held of 512.0 MiB budget (25%)" in text
 
 
 def test_status_renders_serve_panel_from_the_session_journal(tmp_path):

@@ -1,4 +1,7 @@
-"""Columnar instruction traces: append, views, persistence."""
+"""Columnar instruction traces: append, views, persistence, freezing."""
+
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
+from repro.experiments import runner as runner_module
+from repro.experiments.diskcache import DiskCache
+from repro.experiments.runner import ExperimentRunner
+from repro.host import trace as trace_module
+from repro.host.codec import RAW_ROW_BYTES
 from repro.host.isa import InstrKind
+from repro.host.machine import HostMachine
 from repro.host.trace import InstructionTrace
 
 
@@ -95,3 +104,82 @@ def test_roundtrip_property(tmp_path_factory, rows):
     loaded = InstructionTrace.load(path)
     assert np.array_equal(loaded.column("pc"), trace.column("pc"))
     assert np.array_equal(loaded.column("addr"), trace.column("addr"))
+
+
+def test_live_trace_keeps_full_buffers_as_narrow_blocks(monkeypatch):
+    """Rows that fill the live buffer move into narrow column blocks:
+    the buffer keeps its size, one reservation wider than the buffer
+    widens it, and every row reads back in order through either append
+    path, live and frozen."""
+    monkeypatch.setattr(trace_module, "_BUFFER_ROWS", 8)
+    monkeypatch.setattr(trace_module, "_STAGE_DRAIN_ROWS", 3)
+    trace = InstructionTrace()
+    for i in range(30):
+        trace.append(pc=i, kind=int(InstrKind.ALU), category=i % 5,
+                     addr=-i, size=8, dep=1, flags=0, origin=7)
+    trace.arrays()  # drain staging before reserving rows directly
+    assert trace.buffer().shape == (8, 8)
+    start = trace.alloc_rows(20)
+    trace.buffer()[start:start + 20] = [
+        [i, int(InstrKind.LOAD), i % 5, -i, 4, 2, 1, 9]
+        for i in range(30, 50)]
+    assert trace.buffer().shape == (20, 8)
+    for i in range(50, 55):
+        trace.append(pc=i, kind=int(InstrKind.ALU), category=i % 5,
+                     addr=-i, size=8, dep=1, flags=0, origin=7)
+    assert len(trace) == 55
+    live = {name: column.copy() for name, column in trace.arrays().items()}
+    assert live["pc"].tolist() == list(range(55))
+    assert live["addr"].tolist() == [-i for i in range(55)]
+    assert live["size"][30:50].tolist() == [4] * 20
+    trace.freeze()
+    for name, column in trace.arrays().items():
+        assert column.dtype == live[name].dtype, name
+        assert np.array_equal(column, live[name]), name
+
+
+# ----------------------------------------------------------------------
+# A finished run's trace is its narrow columns
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cache", ["on", "off"])
+def test_run_freezes_trace_and_releases_machine(monkeypatch, cache):
+    """After a guest run the trace holds its columns and nothing else:
+    no row buffer, and no path back to the HostMachine (and so to the
+    burst engine and the guest heap) that produced it."""
+    if cache == "off":
+        monkeypatch.setenv("REPRO_CACHE", "off")
+    machines = []
+
+    class RecordedMachine(HostMachine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            machines.append(weakref.ref(self))
+
+    monkeypatch.setattr(runner_module, "HostMachine", RecordedMachine)
+    runner = ExperimentRunner()
+    assert runner.disk_cache.enabled == (cache == "on")
+    handle = runner.run("chaos", runtime="pypy", jit=True,
+                        nursery=64 * 1024)
+    trace = handle.trace
+    assert trace.frozen
+    assert trace.buffer() is None
+    assert len(machines) == 1
+    assert machines[0]() is None, "the finished trace pins its machine"
+    assert len(trace) == handle.host_instructions
+    assert len(trace.arrays()["pc"]) == len(trace)
+
+
+def test_cache_off_trace_pickles_as_its_columns(monkeypatch):
+    """With no file to point at, a finished trace ships its narrow
+    columns once (35 B per row) and nothing else."""
+    runner = ExperimentRunner(disk_cache=DiskCache(None))
+    handle = runner.run("richards", "cpython", jit=False)
+    blob = pickle.dumps(handle.trace)
+    assert len(blob) <= len(handle.trace) * RAW_ROW_BYTES + 1024
+    back = pickle.loads(blob)
+    assert back.frozen and len(back) == len(handle.trace)
+    for name, column in handle.trace.arrays().items():
+        assert np.array_equal(column, back.arrays()[name]), name
+        assert column.dtype == back.arrays()[name].dtype, name
