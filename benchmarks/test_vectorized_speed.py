@@ -13,6 +13,7 @@ sit below the targets so shared-runner noise does not flake the suite.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -22,7 +23,9 @@ from conftest import append_text, save_text
 
 from repro.analysis.sweeps import axis_config
 from repro.config import skylake_config
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import ExperimentRunner
+from repro.host.machine import HostMachine
 from repro.uarch import _ooo_kernel
 from repro.uarch.branch import simulate_branches, simulate_branches_scalar
 from repro.uarch.cache import (
@@ -56,13 +59,11 @@ def test_vectorized_speedup_on_megainstruction_trace():
     scalar_s, scalar_cache = _best_of(
         2, lambda: simulate_cache_hierarchy_scalar(arrays, config))
     vector_s, vector_cache = _best_of(
-        3, lambda: simulate_cache_hierarchy(arrays, config,
-                                            backend="auto"))
+        3, lambda: simulate_cache_hierarchy(arrays, config))
     scalar_bs, scalar_branch = _best_of(
         2, lambda: simulate_branches_scalar(arrays, config.branch))
     vector_bs, vector_branch = _best_of(
-        3, lambda: simulate_branches(arrays, config.branch,
-                                     backend="auto"))
+        3, lambda: simulate_branches(arrays, config.branch))
 
     # Identical outputs first: speed means nothing if the bits differ.
     assert np.array_equal(scalar_cache.dlevel, vector_cache.dlevel)
@@ -115,8 +116,7 @@ def test_ooo_core_speedup_on_megainstruction_trace():
                                      state.mispredicted, config))
     kernel_s, kernel_cycles = _best_of(
         3, lambda: ooo_cycles(arrays, state.dlevel, state.ilevel,
-                              state.mispredicted, config,
-                              backend="auto"))
+                              state.mispredicted, config))
     assert kernel_cycles == scalar_cycles
     speedup = scalar_s / kernel_s
     append_text("vectorized_speed", "\n".join([
@@ -178,7 +178,8 @@ def test_guest_emission_speedup(monkeypatch):
     from repro.experiments.diskcache import DiskCache
 
     def fresh_run(backend, workload, runtime, scale):
-        monkeypatch.setenv("REPRO_EMIT_BACKEND", backend)
+        monkeypatch.setattr(runner_module, "HostMachine",
+                            functools.partial(HostMachine, backend=backend))
         runner = ExperimentRunner(scale=scale, disk_cache=DiskCache(None))
         handle = runner.run(workload, runtime=runtime)
         return handle

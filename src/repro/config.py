@@ -320,11 +320,6 @@ class RuntimeConfig:
         return dataclasses.replace(
             self, gc=dataclasses.replace(self.gc, nursery_size=nursery_size))
 
-    def with_jit(self, enabled: bool) -> "RuntimeConfig":
-        """Return a copy with the JIT toggled (PyPy w/ vs w/o JIT)."""
-        return dataclasses.replace(
-            self, jit=dataclasses.replace(self.jit, enabled=enabled))
-
 
 def cpython_runtime() -> RuntimeConfig:
     """The CPython 2.7-model interpreter-only runtime."""

@@ -49,9 +49,6 @@ Environment knobs:
     cache root (default ``.repro-cache`` under the working directory).
 ``REPRO_CACHE=off``
     disable the disk cache entirely (``0``/``no``/``false`` also work).
-``REPRO_CACHE_VERIFY=off``
-    skip SHA-256 verification on load (pair-presence and parse checks
-    remain); for hot read paths where the checksum cost matters.
 
 Fault injection: when a :class:`~repro.experiments.resilience.
 FaultPlan` arms ``cache_corrupt``, the cache deterministically flips
@@ -90,7 +87,6 @@ _PAYLOAD_EXT = {"traces": ".rpt", "states": ".npz"}
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_TOGGLE_ENV = "REPRO_CACHE"
-CACHE_VERIFY_ENV = "REPRO_CACHE_VERIFY"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Subdirectory corrupt entries are moved to (never read back).
@@ -114,12 +110,6 @@ def cache_root() -> Path | None:
     if toggle in _OFF_VALUES:
         return None
     return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
-
-
-def verify_enabled() -> bool:
-    """Is SHA-256 verification on load enabled (the default)?"""
-    toggle = os.environ.get(CACHE_VERIFY_ENV, "").strip().lower()
-    return toggle not in _OFF_VALUES
 
 
 def content_key(params: dict) -> str:
@@ -235,13 +225,12 @@ class DiskCache:
             # Sidecar without payload (quarantined file, manual delete).
             self._drop_orphan(kind, meta_path)
             return None
-        if verify_enabled():
-            want = meta.get("npz_sha256")
-            if want is None or file_sha256(payload) != want:
-                TELEMETRY.metrics.counter("cache.checksum_mismatch",
-                                          kind=kind).inc()
-                self.quarantine(kind, key)
-                return None
+        want = meta.get("npz_sha256")
+        if want is None or file_sha256(payload) != want:
+            TELEMETRY.metrics.counter("cache.checksum_mismatch",
+                                      kind=kind).inc()
+            self.quarantine(kind, key)
+            return None
         return meta, payload
 
     def _touch(self, kind: str, key: str) -> None:
@@ -319,8 +308,9 @@ class DiskCache:
         for name in ("npz_sha256", "key_params", "payload_format", "rows"):
             meta.pop(name, None)
         try:
-            # Reader-backed lazy trace; late decode failures (e.g. with
-            # REPRO_CACHE_VERIFY=off) still quarantine first.
+            # Reader-backed lazy trace; a decode failure after the
+            # checksum passed (a payload stored corrupt, or changed
+            # since) still quarantines the entry.
             reader = tracecodec.FrameReader(
                 payload, on_corrupt=lambda: self.quarantine("traces", key))
             trace = InstructionTrace._from_reader(reader)
@@ -376,11 +366,6 @@ class DiskCache:
             TELEMETRY.metrics.counter("cache.encode_bytes",
                                       kind="traces").inc(
                 payload_path.stat().st_size)
-            if not self.fault_plan \
-                    or self.fault_plan.spec("cache_corrupt") is None:
-                # The committed file now holds exactly this trace's
-                # bytes: fan-out can pickle the handle by reference.
-                handle.trace.attach_cache_ref(payload_path)
         except OSError:
             # A full/readonly disk must not kill the run that computed
             # the artifact; the entry simply stays a miss.

@@ -31,15 +31,6 @@ rely on:
   next invocation) without shipping multi-megabyte traces over pipes.
   It is also what makes retries cheap: a cell that crashed *after*
   computing expensive sub-results finds them in the cache on re-run.
-  Results that *do* carry a trace (``run_many`` handles) cross the
-  pipe as a **reference**: once the disk cache committed the encoded
-  payload, :meth:`~repro.host.trace.InstructionTrace.__getstate__`
-  pickles the file path instead of the arrays
-  (``trace.pickle_refs``), and the receiving side re-opens it as a
-  lazily decoded mmap — N same-host cells share one set of page-cache
-  bytes instead of deserializing N private copies. A reference whose
-  file was evicted in flight fails the cell load, which the
-  supervision above treats like any worker failure: retry, recompute.
 
 Cells are supervised (see :class:`~repro.experiments.resilience.
 RetryPolicy`): each one is an individual future with an optional

@@ -134,13 +134,9 @@ class ExperimentRunner:
 
     def __init__(self, scale: int = 1, max_instructions: int = 120_000_000,
                  metrics_out: str | None = None,
-                 jobs: int | None = None,
                  disk_cache: DiskCache | None = None) -> None:
         self.scale = scale
         self.max_instructions = max_instructions
-        #: Default worker count for :meth:`run_many`/:meth:`simulate_many`
-        #: (None = consult ``REPRO_JOBS``, then serial).
-        self.jobs = jobs
         self.disk_cache = disk_cache if disk_cache is not None \
             else DiskCache()
         #: ("trace", run key) -> RunHandle and ("state", state key) ->
@@ -271,8 +267,8 @@ class ExperimentRunner:
         }
 
     def _adopt_handle(self, key: tuple, handle: RunHandle) -> RunHandle:
-        """Insert an externally produced handle (disk or worker) as if
-        this runner had run it: fresh token, normal eviction."""
+        """Insert a handle loaded from the disk cache as if this runner
+        had run it: fresh token, normal eviction."""
         handle.token = self._next_token
         self._next_token += 1
         self._admit("trace", key, handle,
@@ -418,52 +414,6 @@ class ExperimentRunner:
             "max_instructions": self.max_instructions,
         }
 
-    def _normalized_key(self, request: dict) -> tuple:
-        workload = request["workload"]
-        runtime = request.get("runtime", "cpython")
-        jit = request.get("jit", True)
-        nursery = request.get("nursery", 1 * _MB)
-        warmup_runs = request.get("warmup_runs", 0)
-        if runtime == "cpython":
-            jit = False
-            nursery = 0
-        return (workload, runtime, jit, nursery, self.scale, warmup_runs)
-
-    def run_many(self, requests, jobs: int | None = None,
-                 ) -> list[RunHandle]:
-        """Execute many guest runs, fanning out across processes.
-
-        ``requests`` is an iterable of :meth:`run` keyword dicts.
-        Returns the handles in request order, adopted into this
-        runner's caches exactly as serial :meth:`run` calls would be.
-        """
-        from .parallel import fan_out
-        requests = [dict(request) for request in requests]
-        results = fan_out(self, _run_cell, [(r,) for r in requests],
-                          jobs if jobs is not None else self.jobs)
-        handles = []
-        for request, handle in zip(requests, results):
-            key = self._normalized_key(request)
-            existing = self._lookup("trace", key)
-            if existing is None:
-                existing = self._adopt_handle(key, handle)
-            handles.append(existing)
-        return handles
-
-    def simulate_many(self, cells, core: str = "ooo",
-                      jobs: int | None = None) -> list:
-        """Timing results for many (run-request, machine-config) cells.
-
-        Each cell is ``(request_dict, MachineConfig)``; results come
-        back in cell order, so aggregation code sees the same sequence
-        a serial loop would produce.
-        """
-        from .parallel import fan_out
-        items = [(dict(request), config, core)
-                 for request, config in cells]
-        return fan_out(self, _simulate_cell, items,
-                       jobs if jobs is not None else self.jobs)
-
     # ------------------------------------------------------------------
     # Telemetry export
     # ------------------------------------------------------------------
@@ -505,15 +455,3 @@ def _state_bytes(state: MemorySideState) -> int:
     """What a held state is charged: the bytes of its arrays."""
     return (state.dlevel.nbytes + state.ilevel.nbytes
             + state.mispredicted.nbytes)
-
-
-def _run_cell(runner: ExperimentRunner, request: dict) -> RunHandle:
-    """Worker cell for :meth:`ExperimentRunner.run_many`."""
-    return runner.run(**request)
-
-
-def _simulate_cell(runner: ExperimentRunner, request: dict,
-                   config: MachineConfig, core: str):
-    """Worker cell for :meth:`ExperimentRunner.simulate_many`."""
-    handle = runner.run(**request)
-    return runner.simulate(handle, config, core=core)

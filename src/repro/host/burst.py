@@ -95,22 +95,6 @@ class BurstEngine:
         self._packed = None  # packed template tables for the kernel
         self.trace._flusher = self
 
-    def __getstate__(self) -> dict:
-        # The compiled kernel (ctypes handles) cannot cross a process
-        # boundary; it is re-acquired lazily on the other side.
-        state = self.__dict__.copy()
-        state["_kernel"] = self._kernel is not None
-        state["_packed"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        want_kernel = state.pop("_kernel")
-        self.__dict__.update(state)
-        self._kernel = None
-        if want_kernel:
-            from ._emit_kernel import get_kernel
-            self._kernel = get_kernel()
-
     @property
     def pending_rows(self) -> int:
         """Exact queued-row count (computed on demand, never tracked)."""

@@ -19,8 +19,6 @@ and the matching epilogue — all tagged ``C_FUNCTION_CALL``.
 
 from __future__ import annotations
 
-import os
-
 from ..categories import OverheadCategory
 from ..errors import VMError
 from .address_space import AddressSpace, C_STACK_TOP
@@ -55,12 +53,6 @@ _RET = int(InstrKind.RET)
 _MUL = int(InstrKind.MUL)
 _DIV = int(InstrKind.DIV)
 
-#: Environment switch for the emission backend: ``auto`` (default)
-#: selects the deferred burst engine, ``scalar`` the original per-row
-#: append path. Both are bit-identical; ``scalar`` remains as the
-#: reference implementation and slow-path fallback.
-BACKEND_ENV = "REPRO_EMIT_BACKEND"
-
 #: Emit helpers shadowed per-instance by ``_<name>_burst`` variants in
 #: burst mode. The template recorder (:meth:`BurstEngine.record`) pops
 #: these instance attributes for the duration of a recording run so the
@@ -71,24 +63,16 @@ BURST_SHADOWED = ("c_call_enter", "c_call_exit", "alu", "fpu", "mul",
                   "touch_range")
 
 
-def resolve_backend(backend: str | None = None) -> str:
-    """Normalize a backend request (arg wins over the environment)."""
-    choice = (backend or os.environ.get(BACKEND_ENV, "auto")).lower()
-    if choice in ("auto", "burst", ""):
-        return "burst"
-    if choice == "scalar":
-        return "scalar"
-    raise VMError(f"unknown {BACKEND_ENV} value: {choice!r} "
-                  "(expected auto|burst|scalar)")
-
-
 class HostMachine:
     """Emit API used by the run-time models; owns PCs, trace, and C stack."""
 
     def __init__(self, space: AddressSpace | None = None,
                  trace: InstructionTrace | None = None,
                  max_instructions: int = 200_000_000,
-                 backend: str | None = None) -> None:
+                 backend: str = "burst") -> None:
+        if backend not in ("burst", "scalar"):
+            raise VMError(f"unknown emission backend {backend!r} "
+                          "(expected 'burst' or 'scalar')")
         self.space = space if space is not None else AddressSpace()
         self.trace = trace if trace is not None else InstructionTrace()
         self.max_instructions = max_instructions
@@ -119,7 +103,10 @@ class HostMachine:
         # bulk; the array objects themselves are stable across drains.
         (self._pc, self._kind, self._cat, self._addr, self._size,
          self._dep, self._flags, self._origin_col) = self.trace._stage
-        self.backend = resolve_backend(backend)
+        #: ``burst`` queues rows for the deferred burst engine;
+        #: ``scalar`` appends them one at a time and is the bit-identical
+        #: reference tests compare against.
+        self.backend = backend
         self._engine = None
         if self.backend == "burst":
             from .burst import BurstEngine
@@ -165,9 +152,6 @@ class HostMachine:
             raise VMError("simulated JIT code region exhausted")
         self.site_table[name] = pc
         return pc
-
-    def instruction_count(self) -> int:
-        return len(self.trace)
 
     def check_budget(self) -> None:
         """Abort the simulation if the trace has grown past the budget."""
@@ -552,10 +536,6 @@ class HostMachine:
         return _CCallScope(self, self.site(site_name),
                            self.site(callee_name), indirect, args, saves,
                            frame_bytes, category)
-
-    def c_stack_slot(self, offset: int = 0) -> int:
-        """Address of a local variable slot in the current C frame."""
-        return self.sp + 16 + offset
 
     def clib_scope(self) -> "_ClibScope":
         """Context manager marking execution inside a C library function."""

@@ -25,9 +25,7 @@ Freezing moves the last buffered rows out, joins each column's blocks
 into one array, and drops the buffer, the staging columns and the
 flusher, and with the flusher the machine and burst engine that produced
 the trace. A loaded trace decodes its columns from the file
-(:mod:`.codec`) into the same dict on first use. Any trace pickles as a
-finished one: as the path of the file holding its bytes when there is
-one, and as its columns otherwise.
+(:mod:`.codec`) into the same dict on first use.
 
 Columns
 -------
@@ -103,29 +101,6 @@ class InstructionTrace:
         self._columns: dict[str, np.ndarray] = {}
         #: Lazy v2 reader backing a loaded trace (see :meth:`_from_reader`).
         self._reader: _codec.FrameReader | None = None
-        #: On-disk file known to hold exactly this trace's bytes; while
-        #: it exists, pickling ships the path instead of the columns.
-        self._ref_path: Path | None = None
-        self._ref_rows = -1
-
-    @classmethod
-    def _finished(cls, columns: dict[str, np.ndarray], rows: int,
-                  reader: "_codec.FrameReader | None" = None,
-                  ) -> "InstructionTrace":
-        """A finished trace: ``columns`` whole, or filled on demand
-        from ``reader``."""
-        trace = cls.__new__(cls)
-        trace._buf = None
-        trace._fill = 0
-        trace._n = rows
-        trace._blocks = None
-        trace._stage = None
-        trace._flusher = None
-        trace._columns = columns
-        trace._reader = reader
-        trace._ref_path = Path(reader.path) if reader is not None else None
-        trace._ref_rows = rows if reader is not None else -1
-        return trace
 
     # ------------------------------------------------------------------
     # Length and synchronization
@@ -237,69 +212,6 @@ class InstructionTrace:
             self._reader.close()
 
     # ------------------------------------------------------------------
-    # Pickling (cross-process fan-out)
-    # ------------------------------------------------------------------
-
-    def attach_cache_ref(self, path: str | Path) -> None:
-        """Record that ``path`` holds exactly this trace's bytes.
-
-        The disk cache calls this after a store or load; from then on
-        pickling this trace (fan-out IPC) ships the path instead of
-        the arrays, as long as the trace has not grown since and the
-        file still exists. Receivers re-open the file — for v2 payloads
-        that is a lazy mmap, so N same-host workers share one set of
-        page-cache bytes instead of deserializing N private copies.
-        """
-        self._ref_path = Path(path)
-        self._ref_rows = len(self)
-
-    def _pickle_ref(self) -> Path | None:
-        path = self._ref_path
-        if path is None or self._ref_rows != len(self):
-            return None
-        if not path.exists():
-            return None
-        return path
-
-    def _materialize(self) -> None:
-        """Decode every column of a loaded trace and drop its reader.
-        Used when the backing file may not outlive a pickle."""
-        if self._reader is None:
-            return
-        self.arrays()
-        self._reader = None
-
-    def __getstate__(self) -> dict:
-        # A trace travels finished: as the path of the file holding its
-        # bytes, or as its columns alone. The row buffer and the flusher
-        # (the compiled kernel and its queues) never cross a process.
-        ref = self._pickle_ref()
-        if ref is not None:
-            from ..telemetry import TELEMETRY
-            TELEMETRY.metrics.counter("trace.pickle_refs").inc()
-            return {"_pickle_ref": str(ref), "_pickle_rows": len(self)}
-        self._materialize()
-        return {"_columns": self.arrays()}
-
-    def __setstate__(self, state: dict) -> None:
-        ref = state.get("_pickle_ref")
-        if ref is None:
-            columns = state["_columns"]
-            finished = self._finished(columns, len(columns[_COLUMNS[0]]))
-        else:
-            # By-reference pickle: re-open the cache/trace file. If it
-            # was evicted in flight this raises TraceError, which the
-            # supervised fan-out treats like any worker failure and
-            # recomputes.
-            finished = type(self).load(ref)
-            if len(finished) != state["_pickle_rows"]:
-                raise TraceError(
-                    f"trace reference {ref} holds {len(finished)} rows, "
-                    f"expected {state['_pickle_rows']} (file changed "
-                    "between pickle and unpickle)")
-        self.__dict__.update(finished.__dict__)
-
-    # ------------------------------------------------------------------
     # Freeze
     # ------------------------------------------------------------------
 
@@ -381,7 +293,16 @@ class InstructionTrace:
         """A finished trace lazily backed by an encoded file — columns
         and row ranges decode on demand; the full ``(n, 8)`` row-major
         buffer is never materialized."""
-        return cls._finished({}, reader.rows, reader)
+        trace = cls.__new__(cls)
+        trace._buf = None
+        trace._fill = 0
+        trace._n = reader.rows
+        trace._blocks = None
+        trace._stage = None
+        trace._flusher = None
+        trace._columns = {}
+        trace._reader = reader
+        return trace
 
     @classmethod
     def load(cls, path: str | Path) -> "InstructionTrace":

@@ -11,15 +11,14 @@ stack, and unconditional direct branches/calls are always correct. This
 separation lets the analysis quantify the *indirect* share of the C
 function call overhead the way Section IV-C.1 does.
 
-Like the cache model, :func:`simulate_branches` is backed by two
-interchangeable engines selected via the ``backend`` argument or the
-``REPRO_SIM_BACKEND`` environment variable: a scalar reference that
-feeds one branch at a time through :class:`BranchPredictor`, and a
-vectorized engine that computes per-branch histories with grouped
-window sums and resolves the saturating counters with a segmented
-prefix scan of clamped-add functions (saturation composes: the
-composition of ``c -> clip(c + a, lo, hi)`` maps is again such a map).
-Both produce bit-identical mispredict flags and statistics.
+Like the cache model, the predictor has two engines: a scalar reference
+that feeds one branch at a time through :class:`BranchPredictor`, which
+tests call as the oracle, and the vectorized engine behind
+:func:`simulate_branches`, which computes per-branch histories with
+grouped window sums and resolves the saturating counters with a
+segmented prefix scan of clamped-add functions (saturation composes:
+the composition of ``c -> clip(c + a, lo, hi)`` maps is again such a
+map). Both produce bit-identical mispredict flags and statistics.
 """
 
 from __future__ import annotations
@@ -308,15 +307,11 @@ def simulate_branches_vectorized(trace_arrays: dict[str, np.ndarray],
 
 def simulate_branches(trace_arrays: dict[str, np.ndarray],
                       config: BranchPredictorConfig,
-                      backend: str | None = None,
                       ) -> tuple[np.ndarray, BranchStats]:
     """Run every control instruction through a fresh predictor.
 
     Returns a per-instruction boolean mispredict array (aligned with the
-    full trace) and the aggregate statistics. ``backend`` selects the
-    engine exactly like :func:`repro.uarch.cache.simulate_cache_hierarchy`.
+    full trace) and the aggregate statistics, from the vectorized
+    engine.
     """
-    from .cache import _resolve_backend
-    if _resolve_backend(backend) == "scalar":
-        return simulate_branches_scalar(trace_arrays, config)
     return simulate_branches_vectorized(trace_arrays, config)

@@ -16,7 +16,7 @@ Service levels returned by the simulation functions are encoded as:
  3    serviced by main memory
 ====  =================================
 
-Two interchangeable engines back :func:`simulate_cache_hierarchy`:
+The hierarchy has two engines:
 
 * the **scalar** engine walks one access at a time through MRU-ordered
   tag lists (the original implementation, kept as the reference), and
@@ -29,25 +29,22 @@ Two interchangeable engines back :func:`simulate_cache_hierarchy`:
   levels and :class:`CacheStats`; ``tests/test_vectorized_equivalence.
   py`` enforces that on randomized traces.
 
-The engine is picked by the ``backend`` argument or the
-``REPRO_SIM_BACKEND`` environment variable (``auto``/``vector``/
-``scalar``). ``auto`` — the default — uses the vectorized engine but
-lets each level fall back to the scalar walk when the trace offers too
-little set-level parallelism to pay for the batched bookkeeping (tiny
-scaled caches, or streams dominated by a few hot sets); even then the
-run-collapse preprocessing applies, so the scalar walk only touches
-run heads.
+:func:`simulate_cache_hierarchy` always runs the vectorized engine, and
+each level picks its own walk from its input: waves, or a scalar walk
+when the trace offers too little set-level parallelism to pay for the
+batched bookkeeping (tiny scaled caches, or streams dominated by a few
+hot sets); even then the run-collapse preprocessing applies, so the
+scalar walk only touches run heads. Tests call the scalar engine by
+name as the oracle.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..config import CacheConfig, MachineConfig
-from ..errors import ReproError
 from ..host.isa import InstrKind
 
 SERVICE_NONE = -1
@@ -220,26 +217,11 @@ def simulate_cache_hierarchy_scalar(trace_arrays: dict[str, np.ndarray],
 # Vectorized engine
 # ----------------------------------------------------------------------
 
-#: Environment override for the simulation engine: auto/vector/scalar.
-SIM_BACKEND_ENV = "REPRO_SIM_BACKEND"
-
-_BACKENDS = ("auto", "vector", "scalar")
-
-#: ``auto`` falls back to a scalar walk over collapsed run heads when a
-#: stream offers fewer concurrently-processable sets than this
-#: (breakeven between the fixed NumPy cost per wave and ~1 us per
+#: An adaptive level falls back to a scalar walk over collapsed run
+#: heads when a stream offers fewer concurrently-processable sets than
+#: this (breakeven between the fixed NumPy cost per wave and ~1 us per
 #: scalar access).
 _MIN_PARALLELISM = 12
-
-
-def _resolve_backend(backend: str | None) -> str:
-    if backend is None:
-        backend = os.environ.get(SIM_BACKEND_ENV) or "auto"
-    if backend not in _BACKENDS:
-        raise ReproError(
-            f"unknown simulation backend {backend!r}; "
-            f"choose from {_BACKENDS}")
-    return backend
 
 
 @dataclass
@@ -474,6 +456,8 @@ def simulate_cache_hierarchy_vectorized(
         adaptive: bool = True) -> HierarchySimResult:
     """Batched engine; bit-identical outputs to the scalar reference.
 
+    ``adaptive=False`` makes every level run waves whatever its set
+    parallelism, which tests use to check the wave engine on its own.
     The phase order matches the scalar engine exactly: the whole data
     path is simulated first, then the instruction-fetch path, so the
     shared L2/L3 levels observe the same access sequence.
@@ -530,18 +514,11 @@ def simulate_cache_hierarchy_vectorized(
 
 
 def simulate_cache_hierarchy(trace_arrays: dict[str, np.ndarray],
-                             config: MachineConfig,
-                             backend: str | None = None,
-                             ) -> HierarchySimResult:
+                             config: MachineConfig) -> HierarchySimResult:
     """Run the whole trace through a fresh cache hierarchy.
 
-    ``backend`` picks the engine (``auto``/``vector``/``scalar``;
-    default: the ``REPRO_SIM_BACKEND`` environment variable, else
-    ``auto``). All engines return bit-identical results; they differ
-    only in speed.
+    Each level runs waves or the run-head walk, whichever its stream's
+    set parallelism pays for; the result is bit-identical to
+    :func:`simulate_cache_hierarchy_scalar`.
     """
-    backend = _resolve_backend(backend)
-    if backend == "scalar":
-        return simulate_cache_hierarchy_scalar(trace_arrays, config)
-    return simulate_cache_hierarchy_vectorized(
-        trace_arrays, config, adaptive=backend == "auto")
+    return simulate_cache_hierarchy_vectorized(trace_arrays, config)

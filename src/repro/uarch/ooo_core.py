@@ -40,9 +40,9 @@ Two bit-identical engines implement the model:
 Both do all time arithmetic in integer **ticks** (``TICKS`` per cycle,
 a power of two), so every sum and max is exact — the same discipline
 the memory-side engines use, extended to the core model's fractional
-issue intervals. ``REPRO_SIM_BACKEND=scalar`` (or ``backend="scalar"``)
-forces the reference loop; ``auto`` and ``vector`` run the kernel when
-one was built and the scalar loop otherwise.
+issue intervals. :func:`ooo_cycles` and :func:`ooo_cycles_many` run
+the kernel when one was built and the scalar loop otherwise; tests
+call :func:`ooo_cycles_scalar` by name as the oracle.
 """
 
 from __future__ import annotations
@@ -242,11 +242,9 @@ def ooo_cycles_scalar(trace_arrays: dict[str, np.ndarray],
     return max(last_finish, front) / TICKS
 
 
-def _use_kernel(backend: str | None) -> bool:
+def _use_kernel() -> bool:
     from . import _ooo_kernel
-    from .cache import _resolve_backend
-    return (_resolve_backend(backend) != "scalar"
-            and _ooo_kernel.kernel_available())
+    return _ooo_kernel.kernel_available()
 
 
 def _kernel_walks(trace_arrays: dict[str, np.ndarray], dlevel: np.ndarray,
@@ -278,14 +276,13 @@ def _kernel_walks(trace_arrays: dict[str, np.ndarray], dlevel: np.ndarray,
 
 def ooo_cycles(trace_arrays: dict[str, np.ndarray], dlevel: np.ndarray,
                ilevel: np.ndarray, mispredicted: np.ndarray,
-               config: MachineConfig, backend: str | None = None) -> float:
+               config: MachineConfig) -> float:
     """Total cycles to execute the trace on the approximate OOO core.
 
-    ``backend`` selects the engine (``auto``/``vector``/``scalar``); by
-    default the ``REPRO_SIM_BACKEND`` environment variable decides,
-    falling back to ``auto``. Both engines are bit-identical.
+    Runs the compiled kernel when one was built, else the scalar loop;
+    both are bit-identical.
     """
-    if _use_kernel(backend):
+    if _use_kernel():
         return _kernel_walks(trace_arrays, dlevel, ilevel, mispredicted,
                              [config])[0]
     return ooo_cycles_scalar(trace_arrays, dlevel, ilevel, mispredicted,
@@ -293,7 +290,7 @@ def ooo_cycles(trace_arrays: dict[str, np.ndarray], dlevel: np.ndarray,
 
 
 def ooo_cycles_many(trace_arrays: dict[str, np.ndarray], states,
-                    configs, backend: str | None = None) -> list[float]:
+                    configs) -> list[float]:
     """OOO cycles for many configs, preparing each state once.
 
     ``states`` and ``configs`` are parallel sequences; each state is a
@@ -303,11 +300,11 @@ def ooo_cycles_many(trace_arrays: dict[str, np.ndarray], states,
     or issue-width sweep over one trace — run together through the
     kernel, on one prepared copy of the trace. Results come back in
     input order and are bit-identical to per-config :func:`ooo_cycles`
-    calls for every backend.
+    calls, with or without the kernel.
     """
     if len(states) != len(configs):
         raise ValueError("states and configs must be parallel sequences")
-    if not _use_kernel(backend):
+    if not _use_kernel():
         return [ooo_cycles_scalar(trace_arrays, state.dlevel, state.ilevel,
                                   state.mispredicted, config)
                 for state, config in zip(states, configs)]

@@ -76,20 +76,13 @@ class SimulatedSystem:
                 "sim.instructions_per_second",
                 stage=stage).set(instructions / elapsed)
 
-    def memory_side(self, trace: InstructionTrace,
-                    backend: str | None = None) -> MemorySideState:
-        """Run cache hierarchy and branch predictor over the trace.
-
-        ``backend`` selects the simulation engine (``auto``/``vector``/
-        ``scalar``); by default the ``REPRO_SIM_BACKEND`` environment
-        variable decides, falling back to ``auto``.
-        """
+    def memory_side(self, trace: InstructionTrace) -> MemorySideState:
+        """Run cache hierarchy and branch predictor over the trace."""
         start = time.perf_counter() if TELEMETRY.enabled else 0.0
         arrays = trace.arrays()
-        cache_result = simulate_cache_hierarchy(arrays, self.config,
-                                                backend=backend)
+        cache_result = simulate_cache_hierarchy(arrays, self.config)
         mispredicted, branch_stats = simulate_branches(
-            arrays, self.config.branch, backend=backend)
+            arrays, self.config.branch)
         if TELEMETRY.enabled:
             self._note_throughput("memory_side", len(trace),
                                   time.perf_counter() - start)
@@ -102,8 +95,7 @@ class SimulatedSystem:
             branch_stats=branch_stats)
 
     def run(self, trace: InstructionTrace, core: str = "ooo",
-            state: MemorySideState | None = None,
-            backend: str | None = None) -> SimResult:
+            state: MemorySideState | None = None) -> SimResult:
         """Simulate the trace end to end.
 
         ``core`` selects the timing model: ``"simple"`` (Section IV-B.2;
@@ -111,9 +103,7 @@ class SimulatedSystem:
         :func:`repro.pintool.postprocess.attribute`) or ``"ooo"`` for
         the sweeps.
         A precomputed ``state`` may be passed to reuse memory-side
-        results. ``backend`` selects the core engine
-        (``auto``/``vector``/``scalar``; default ``REPRO_SIM_BACKEND``) —
-        all backends are bit-identical.
+        results.
         """
         if state is None:
             state = self.memory_side(trace)
@@ -131,7 +121,7 @@ class SimulatedSystem:
         if core == "ooo":
             cycles = ooo_cycles(trace.arrays(), state.dlevel,
                                 state.ilevel, state.mispredicted,
-                                self.config, backend=backend)
+                                self.config)
             if TELEMETRY.enabled:
                 self._note_throughput("core.ooo", len(trace),
                                       time.perf_counter() - start)
@@ -143,8 +133,7 @@ class SimulatedSystem:
 
     @staticmethod
     def run_many_configs(trace: InstructionTrace, configs,
-                         states, core: str = "ooo",
-                         backend: str | None = None) -> list[SimResult]:
+                         states, core: str = "ooo") -> list[SimResult]:
         """Simulate one trace under many configs in batched walks.
 
         ``configs`` and ``states`` are parallel sequences; configs that
@@ -160,13 +149,11 @@ class SimulatedSystem:
                              "sequences")
         if core != "ooo":
             return [SimulatedSystem(config).run(trace, core=core,
-                                                state=state,
-                                                backend=backend)
+                                                state=state)
                     for config, state in zip(configs, states)]
         arrays = trace.arrays()
         start = time.perf_counter() if TELEMETRY.enabled else 0.0
-        cycles = ooo_cycles_many(arrays, states, configs,
-                                 backend=backend)
+        cycles = ooo_cycles_many(arrays, states, configs)
         if TELEMETRY.enabled and cycles:
             SimulatedSystem._note_throughput(
                 "core.ooo", len(trace) * len(configs),

@@ -2,15 +2,33 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro import telemetry
 from repro.config import pypy_runtime, v8_runtime
 from repro.frontend import compile_source
 from repro.host import AddressSpace, HostMachine
+from repro.uarch.cache import (
+    simulate_cache_hierarchy,
+    simulate_cache_hierarchy_scalar,
+    simulate_cache_hierarchy_vectorized,
+)
 from repro.vm.cpython import CPythonVM
 from repro.vm.pypy import PyPyVM
 from repro.vm.v8 import V8VM
+
+#: The cache engines tests compare, by the id they are parametrized
+#: with: the scalar oracle, waves at every level, and the production
+#: entry point, where each level picks waves or the run-head walk from
+#: its stream.
+CACHE_ENGINES = {
+    "scalar": simulate_cache_hierarchy_scalar,
+    "vector": functools.partial(simulate_cache_hierarchy_vectorized,
+                                adaptive=False),
+    "auto": simulate_cache_hierarchy,
+}
 
 
 @pytest.fixture(autouse=True)
@@ -29,11 +47,17 @@ def _telemetry_isolation(tmp_path, monkeypatch):
 
 def run_source(source: str, runtime: str = "cpython", jit: bool = True,
                nursery: int = 1 << 20,
-               max_instructions: int = 20_000_000):
-    """Compile and run MiniPy source; returns (vm, machine)."""
+               max_instructions: int = 20_000_000,
+               backend: str = "burst"):
+    """Compile and run MiniPy source; returns (vm, machine).
+
+    ``backend`` is the machine's emission backend: ``scalar`` runs the
+    reference path the burst engine is checked against.
+    """
     program = compile_source(source, "<test>")
     space = AddressSpace(nursery_size=nursery)
-    machine = HostMachine(space, max_instructions=max_instructions)
+    machine = HostMachine(space, max_instructions=max_instructions,
+                          backend=backend)
     if runtime == "cpython":
         vm = CPythonVM(machine, program)
     elif runtime == "pypy":

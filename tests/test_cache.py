@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CACHE_ENGINES
+
 from repro.config import CacheConfig, MachineConfig, skylake_config
 from repro.host.isa import InstrKind
 from repro.uarch.cache import (
@@ -74,15 +76,14 @@ def make_mem_trace(addrs, write=False):
     return arrays
 
 
-@pytest.mark.parametrize("backend", ["scalar", "vector", "auto"])
-def test_one_set_level_keeps_adjacent_lines_apart(backend):
+@pytest.mark.parametrize("engine", sorted(CACHE_ENGINES))
+def test_one_set_level_keeps_adjacent_lines_apart(engine):
     """With one set every line shares set 0, so the tag alone tells
     lines apart: loading line 2 must not make line 3 a hit."""
     one_set = CacheConfig("L1D", size=512, ways=8, line_size=64)
     assert one_set.num_sets == 1
-    result = simulate_cache_hierarchy(make_mem_trace([2 * 64, 3 * 64]),
-                                      MachineConfig(l1d=one_set),
-                                      backend=backend)
+    result = CACHE_ENGINES[engine](make_mem_trace([2 * 64, 3 * 64]),
+                                   MachineConfig(l1d=one_set))
     assert result.dlevel.tolist() == [SERVICE_MEM, SERVICE_MEM]
     assert result.stats["L1D"].misses == 2
 

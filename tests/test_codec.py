@@ -2,23 +2,20 @@
 
 Covers the v2 frame format end to end — varint/zigzag/delta
 primitives, kernel-vs-NumPy bit parity, property round-trips over
-random and adversarial column contents, lazy reader-backed loads,
-pickle-by-reference fan-out, and figure byte-identity between a cold
-render and one served from the disk cache.
+random and adversarial column contents, lazy reader-backed loads, and
+figure byte-identity between a cold render and one served from the
+disk cache.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import pickle
 import struct
 
 import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.experiments.diskcache import DiskCache
 from repro.experiments.runner import ExperimentRunner
 from repro.host import _codec_kernel, codec
 from repro.host.trace import InstructionTrace
@@ -297,7 +294,7 @@ def test_unreadable_file_is_a_typed_error(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Lazy loads and pickle-by-reference
+# Lazy loads
 # ----------------------------------------------------------------------
 
 
@@ -321,50 +318,6 @@ def test_v2_loaded_trace_rejects_appends(tmp_path):
         trace.append(1, 1, 1)
 
 
-def test_pickle_by_reference_roundtrip(tmp_path):
-    path = _encoded_file(tmp_path, n=2000, frame_rows=512)
-    trace = InstructionTrace.load(path)
-    blob = pickle.dumps(trace)
-    assert len(blob) < 1024, "reference pickle should be tiny"
-    back = pickle.loads(blob)
-    _assert_arrays_equal(trace.arrays(), back.arrays())
-
-
-def test_pickle_falls_back_to_full_state_when_file_gone(tmp_path):
-    path = _encoded_file(tmp_path, n=1000)
-    trace = InstructionTrace.load(path)
-    want = {name: np.array(col) for name, col
-            in trace.arrays().items()}
-    os.unlink(path)
-    blob = pickle.dumps(trace)
-    assert len(blob) > 10_000  # full arrays travelled
-    back = pickle.loads(blob)
-    _assert_arrays_equal(want, back.arrays())
-
-
-def test_pickle_ref_ignored_after_mutation(tmp_path):
-    trace = InstructionTrace()
-    trace.append(1, 1, 1)
-    path = tmp_path / "t.rpt"
-    trace.save(path)
-    trace.attach_cache_ref(path)
-    trace.append(2, 2, 2)  # the file no longer matches the trace
-    back = pickle.loads(pickle.dumps(trace))
-    assert len(back) == 2
-    assert back.column("pc")[1] == 2
-
-
-def test_stale_reference_rows_fail_loudly(tmp_path):
-    path = _encoded_file(tmp_path, n=100, frame_rows=64)
-    trace = InstructionTrace.load(path)
-    blob = pickle.dumps(trace)
-    # The file is replaced with a different-length trace in flight.
-    arrays = _random_arrays(np.random.default_rng(4), 50)
-    codec.encode_arrays(path, arrays, frame_rows=64)
-    with pytest.raises(TraceError):
-        pickle.loads(blob)
-
-
 # ----------------------------------------------------------------------
 # Figure byte-identity through the codec's load path
 # ----------------------------------------------------------------------
@@ -382,28 +335,3 @@ def test_figures_identical_across_codecs(tmp_path, monkeypatch,
     warm = figure(ExperimentRunner(), quick=True)
     assert warm.rendered == cold.rendered
 
-
-def test_run_many_ships_trace_references(tmp_path):
-    runner = ExperimentRunner(disk_cache=DiskCache(tmp_path / "cache"))
-    requests = [
-        {"workload": "chaos", "runtime": "pypy", "jit": True,
-         "nursery": 64 * 1024},
-        {"workload": "nbody", "runtime": "pypy", "jit": True,
-         "nursery": 64 * 1024},
-    ]
-    handles = runner.run_many(requests, jobs=2)
-    assert len(handles) == 2
-    # The workers' handles crossed the pipe as file references: the
-    # parent re-opened them as lazily decoded readers over the shared
-    # cache files, not as privately deserialized buffers.
-    for handle in handles:
-        assert handle.trace._reader is not None
-        assert handle.trace._reader.path.parent \
-            == tmp_path / "cache" / "traces"
-    serial = ExperimentRunner(
-        disk_cache=DiskCache(tmp_path / "cache-serial"))
-    for request, handle in zip(requests, handles):
-        want = serial.run(**request)
-        for name, column in want.trace.arrays().items():
-            assert np.array_equal(column,
-                                  handle.trace.arrays()[name]), name

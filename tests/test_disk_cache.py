@@ -13,7 +13,6 @@ from repro.config import scaled_config, skylake_config
 from repro.experiments.diskcache import (
     CACHE_DIR_ENV,
     CACHE_TOGGLE_ENV,
-    CACHE_VERIFY_ENV,
     QUARANTINE_DIR,
     DiskCache,
     cache_root,
@@ -236,19 +235,22 @@ def test_truncated_trace_npz_quarantined_once_and_recomputed(tmp_path):
     assert _counter("cache.quarantined{kind=traces}") == 1
 
 
-def test_truncated_npz_quarantined_even_without_verify(tmp_path,
-                                                       monkeypatch):
+def test_truncated_payload_with_matching_checksum_quarantined(tmp_path):
+    """A payload committed corrupt passes its checksum; the decoder
+    still rejects it, so the entry is quarantined and recomputed."""
     from repro import telemetry
-    monkeypatch.setenv(CACHE_VERIFY_ENV, "off")
     original = _populate_trace(tmp_path)
-    npz, _ = _entry_paths(tmp_path, "traces")
-    npz.write_bytes(npz.read_bytes()[:100])
+    payload, meta = _entry_paths(tmp_path, "traces")
+    payload.write_bytes(payload.read_bytes()[:100])
+    record = json.loads(meta.read_text())
+    record["npz_sha256"] = file_sha256(payload)
+    meta.write_text(json.dumps(record), encoding="utf-8")
     telemetry.enable()
     telemetry.reset()
     recomputed = fresh_runner(tmp_path).run(**_RUN)
     assert np.array_equal(original.trace.arrays()["pc"],
                           recomputed.trace.arrays()["pc"])
-    # No checksum pass ran, so the npz decoder caught it instead.
+    # The checksum matched, so the trace decoder caught it instead.
     assert _counter("cache.checksum_mismatch") == 0
     assert _counter("cache.quarantined{kind=traces}") == 1
 
@@ -312,20 +314,16 @@ def test_orphaned_sidecar_is_dropped(tmp_path):
     assert not meta.exists() or json.loads(meta.read_text())
 
 
-def test_sidecar_hash_tamper_detected_unless_verify_off(tmp_path,
-                                                        monkeypatch):
+def test_sidecar_hash_tamper_detected(tmp_path):
+    """Every load checks the payload against its sidecar's SHA-256."""
     from repro import telemetry
     _populate_trace(tmp_path)
-    npz, meta = _entry_paths(tmp_path, "traces")
+    _, meta = _entry_paths(tmp_path, "traces")
     record = json.loads(meta.read_text())
     record["npz_sha256"] = "0" * 64
     meta.write_text(json.dumps(record), encoding="utf-8")
     telemetry.enable()
     telemetry.reset()
-    monkeypatch.setenv(CACHE_VERIFY_ENV, "off")
-    fresh_runner(tmp_path).run(**_RUN)  # loads fine: no checksum pass
-    assert _counter("cache.quarantined") == 0
-    monkeypatch.delenv(CACHE_VERIFY_ENV)
     fresh_runner(tmp_path).run(**_RUN)
     assert _counter("cache.checksum_mismatch{kind=traces}") == 1
     assert _counter("cache.quarantined{kind=traces}") == 1

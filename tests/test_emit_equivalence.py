@@ -2,14 +2,16 @@
 
 The burst engine and the compiled flush kernel are pure performance
 features: traces, category breakdowns, and cache keys must be
-byte-identical across every ``REPRO_EMIT_BACKEND`` x kernel (on, or
-``get_kernel`` patched to ``None``) combination — and across
+byte-identical across every emission backend (``HostMachine``'s
+``backend``: ``scalar`` or ``burst``) x kernel (on, or ``get_kernel``
+patched to ``None``) combination — and across
 interpreter hash-seed randomization, since nothing observable may
 depend on ``hash()``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -22,9 +24,11 @@ from conftest import run_source
 
 from repro.analysis.breakdown import breakdown_for_run
 from repro.errors import TraceError
+from repro.experiments import runner as runner_module
 from repro.experiments.diskcache import DiskCache
 from repro.experiments.runner import ExperimentRunner
 from repro.host import _emit_kernel
+from repro.host.machine import HostMachine
 from repro.host.trace import InstructionTrace
 
 WORKLOAD = "richards"
@@ -41,8 +45,14 @@ COMBOS = [
 ]
 
 
+def _emit_with(monkeypatch, backend: str) -> None:
+    """Make the runner build every machine with ``backend`` emission."""
+    monkeypatch.setattr(runner_module, "HostMachine",
+                        functools.partial(HostMachine, backend=backend))
+
+
 def _run_combo(monkeypatch, tmp_path, backend: str, kernel: bool):
-    monkeypatch.setenv("REPRO_EMIT_BACKEND", backend)
+    _emit_with(monkeypatch, backend)
     monkeypatch.setattr(_emit_kernel, "get_kernel",
                         _BUILT_KERNEL if kernel else lambda: None)
     # A disabled disk cache isolates the combos from one another: every
@@ -170,8 +180,8 @@ def test_generated_programs_equivalent_across_backends(monkeypatch,
         digests = set()
         outputs = set()
         for backend in ("scalar", "burst"):
-            monkeypatch.setenv("REPRO_EMIT_BACKEND", backend)
-            vm, machine = run_source(source, runtime=runtime)
+            vm, machine = run_source(source, runtime=runtime,
+                                     backend=backend)
             digest = hashlib.sha256()
             for name, column in sorted(machine.trace.arrays().items()):
                 digest.update(np.ascontiguousarray(
@@ -210,7 +220,7 @@ def test_workload_sample_equivalent_across_backends(monkeypatch, tmp_path,
                                                     jit, golden):
     digests = set()
     for backend in ("scalar", "burst"):
-        monkeypatch.setenv("REPRO_EMIT_BACKEND", backend)
+        _emit_with(monkeypatch, backend)
         runner = ExperimentRunner(disk_cache=DiskCache(None))
         handle = runner.run(workload, runtime, jit=jit,
                             nursery=64 * 1024)
@@ -259,8 +269,7 @@ def test_traces_are_stable_across_hash_seeds(tmp_path):
     for seed in ("1", "987654321"):
         env = dict(os.environ,
                    PYTHONHASHSEED=seed,
-                   REPRO_CACHE="off",
-                   REPRO_EMIT_BACKEND="auto")
+                   REPRO_CACHE="off")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (env.get("PYTHONPATH"), "src") if p)
         proc = subprocess.run(
@@ -286,9 +295,8 @@ def test_frozen_trace_rejects_all_append_paths(monkeypatch):
         trace.alloc_rows(4)
 
 
-def test_frozen_trace_rejects_burst_flush(monkeypatch, tmp_path):
+def test_frozen_trace_rejects_burst_flush(tmp_path):
     """A burst VM's frozen trace fails loudly on any further flush."""
-    monkeypatch.setenv("REPRO_EMIT_BACKEND", "burst")
     runner = ExperimentRunner(disk_cache=DiskCache(None))
     handle = runner.run(WORKLOAD, "cpython", jit=False)
     trace = handle.trace

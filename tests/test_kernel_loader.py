@@ -31,7 +31,7 @@ def _probe_ooo(kernel, monkeypatch) -> None:
     il = np.zeros(n, dtype=np.int64)
     misp = rng.random(n) < 0.05
     config = skylake_config()
-    assert ooo_cycles(trace, dl, il, misp, config, backend="auto") == \
+    assert ooo_cycles(trace, dl, il, misp, config) == \
         ooo_cycles_scalar(trace, dl, il, misp, config)
 
 

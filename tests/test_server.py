@@ -101,6 +101,20 @@ def _wait_for_inflight(server: SweepServer, count: int,
     raise AssertionError(f"never saw {count} requests in flight")
 
 
+def _wait_for_running(server: SweepServer, key: str,
+                      timeout: float = 10.0) -> None:
+    """Wait until the scheduler has picked ``key`` up. Admission alone
+    (``_wait_for_inflight``) leaves a window in which a drain finds the
+    request still queued rather than running."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with server._lock:
+            if server._current is not None and server._current.key == key:
+                return
+        time.sleep(0.01)
+    raise AssertionError(f"request {key!r} never started running")
+
+
 # ---------------------------------------------------------------------------
 # Units: token bucket, cost model, keys, endpoints, journal
 # ---------------------------------------------------------------------------
@@ -372,7 +386,7 @@ def test_drain_finishes_inflight_sheds_queued_and_resumes(tmp_path):
 
         running = threading.Thread(target=ask, args=("running", "r1"))
         running.start()
-        _wait_for_inflight(server, 1)
+        _wait_for_running(server, "r1")
         queued = threading.Thread(target=ask, args=("queued", "r2"))
         queued.start()
         _wait_for_inflight(server, 2)
@@ -410,7 +424,7 @@ def test_drain_past_grace_aborts_between_cells_then_resumes(tmp_path):
 
         thread = threading.Thread(target=ask)
         thread.start()
-        _wait_for_inflight(server, 1)
+        _wait_for_running(server, "long")
         assert server.drain(grace=0.05) == 0
         thread.join(timeout=30)
         assert responses["victim"]["error"] == RETRY_AFTER

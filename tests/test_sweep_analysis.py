@@ -12,8 +12,12 @@ from repro.analysis.sweeps import (
     run_sweep,
 )
 from repro.config import skylake_config
+from repro.experiments.diskcache import DiskCache
 from repro.experiments.runner import ExperimentRunner
 from repro.uarch import _ooo_kernel
+from repro.uarch import system as system_module
+from repro.uarch.branch import simulate_branches_scalar
+from repro.uarch.cache import simulate_cache_hierarchy_scalar
 
 
 def test_axes_match_paper_grids():
@@ -53,32 +57,38 @@ def test_run_sweep_tiny():
         assert values[1] >= values[0]  # slower memory never helps
 
 
-def test_run_sweep_identical_across_backends_and_jobs(monkeypatch):
-    """The Figure 7/9 engine: same grid bytes for every backend/jobs.
+def test_run_sweep_identical_across_backends_and_jobs(monkeypatch,
+                                                     tmp_path):
+    """The Figure 7/9 engine: same grid bytes for every engine and jobs.
 
-    Covers the batched ``simulate_many_configs`` path (vector, with the
-    compiled kernel and with the kernel unavailable) against the scalar
-    reference, and the ``jobs`` fan-out against the serial loop — all
-    must agree exactly.
+    Covers the batched ``simulate_many_configs`` path (with the compiled
+    kernel and with the kernel unavailable) against an all-scalar
+    pipeline (the cache and branch oracles patched into the system
+    module, no kernel), and the ``jobs`` fan-out against the serial
+    loop — all must agree exactly. Each pipeline has a disk cache of
+    its own, so each computes its memory-side states itself.
     """
     axes = quick_axes()
     results = {}
-    for name, backend, kernel in (("scalar", "scalar", True),
-                                  ("no-kernel", "vector", False),
-                                  ("kernel", "vector", True),
-                                  ("auto", "auto", True)):
+    for name, scalar_memory, kernel in (("scalar", True, False),
+                                        ("no-kernel", False, False),
+                                        ("kernel", False, True)):
         with monkeypatch.context() as patch:
-            patch.setenv("REPRO_SIM_BACKEND", backend)
+            if scalar_memory:
+                patch.setattr(system_module, "simulate_cache_hierarchy",
+                              simulate_cache_hierarchy_scalar)
+                patch.setattr(system_module, "simulate_branches",
+                              simulate_branches_scalar)
             if not kernel:
                 patch.setattr(_ooo_kernel, "get_kernel", lambda: None)
-            runner = ExperimentRunner(scale=1)
+            runner = ExperimentRunner(
+                scale=1, disk_cache=DiskCache(tmp_path / name))
             results[name] = run_sweep(runner, ["sym_sum"], axes=axes).cpi
-    assert results["scalar"] == results["no-kernel"] \
-        == results["kernel"] == results["auto"]
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "auto")
-    parallel = run_sweep(ExperimentRunner(scale=1), ["sym_sum"],
-                         axes=axes, jobs=2)
-    assert parallel.cpi == results["auto"]
+    assert results["scalar"] == results["no-kernel"] == results["kernel"]
+    parallel = run_sweep(
+        ExperimentRunner(scale=1, disk_cache=DiskCache(tmp_path / "jobs")),
+        ["sym_sum"], axes=axes, jobs=2)
+    assert parallel.cpi == results["kernel"]
 
 
 def test_phase_cpis_cover_execution():

@@ -1,6 +1,5 @@
 """Columnar instruction traces: append, views, persistence, freezing."""
 
-import pickle
 import weakref
 
 import numpy as np
@@ -10,10 +9,8 @@ from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.experiments import runner as runner_module
-from repro.experiments.diskcache import DiskCache
 from repro.experiments.runner import ExperimentRunner
 from repro.host import trace as trace_module
-from repro.host.codec import RAW_ROW_BYTES
 from repro.host.isa import InstrKind
 from repro.host.machine import HostMachine
 from repro.host.trace import InstructionTrace
@@ -170,16 +167,3 @@ def test_run_freezes_trace_and_releases_machine(monkeypatch, cache):
     assert len(trace) == handle.host_instructions
     assert len(trace.arrays()["pc"]) == len(trace)
 
-
-def test_cache_off_trace_pickles_as_its_columns(monkeypatch):
-    """With no file to point at, a finished trace ships its narrow
-    columns once (35 B per row) and nothing else."""
-    runner = ExperimentRunner(disk_cache=DiskCache(None))
-    handle = runner.run("richards", "cpython", jit=False)
-    blob = pickle.dumps(handle.trace)
-    assert len(blob) <= len(handle.trace) * RAW_ROW_BYTES + 1024
-    back = pickle.loads(blob)
-    assert back.frozen and len(back) == len(handle.trace)
-    for name, column in handle.trace.arrays().items():
-        assert np.array_equal(column, back.arrays()[name]), name
-        assert column.dtype == back.arrays()[name].dtype, name

@@ -20,6 +20,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import CACHE_ENGINES
+
 from repro.config import (
     BranchPredictorConfig,
     CacheConfig,
@@ -35,9 +37,11 @@ from repro.host.isa import (
     InstrKind,
 )
 from repro.uarch import _ooo_kernel
+from repro.uarch import cache as cache_module
 from repro.uarch.branch import (
     simulate_branches,
     simulate_branches_scalar,
+    simulate_branches_vectorized,
 )
 from repro.uarch.cache import (
     SERVICE_L1,
@@ -105,15 +109,16 @@ _CONFIGS = {
     "tiny": tiny_config,
 }
 
+#: The branch engines by the ids their tests are parametrized with: the
+#: scalar oracle, the vectorized engine, and the production entry point.
+_BRANCH_ENGINES = {
+    "scalar": simulate_branches_scalar,
+    "vector": simulate_branches_vectorized,
+    "auto": simulate_branches,
+}
 
-@pytest.mark.parametrize("backend", ["vector", "auto"])
-@pytest.mark.parametrize("config_name", sorted(_CONFIGS))
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cache_engines_bit_identical(seed, config_name, backend):
-    arrays = random_trace(seed, 6000)
-    config = _CONFIGS[config_name]()
-    ref = simulate_cache_hierarchy_scalar(arrays, config)
-    out = simulate_cache_hierarchy(arrays, config, backend=backend)
+
+def _assert_same_cache_result(ref, out) -> None:
     assert np.array_equal(ref.dlevel, out.dlevel)
     assert np.array_equal(ref.ilevel, out.ilevel)
     assert ref.mem_lines == out.mem_lines
@@ -122,15 +127,50 @@ def test_cache_engines_bit_identical(seed, config_name, backend):
         assert ref.stats[name] == out.stats[name], name
 
 
-@pytest.mark.parametrize("backend", ["vector", "auto"])
+@pytest.mark.parametrize("engine", ["vector", "auto"])
+@pytest.mark.parametrize("config_name", sorted(_CONFIGS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cache_engines_bit_identical(seed, config_name, engine):
+    arrays = random_trace(seed, 6000)
+    config = _CONFIGS[config_name]()
+    _assert_same_cache_result(simulate_cache_hierarchy_scalar(arrays, config),
+                              CACHE_ENGINES[engine](arrays, config))
+
+
+def test_each_cache_level_picks_its_walk_from_its_stream(monkeypatch):
+    """Production runs waves at a level whose stream spreads over many
+    sets and the run-head walk at one with too few (the 2-set L1s of
+    ``scaled_config(6)``); either way it matches the scalar oracle."""
+    levels = {}
+
+    class RecordedLevel(cache_module._VecLevel):
+        def __init__(self, config, adaptive):
+            super().__init__(config, adaptive)
+            levels[config.name] = self
+
+    monkeypatch.setattr(cache_module, "_VecLevel", RecordedLevel)
+    arrays = random_trace(0, 6000)
+    waves = {"L1I": "vector", "L1D": "vector", "L2": "vector",
+             "L3": "vector"}
+    for config, modes in ((skylake_config(), waves),
+                          (tiny_config(), {**waves, "L1I": "scalar",
+                                           "L1D": "scalar"})):
+        levels.clear()
+        out = simulate_cache_hierarchy(arrays, config)
+        assert {name: level._mode for name, level in levels.items()} \
+            == modes
+        _assert_same_cache_result(
+            simulate_cache_hierarchy_scalar(arrays, config), out)
+
+
+@pytest.mark.parametrize("engine", ["vector", "auto"])
 @pytest.mark.parametrize("scale", [1.0, 1 / 64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_branch_engines_bit_identical(seed, scale, backend):
+def test_branch_engines_bit_identical(seed, scale, engine):
     arrays = random_trace(seed, 6000)
     config = BranchPredictorConfig(scale=scale)
     ref_mis, ref_stats = simulate_branches_scalar(arrays, config)
-    out_mis, out_stats = simulate_branches(arrays, config,
-                                           backend=backend)
+    out_mis, out_stats = _BRANCH_ENGINES[engine](arrays, config)
     assert np.array_equal(ref_mis, out_mis)
     assert ref_stats == out_stats
 
@@ -138,10 +178,10 @@ def test_branch_engines_bit_identical(seed, scale, backend):
 def test_empty_trace_all_backends():
     arrays = random_trace(0, 0)
     config = skylake_config()
-    for backend in ("scalar", "vector", "auto"):
-        result = simulate_cache_hierarchy(arrays, config, backend=backend)
+    for engine in ("scalar", "vector", "auto"):
+        result = CACHE_ENGINES[engine](arrays, config)
         assert len(result.dlevel) == 0
-        mis, _ = simulate_branches(arrays, config.branch, backend=backend)
+        mis, _ = _BRANCH_ENGINES[engine](arrays, config.branch)
         assert len(mis) == 0
 
 
@@ -149,7 +189,7 @@ def test_empty_trace_all_backends():
 # Memory side: invariants that need no reference engine
 # ----------------------------------------------------------------------
 
-_MEMORY_BACKENDS = ["scalar", "vector", "auto"]
+_ENGINES = ["scalar", "vector", "auto"]
 _LOAD = int(InstrKind.LOAD)
 _STORE = int(InstrKind.STORE)
 
@@ -181,8 +221,8 @@ def _memory_configs() -> list[MachineConfig]:
 _MEMORY_INPUTS = [(seed, 1 + (seed * 1187) % 2000) for seed in range(4)]
 
 
-@pytest.mark.parametrize("backend", _MEMORY_BACKENDS)
-def test_more_ways_never_add_misses(backend):
+@pytest.mark.parametrize("engine", _ENGINES)
+def test_more_ways_never_add_misses(engine):
     """Mattson inclusion: at a fixed set count, an LRU level with more
     ways hits on every access the smaller one hit on. L1D sees the data
     stream and L3 the L2 misses, neither of which its own ways change."""
@@ -194,10 +234,9 @@ def test_more_ways_never_add_misses(backend):
                 sets = getattr(config, field).num_sets
                 previous = None
                 for ways in (1, 2, 4, 16):
-                    result = simulate_cache_hierarchy(
+                    result = CACHE_ENGINES[engine](
                         arrays, dataclasses.replace(
-                            config, **{field: _level(name, sets, ways)}),
-                        backend=backend)
+                            config, **{field: _level(name, sets, ways)}))
                     if previous is not None:
                         assert result.stats[name].misses <= \
                             previous.stats[name].misses, (seed, ways)
@@ -209,15 +248,14 @@ def test_more_ways_never_add_misses(backend):
                     previous = result
 
 
-@pytest.mark.parametrize("backend", _MEMORY_BACKENDS)
-def test_cache_accesses_are_conserved_between_levels(backend):
+@pytest.mark.parametrize("engine", _ENGINES)
+def test_cache_accesses_are_conserved_between_levels(engine):
     """Every miss is the next level's access, and the service levels
     count exactly the misses the statistics report."""
     for seed, n in _MEMORY_INPUTS:
         arrays = random_trace(seed, n)
         for config in _memory_configs():
-            result = simulate_cache_hierarchy(arrays, config,
-                                              backend=backend)
+            result = CACHE_ENGINES[engine](arrays, config)
             stats, dl, il = result.stats, result.dlevel, result.ilevel
             memory = np.isin(arrays["kind"], (_LOAD, _STORE))
             assert stats["L1D"].accesses == np.count_nonzero(memory)
@@ -233,9 +271,9 @@ def test_cache_accesses_are_conserved_between_levels(backend):
                 np.count_nonzero(dl == 3) + np.count_nonzero(il == 3)
 
 
-@pytest.mark.parametrize("backend", _MEMORY_BACKENDS)
+@pytest.mark.parametrize("engine", _ENGINES)
 @pytest.mark.parametrize("scale", [1.0, 1 / 64])
-def test_mispredicts_fall_only_on_predicted_branches(backend, scale):
+def test_mispredicts_fall_only_on_predicted_branches(engine, scale):
     """Only conditional and indirect branches can mispredict, and the
     flags add up to the statistics."""
     config = BranchPredictorConfig(scale=scale)
@@ -247,8 +285,7 @@ def test_mispredicts_fall_only_on_predicted_branches(backend, scale):
             & ((flags & FLAG_INDIRECT) != 0)
         conditional = (kind == int(InstrKind.BRANCH)) \
             & ((flags & FLAG_COND) != 0) & ~indirect
-        mispredicted, stats = simulate_branches(arrays, config,
-                                                backend=backend)
+        mispredicted, stats = _BRANCH_ENGINES[engine](arrays, config)
         assert not mispredicted[~(conditional | indirect)].any()
         assert np.count_nonzero(mispredicted) == stats.total_mispredicts
         assert stats.conditional == np.count_nonzero(conditional)
@@ -309,11 +346,9 @@ def test_ooo_kernel_bit_identical():
         trace, dl, il, misp = random_ooo_inputs(seed, n)
         state = _State(dl, il, misp)
         ref = [ooo_cycles_scalar(trace, dl, il, misp, c) for c in configs]
-        got = ooo_cycles_many(trace, [state] * len(configs), configs,
-                              backend="vector")
+        got = ooo_cycles_many(trace, [state] * len(configs), configs)
         assert got == ref
-        one = [ooo_cycles(trace, dl, il, misp, c, backend="vector")
-               for c in configs]
+        one = [ooo_cycles(trace, dl, il, misp, c) for c in configs]
         assert one == ref
 
 
@@ -323,7 +358,7 @@ def _ooo_engine(name: str):
         return ooo_cycles_scalar
     if not _ooo_kernel.kernel_available():
         pytest.skip("no C compiler available")
-    return lambda *args: ooo_cycles(*args, backend="auto")
+    return ooo_cycles
 
 
 #: (seed, length) of the randomized inputs the invariants run on.
@@ -388,11 +423,22 @@ def test_ooo_one_more_mispredict_never_lowers_cycles(engine):
 
 
 @pytest.mark.parametrize("backend", ["scalar", "vector", "auto"])
-def test_ooo_backend_arg_dispatch(backend):
+def test_ooo_backend_arg_dispatch(backend, monkeypatch):
+    """Both entry points equal the scalar oracle, one config at a time
+    and as a batch, on each engine they dispatch to. The ids are what
+    the retired ``backend`` argument ran: ``scalar`` the loop (here: no
+    kernel built, so they fall back to it), ``vector`` the kernel, and
+    ``auto`` whichever this process built."""
+    if backend == "scalar":
+        monkeypatch.setattr(_ooo_kernel, "get_kernel", lambda: None)
+    elif backend == "vector" and not _ooo_kernel.kernel_available():
+        pytest.skip("no C compiler available")
     trace, dl, il, misp = random_ooo_inputs(3, 4000)
-    config = skylake_config()
-    ref = ooo_cycles_scalar(trace, dl, il, misp, config)
-    assert ooo_cycles(trace, dl, il, misp, config, backend=backend) == ref
+    configs = _ooo_sweep_configs()
+    ref = [ooo_cycles_scalar(trace, dl, il, misp, c) for c in configs]
+    assert [ooo_cycles(trace, dl, il, misp, c) for c in configs] == ref
+    states = [_State(dl, il, misp)] * len(configs)
+    assert ooo_cycles_many(trace, states, configs) == ref
 
 
 def test_ooo_many_configs_matches_per_config_runs():
@@ -405,12 +451,9 @@ def test_ooo_many_configs_matches_per_config_runs():
     other = _State(dl2, il2, misp2)
     configs = _ooo_sweep_configs()
     states = [shared, shared, shared, other, shared, other]
-    for backend in ("scalar", "vector", "auto"):
-        ref = [ooo_cycles(trace, s.dlevel, s.ilevel, s.mispredicted, c,
-                          backend="scalar")
-               for s, c in zip(states, configs)]
-        got = ooo_cycles_many(trace, states, configs, backend=backend)
-        assert got == ref, backend
+    ref = [ooo_cycles_scalar(trace, s.dlevel, s.ilevel, s.mispredicted, c)
+           for s, c in zip(states, configs)]
+    assert ooo_cycles_many(trace, states, configs) == ref
 
 
 def test_ooo_long_dependence_and_large_rob_regression():
@@ -435,9 +478,7 @@ def test_ooo_long_dependence_and_large_rob_regression():
     assert ring_size(8192, n, max_dep) > 8192
     for config in (base, huge_rob):
         ref = ooo_cycles_scalar(trace, dl, il, misp, config)
-        for backend in ("vector", "auto"):
-            assert ooo_cycles(trace, dl, il, misp, config,
-                              backend=backend) == ref
+        assert ooo_cycles(trace, dl, il, misp, config) == ref
 
 
 def test_kind_latency_table_derived_from_isa():
@@ -447,21 +488,23 @@ def test_kind_latency_table_derived_from_isa():
         assert KIND_LATENCY_TICKS[int(kind)] == KIND_LATENCY[kind] * TICKS
 
 
-def test_ooo_empty_and_tiny_traces():
+def test_ooo_empty_and_tiny_traces(monkeypatch):
     config = skylake_config()
     empty = {"pc": np.zeros(0, dtype=np.int64),
              "kind": np.zeros(0, dtype=np.int64),
              "dep": np.zeros(0, dtype=np.int64)}
     zeros = np.zeros(0, dtype=np.int64)
     state = _State(zeros, zeros, zeros.astype(bool))
-    for backend in ("scalar", "auto"):
-        assert ooo_cycles_many(empty, [state], [config],
-                               backend=backend) == [0.0]
-        assert ooo_cycles_many(empty, [], [], backend=backend) == []
     trace, dl, il, misp = random_ooo_inputs(6, 1)
     ref = ooo_cycles_scalar(trace, dl, il, misp, config)
-    assert ooo_cycles_many(trace, [_State(dl, il, misp)], [config],
-                           backend="auto") == [ref]
+    for kernel in (True, False):
+        with monkeypatch.context() as patch:
+            if not kernel:
+                patch.setattr(_ooo_kernel, "get_kernel", lambda: None)
+            assert ooo_cycles_many(empty, [state], [config]) == [0.0]
+            assert ooo_cycles_many(empty, [], []) == []
+            assert ooo_cycles_many(trace, [_State(dl, il, misp)],
+                                   [config]) == [ref]
 
 
 def test_real_guest_trace_bit_identical(pypy_run):
@@ -473,14 +516,9 @@ def test_real_guest_trace_bit_identical(pypy_run):
         "print(total)\n")
     arrays = machine.trace.arrays()
     config = skylake_config()
-    ref = simulate_cache_hierarchy_scalar(arrays, config)
-    out = simulate_cache_hierarchy(arrays, config, backend="vector")
-    assert np.array_equal(ref.dlevel, out.dlevel)
-    assert np.array_equal(ref.ilevel, out.ilevel)
-    for name in ref.stats:
-        assert ref.stats[name] == out.stats[name], name
+    _assert_same_cache_result(simulate_cache_hierarchy_scalar(arrays, config),
+                              CACHE_ENGINES["vector"](arrays, config))
     ref_mis, ref_stats = simulate_branches_scalar(arrays, config.branch)
-    out_mis, out_stats = simulate_branches(arrays, config.branch,
-                                           backend="vector")
+    out_mis, out_stats = simulate_branches(arrays, config.branch)
     assert np.array_equal(ref_mis, out_mis)
     assert ref_stats == out_stats
