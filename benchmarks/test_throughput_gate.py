@@ -11,8 +11,7 @@ unnoticed.
 
 Refresh the baseline on the target machine with one command:
 
-    REPRO_REFRESH_BASELINES=1 python -m pytest \
-        benchmarks/test_throughput_gate.py -q
+    PYTHONPATH=src python -m repro perf check --update
 """
 
 from __future__ import annotations

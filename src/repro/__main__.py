@@ -225,8 +225,7 @@ def cmd_work(args) -> int:
             root = queue_dir
     report = work_loop(
         root=root, campaign=campaign, worker_id=args.worker_id,
-        ttl=args.ttl, max_cells=args.max_cells,
-        idle_exit_seconds=args.idle_exit)
+        max_cells=args.max_cells, idle_exit_seconds=args.idle_exit)
     print(f"-- worker {report.worker_id}: {report.completed} cells "
           f"completed over {len(report.campaigns)} campaign(s)"
           + (f" (exit: {report.reason})" if report.reason else ""))
@@ -457,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full grids instead of quick ones")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for independent cells "
-                        "(default: $REPRO_JOBS or 1; 0 = all cores)")
+                        "(default: 1; 0 = all cores)")
     p.add_argument("--metrics-out", metavar="PATH",
                    help="write the telemetry manifest (JSON) here")
     p.add_argument("--trace-out", metavar="PATH",
@@ -476,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full grids instead of quick ones")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for independent cells "
-                        "(default: $REPRO_JOBS or 1; 0 = all cores)")
+                        "(default: 1; 0 = all cores)")
     p.add_argument("--checkpoint", metavar="PATH", default=None,
                    help="journal file (default: "
                         "<cache-root>/figures.journal)")
@@ -495,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grace-seconds", type=float, default=None,
                    help="--distributed: degrade to in-process fan-out "
                         "after this long without a live worker "
-                        "(default: $REPRO_QUEUE_GRACE or 20)")
+                        "(default: 20)")
     p.add_argument("--metrics-out", metavar="PATH",
                    help="write the telemetry manifest (JSON) here")
     p.add_argument("--trace-out", metavar="PATH",
@@ -513,9 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve only this campaign id")
     p.add_argument("--worker-id", metavar="NAME", default=None,
                    help="stable worker name (default: host-pid)")
-    p.add_argument("--ttl", type=float, default=None,
-                   help="lease/heartbeat TTL seconds "
-                        "(default: $REPRO_QUEUE_TTL or 30)")
     p.add_argument("--max-cells", type=int, default=None,
                    help="exit after completing this many cells")
     p.add_argument("--idle-exit", type=float, default=None,

@@ -56,7 +56,7 @@ Chrome trace renders as instant markers.
 Cell functions must be module-level (picklable) and take the worker's
 runner as their first argument: ``fn(runner, *args)``.
 
-``--jobs``/:data:`JOBS_ENV` semantics: ``1`` (default) runs serial in
+``--jobs`` semantics: ``1`` (the default, also for None) runs serial in
 the calling process, ``N > 1`` uses ``N`` workers, ``0`` means one
 worker per CPU. Values beyond a sane cap (``max(16, 4 x cpu_count)``)
 are rejected rather than silently spawning hundreds of workers.
@@ -75,8 +75,6 @@ from concurrent.futures.process import BrokenProcessPool
 from ..errors import ExperimentError
 from ..telemetry import TELEMETRY
 from .resilience import FaultPlan, RetryPolicy
-
-JOBS_ENV = "REPRO_JOBS"
 
 #: ``resolve_jobs`` rejects requests beyond ``max(MIN_JOBS_CAP,
 #: MAX_JOBS_FACTOR * cpu_count)`` — fork bombs are a config error.
@@ -110,16 +108,9 @@ def jobs_cap() -> int:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Turn a ``--jobs`` value (or None = consult the env) into a count."""
+    """Turn a ``--jobs`` value (None = 1) into a worker count."""
     if jobs is None:
-        raw = os.environ.get(JOBS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ExperimentError(
-                f"{JOBS_ENV} must be an integer, got {raw!r}") from None
+        return 1
     if jobs < 0:
         raise ExperimentError(f"jobs must be >= 0, got {jobs}")
     cap = jobs_cap()
@@ -221,7 +212,7 @@ def fan_out(runner, fn, items, jobs: int | None = None,
     if jobs <= 1 or len(items) <= 1:
         return [fn(runner, *args) for args in items]
     if policy is None:
-        policy = RetryPolicy.from_env()
+        policy = RetryPolicy()
     supervisor = _Supervisor(runner, fn, items, jobs, policy,
                              FaultPlan.from_env())
     return supervisor.run()

@@ -16,13 +16,12 @@ check with a nonzero exit — the CI-able guardrail, which
 (no new measurement, exit 0 always): the trajectory view.
 
 Refresh the baseline on the target machine with ``repro perf check
---update`` (or ``REPRO_REFRESH_BASELINES=1``).
+--update``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -31,8 +30,6 @@ from ..telemetry import TELEMETRY
 #: Baseline file shared with the bench suite's conventions.
 DEFAULT_BASELINE = Path(__file__).resolve().parents[3] \
     / "benchmarks" / "baselines" / "perf.json"
-
-REFRESH_ENV = "REPRO_REFRESH_BASELINES"
 
 PROBE_SCHEMA = 1
 
@@ -187,9 +184,9 @@ def check(baseline_path: str | Path | None = None,
           emit=print) -> int:
     """Probe, compare against the checked-in baseline, exit-code style.
 
-    ``update=True`` (or ``REPRO_REFRESH_BASELINES=1``) rewrites the
-    baseline from the measurement instead of gating. ``probe=False``
-    reuses the registry's most recent ``perf_probe`` record.
+    ``update=True`` rewrites the baseline from the measurement instead
+    of gating. ``probe=False`` reuses the registry's most recent
+    ``perf_probe`` record.
     """
     from ..analysis.report import render_table
     path = Path(baseline_path) if baseline_path is not None \
@@ -203,8 +200,7 @@ def check(baseline_path: str | Path | None = None,
             emit("perf check: no perf_probe record in the registry; "
              "run without --no-probe first")
             return 1
-    refresh = os.environ.get(REFRESH_ENV, "").strip() not in ("", "0")
-    if update or refresh:
+    if update:
         path.parent.mkdir(parents=True, exist_ok=True)
         baseline = {key: record[key] for key in
                     ("schema", "config", "gauges", "categories")}

@@ -94,12 +94,12 @@ from .resilience import FaultPlan
 #: Bump when the on-disk queue layout changes incompatibly.
 QUEUE_SCHEMA = 1
 
-#: Lease/heartbeat time-to-live in seconds (override: CLI / env).
-TTL_ENV = "REPRO_QUEUE_TTL"
+#: Lease/heartbeat time-to-live in seconds a new campaign records in
+#: its manifest; every worker that joins the campaign enforces it.
 DEFAULT_TTL = 30.0
 
-#: Coordinator grace period before degrading to in-process fan-out.
-GRACE_ENV = "REPRO_QUEUE_GRACE"
+#: Coordinator grace period before degrading to in-process fan-out
+#: (``--grace-seconds`` overrides it).
 DEFAULT_GRACE = 20.0
 
 #: Reclaim generations per cell before it is poisoned.
@@ -120,31 +120,6 @@ _CELL_DIRS = (_PENDING, _LEASED, _RECLAIMING, _DONE, _POISON)
 
 JOURNAL_NAME = "results.journal"
 MANIFEST_NAME = "manifest.json"
-
-
-def default_ttl() -> float:
-    raw = os.environ.get(TTL_ENV, "").strip()
-    if not raw:
-        return DEFAULT_TTL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ExperimentError(
-            f"{TTL_ENV} must be seconds (float), got {raw!r}") from None
-    if value <= 0:
-        raise ExperimentError(f"{TTL_ENV} must be positive, got {value}")
-    return value
-
-
-def default_grace() -> float:
-    raw = os.environ.get(GRACE_ENV, "").strip()
-    if not raw:
-        return DEFAULT_GRACE
-    try:
-        return max(0.0, float(raw))
-    except ValueError:
-        raise ExperimentError(
-            f"{GRACE_ENV} must be seconds (float), got {raw!r}") from None
 
 
 def queue_root() -> Path | None:
@@ -288,13 +263,13 @@ class WorkQueue:
         self.directory = Path(directory)
         self.campaign = self.directory.name
         # Policy resolution: explicit argument > the manifest the
-        # coordinator committed > environment/default. Workers opening
-        # an existing campaign therefore enforce the coordinator's TTL
-        # and reclaim budget, not their own local defaults.
+        # coordinator committed > default. Workers opening an existing
+        # campaign therefore enforce the coordinator's TTL and reclaim
+        # budget.
         manifest = _read_json(self.manifest_path) or {}
         if ttl is None:
             ttl = manifest.get("ttl")
-        self.ttl = float(ttl) if ttl is not None else default_ttl()
+        self.ttl = float(ttl) if ttl is not None else DEFAULT_TTL
         if max_generations is None:
             max_generations = manifest.get("max_generations")
         self.max_generations = int(max_generations) \
@@ -758,9 +733,9 @@ class QueueExecutor:
                  local_jobs: int | None = None) -> None:
         self.queue = queue
         self.grace_seconds = grace_seconds if grace_seconds is not None \
-            else default_grace()
+            else DEFAULT_GRACE
         self.poll_seconds = poll_seconds
-        #: ``--jobs`` for the degraded local fan-out (None = env/serial).
+        #: ``--jobs`` for the degraded local fan-out (None = serial).
         self.local_jobs = local_jobs
         self._saw_worker = False
 
@@ -882,6 +857,10 @@ class _HeartbeatThread(threading.Thread):
     against the shared cache directory. Jittering *downward* keeps
     every worker safely under the lease TTL.
 
+    Setting :attr:`interval` wakes the thread, so a worker that joins
+    a campaign with a shorter TTL renews at the new cadence at once,
+    not after the interval it was waiting out.
+
     The ``heartbeat_stop`` fault freezes renewals permanently — the
     worker keeps executing, its leases go stale, and reclamation takes
     the cells away; at-least-once + idempotence keeps the campaign's
@@ -894,13 +873,27 @@ class _HeartbeatThread(threading.Thread):
         self.queues = queues
         self.worker_id = worker_id
         self.jitter = seeded_jitter(worker_id, "heartbeat", 0.6, 1.0)
+        self._wake = threading.Event()
+        self._stopped = False
         self.interval = max(0.05, ttl / 3.0 * self.jitter)
         self.faults = faults
-        self.stop_event = threading.Event()
         self.held: dict[str, tuple[Path, ...]] = {}
         self._lock = threading.Lock()
         self._renewals = 0
         self.frozen = False
+
+    @property
+    def interval(self) -> float:
+        return self._interval
+
+    @interval.setter
+    def interval(self, seconds: float) -> None:
+        self._interval = seconds
+        self._wake.set()
+
+    def stop(self) -> None:
+        self._stopped = True
+        self._wake.set()
 
     def set_held(self, campaign: str, paths: tuple[Path, ...]) -> None:
         with self._lock:
@@ -928,8 +921,16 @@ class _HeartbeatThread(threading.Thread):
                 continue
 
     def run(self) -> None:
-        while not self.stop_event.wait(self.interval):
-            self.beat_once()
+        last = time.monotonic()
+        while True:
+            self._wake.wait(max(0.0, last + self._interval
+                                - time.monotonic()))
+            self._wake.clear()
+            if self._stopped:
+                return
+            if time.monotonic() - last >= self._interval:
+                self.beat_once()
+                last = time.monotonic()
 
 
 def discover_campaigns(root: str | Path | None = None,
@@ -957,7 +958,6 @@ def discover_campaigns(root: str | Path | None = None,
 def work_loop(root: str | Path | None = None,
               campaign: str | None = None,
               worker_id: str | None = None,
-              ttl: float | None = None,
               poll_seconds: float = 0.25,
               max_cells: int | None = None,
               idle_exit_seconds: float | None = None,
@@ -977,10 +977,6 @@ def work_loop(root: str | Path | None = None,
     from .diskcache import DiskCache
     if faults is None:
         faults = FaultPlan.from_env()
-    # ``ttl`` stays None unless the operator forced one: each campaign
-    # manifest carries the coordinator's TTL/reclaim policy and
-    # ``WorkQueue.__init__`` adopts it, so workers enforce the
-    # coordinator's lease budget rather than their local default.
     worker_id = worker_id or \
         f"{socket.gethostname()}-{os.getpid()}"
     # Desynchronize idle polls across the fleet (deterministically per
@@ -990,9 +986,7 @@ def work_loop(root: str | Path | None = None,
     metrics = TELEMETRY.metrics
     queues: dict[str, WorkQueue] = {}
     runners: dict[tuple, ExperimentRunner] = {}
-    heart = _HeartbeatThread(
-        queues, worker_id, ttl if ttl is not None else default_ttl(),
-        faults)
+    heart = _HeartbeatThread(queues, worker_id, DEFAULT_TTL, faults)
     heart.start()
     idle_since = time.monotonic()
     try:
@@ -1003,11 +997,11 @@ def work_loop(root: str | Path | None = None,
             directories = discover_campaigns(root, campaign)
             for path in directories:
                 if path.name not in queues:
-                    queue = WorkQueue(path, ttl=ttl)
+                    # The campaign's manifest carries its coordinator's
+                    # TTL and reclaim budget; renew fast enough for the
+                    # tightest TTL of any campaign we are serving.
+                    queue = WorkQueue(path)
                     queues[path.name] = queue
-                    # Renew fast enough for the tightest lease TTL of
-                    # any campaign we are serving (keeping this
-                    # worker's deterministic jitter factor).
                     heart.interval = min(
                         heart.interval,
                         max(0.05, queue.ttl / 3.0 * heart.jitter))
@@ -1053,7 +1047,7 @@ def work_loop(root: str | Path | None = None,
                     return report
                 time.sleep(poll_seconds * poll_jitter)
     finally:
-        heart.stop_event.set()
+        heart.stop()
         heart.join(timeout=2 * heart.interval)
     return report
 
@@ -1154,8 +1148,7 @@ def sweep_queues(root: str | Path,
             except OSError:
                 pass
             continue
-        queue = WorkQueue(path,
-                          ttl=float(manifest.get("ttl", DEFAULT_TTL)))
+        queue = WorkQueue(path)
         reclaim = queue.reclaim_expired(now=now)
         stats["leases_reclaimed"] += reclaim["reclaimed"]
         stats["poisoned"] += reclaim["poisoned"]

@@ -34,7 +34,8 @@ different ``attempt``). Kinds:
     the worker process ``os._exit``\\ s before running its cell,
     breaking the pool (exercises rebuild + lost-cell re-run).
 ``cell_timeout``
-    the worker sleeps ``sleep`` seconds before its cell (exercises the
+    the worker sleeps ``sleep`` seconds before its cell (under a
+    :class:`RetryPolicy` whose ``timeout`` is shorter, exercises the
     per-cell timeout, pool kill, and retry path).
 ``cache_corrupt``
     :class:`~repro.experiments.diskcache.DiskCache` flips bytes in the
@@ -93,10 +94,6 @@ from ..telemetry import TELEMETRY
 
 #: Fault-injection grammar (see module docstring).
 FAULTS_ENV = "REPRO_FAULTS"
-#: Per-cell timeout in seconds for supervised fan-out (unset = none).
-TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
-#: Retry budget per cell for supervised fan-out.
-RETRIES_ENV = "REPRO_CELL_RETRIES"
 
 #: Journal filename for ``figures --all`` (lives under the cache root).
 CHECKPOINT_NAME = "figures.journal"
@@ -241,29 +238,6 @@ class RetryPolicy:
         """Exponential backoff delay before retry number ``attempt``."""
         return min(self.backoff_base * (2.0 ** max(0, attempt - 1)),
                    self.backoff_max)
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Defaults overridden by :data:`TIMEOUT_ENV`/:data:`RETRIES_ENV`."""
-        kwargs = {}
-        raw = os.environ.get(TIMEOUT_ENV, "").strip()
-        if raw:
-            try:
-                timeout = float(raw)
-            except ValueError:
-                raise ExperimentError(
-                    f"{TIMEOUT_ENV} must be seconds (float), "
-                    f"got {raw!r}") from None
-            kwargs["timeout"] = timeout if timeout > 0 else None
-        raw = os.environ.get(RETRIES_ENV, "").strip()
-        if raw:
-            try:
-                kwargs["max_retries"] = int(raw)
-            except ValueError:
-                raise ExperimentError(
-                    f"{RETRIES_ENV} must be an integer, "
-                    f"got {raw!r}") from None
-        return cls(**kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,6 @@ from ..host.codec import RAW_ROW_BYTES
 from ..host.machine import HostMachine
 from ..host.trace import InstructionTrace
 from ..telemetry import TELEMETRY
-from ..telemetry.export import write_manifest
 from ..uarch.system import MemorySideState, SimulatedSystem
 from ..vm.cpython import CPythonVM
 from ..vm.pypy import PyPyVM
@@ -55,6 +54,10 @@ from ..workloads import get_workload
 from .diskcache import DiskCache, content_key
 
 _MB = 1024 * 1024
+
+#: A guest run that emits more host instructions than this fails. The
+#: limit is part of every trace's disk-cache key (``max_instructions``).
+MAX_INSTRUCTIONS = 120_000_000
 
 
 def memory_side_key(config: MachineConfig) -> tuple:
@@ -132,11 +135,9 @@ class ExperimentRunner:
     #: behind it.
     CACHE_BUDGET_BYTES = 512 * _MB
 
-    def __init__(self, scale: int = 1, max_instructions: int = 120_000_000,
-                 metrics_out: str | None = None,
+    def __init__(self, scale: int = 1,
                  disk_cache: DiskCache | None = None) -> None:
         self.scale = scale
-        self.max_instructions = max_instructions
         self.disk_cache = disk_cache if disk_cache is not None \
             else DiskCache()
         #: ("trace", run key) -> RunHandle and ("state", state key) ->
@@ -148,13 +149,6 @@ class ExperimentRunner:
         self._programs: dict[tuple, Program] = {}
         #: Next RunHandle.token; never reused within a runner.
         self._next_token = 1
-        #: When set, a manifest is written here after every fresh run.
-        self.metrics_out = metrics_out
-        self.last_handle: RunHandle | None = None
-        #: Content key of the most recent fresh run or disk hit; the
-        #: manifest records it so registry entries join against cache
-        #: entries.
-        self.last_cache_key: str | None = None
 
     # ------------------------------------------------------------------
     # Guest execution
@@ -198,14 +192,13 @@ class ExperimentRunner:
         if cached is not None:
             metrics.counter("runner.trace_cache.hit", runtime=runtime).inc()
             metrics.counter("runner.disk_cache.hit", kind="trace").inc()
-            self.last_cache_key = disk_key
             return self._adopt_handle(key, cached)
         metrics.counter("runner.trace_cache.miss", runtime=runtime).inc()
         if self.disk_cache.enabled:
             metrics.counter("runner.disk_cache.miss", kind="trace").inc()
         program = self._program(workload, runtime)
         space = AddressSpace(nursery_size=max(nursery, 16 * 1024))
-        machine = HostMachine(space, max_instructions=self.max_instructions)
+        machine = HostMachine(space, max_instructions=MAX_INSTRUCTIONS)
         config = _runtime_config(runtime, jit, max(nursery, 16 * 1024))
         start = time.perf_counter()
         with TELEMETRY.tracer.span("guest.run", workload=workload,
@@ -242,9 +235,7 @@ class ExperimentRunner:
         if wall_seconds > 0:
             metrics.gauge("guest.instructions_per_second",
                           runtime=runtime).set(len(trace) / wall_seconds)
-        self.last_cache_key = disk_key
         self._admit("trace", key, handle, len(trace) * RAW_ROW_BYTES)
-        self.last_handle = handle
         self.disk_cache.store_run(disk_key, handle, key_params=trace_params)
         # A finished VM is a reference cycle that holds the whole guest
         # heap; collect it here (~10 ms per run) instead of whenever the
@@ -252,8 +243,6 @@ class ExperimentRunner:
         # allocation timing. The frozen trace no longer reaches it.
         del vm, machine
         gc.collect()
-        if self.metrics_out is not None:
-            self.write_manifest(self.metrics_out)
         return handle
 
     def _trace_key_params(self, workload: str, runtime: str, jit: bool,
@@ -263,7 +252,7 @@ class ExperimentRunner:
             "kind": "trace", "workload": workload, "runtime": runtime,
             "jit": jit, "nursery": nursery, "scale": self.scale,
             "warmup_runs": warmup_runs,
-            "max_instructions": self.max_instructions,
+            "max_instructions": MAX_INSTRUCTIONS,
         }
 
     def _adopt_handle(self, key: tuple, handle: RunHandle) -> RunHandle:
@@ -273,7 +262,6 @@ class ExperimentRunner:
         self._next_token += 1
         self._admit("trace", key, handle,
                     len(handle.trace) * RAW_ROW_BYTES)
-        self.last_handle = handle
         return handle
 
     # ------------------------------------------------------------------
@@ -390,15 +378,10 @@ class ExperimentRunner:
     def spawn_params(self) -> dict:
         """Constructor kwargs for a worker-process clone of this runner.
 
-        ``metrics_out`` is omitted (only the parent writes manifests)
-        and the disk cache is shared so worker results persist where the
+        The disk cache is shared so worker results persist where the
         parent and later invocations will look for them.
         """
-        return {
-            "scale": self.scale,
-            "max_instructions": self.max_instructions,
-            "disk_cache": self.disk_cache,
-        }
+        return {"scale": self.scale, "disk_cache": self.disk_cache}
 
     def queue_params(self) -> dict:
         """JSON-able clone parameters for a *cross-process* worker.
@@ -409,46 +392,7 @@ class ExperimentRunner:
         the campaign's shared cache directory, which is the whole
         rendezvous mechanism.
         """
-        return {
-            "scale": self.scale,
-            "max_instructions": self.max_instructions,
-        }
-
-    # ------------------------------------------------------------------
-    # Telemetry export
-    # ------------------------------------------------------------------
-
-    def write_manifest(self, path: str | None = None):
-        """Write the per-run JSON manifest for the most recent run."""
-        handle = self.last_handle
-        stats = None
-        if handle is not None:
-            stats = {
-                "workload": handle.workload,
-                "runtime": handle.runtime,
-                "jit": handle.jit,
-                "nursery": handle.nursery,
-                "bytecodes": handle.bytecodes,
-                "allocations": handle.allocations,
-                "allocated_bytes": handle.allocated_bytes,
-                "minor_gcs": handle.minor_gcs,
-                "major_gcs": handle.major_gcs,
-                "traces_compiled": handle.traces_compiled,
-                "deopts": handle.deopts,
-                "wall_seconds": handle.wall_seconds,
-                "host_instructions": handle.host_instructions,
-            }
-        config = {
-            "cache_key": self.last_cache_key,
-            "scale": self.scale,
-            "max_instructions": self.max_instructions,
-            "cache_budget_bytes": self.CACHE_BUDGET_BYTES,
-            "cache_bytes": self.cache_bytes,
-            "disk_cache": str(self.disk_cache.root)
-            if self.disk_cache.enabled else None,
-        }
-        return write_manifest(path, command="experiments.runner",
-                              config=config, stats=stats)
+        return {"scale": self.scale}
 
 
 def _state_bytes(state: MemorySideState) -> int:

@@ -6,12 +6,11 @@ JSON, see :mod:`~repro.experiments.client` for the protocol), warm
 queries are answered straight from the content-addressed disk cache in
 milliseconds, and cold cells run through the same
 :func:`~repro.experiments.parallel.fan_out` path every other driver
-uses. Warm trace hits come back as lazily decoded mmap-backed frames
-(:mod:`repro.host.codec`): the runner's loads never materialize the
-full row-major buffer, each sweep touches only the columns and row
-ranges it consumes, and concurrent tenants hitting the same trace
-share the encoded bytes through the page cache. Robustness is the
-design center:
+uses. A warm trace hit loads an mmap-backed encoded file
+(:mod:`repro.host.codec`): the loaded trace decodes each column in
+full the first time a sweep asks for it and keeps it, and concurrent
+tenants hitting the same trace share the encoded bytes through the
+page cache. Robustness is the design center:
 
 **Admission control.** Each tenant owns a token bucket (``rate``
 tokens/second up to ``burst``); a request that finds the bucket empty
@@ -512,9 +511,12 @@ class SweepServer:
         elif rtype == "status":
             responder.send(self._status_response())
         elif rtype == "drain":
-            self.request_drain("client request")
+            # Answer after admission stops and before the drain starts:
+            # the drain closes every connection, this one included.
+            self._stop_admission("client request")
             responder.send({"ok": True, "type": "drain",
                             "message": "draining"})
+            self.request_drain("client request")
         elif rtype in ("figure", "bench"):
             self._admit(message, responder)
         else:
@@ -849,13 +851,16 @@ class SweepServer:
 
     def request_drain(self, reason: str = "signal") -> None:
         """Flip into draining (idempotent; safe from signal handlers)."""
+        self._stop_admission(reason)
+        self._work.set()
+        self._drain_requested.set()
+
+    def _stop_admission(self, reason: str) -> None:
         with self._lock:
             already = self._draining
             self._draining = True
         if not already:
             TELEMETRY.events.emit("serve.draining", reason=reason)
-        self._work.set()
-        self._drain_requested.set()
 
     def wait_for_drain_request(self, timeout: float | None = None) -> bool:
         return self._drain_requested.wait(timeout)

@@ -19,11 +19,15 @@ columns actually behave:
 Rows are grouped into **frames** (:data:`FRAME_ROWS` rows each); every
 frame encodes its columns independently (delta chains restart per
 frame) and a JSON directory at the end of the file records each
-column segment's byte range. A reader therefore memory-maps the file
-and decodes *only the frames and columns a consumer touches* — a
-warm query that needs two columns of a window pays for exactly those
-segments, never a full-file decode, and the OS page cache shares the
-mapped bytes between every process on the host.
+column segment's byte range. A reader memory-maps the file, and the
+OS page cache shares the mapped bytes between every process on the
+host. A loaded trace (:meth:`~repro.host.trace.InstructionTrace.load`)
+decodes each column it is asked for in full, with
+:meth:`FrameReader.column`, and keeps it; its ``arrays()`` decodes all
+eight. :meth:`FrameReader.decode_range` decodes only the frames that
+cover a row range; it runs when ``slice_view`` is called on a loaded
+trace whose columns are not all decoded, which no figure or query
+does.
 
 File layout::
 

@@ -45,11 +45,10 @@ def telemetry_dir() -> Path:
     return Path(os.environ.get("REPRO_TELEMETRY_DIR", ".repro-telemetry"))
 
 
-#: Resilience knobs recorded verbatim in every manifest when set, so a
-#: run that survived injected faults or tightened supervision is
-#: distinguishable from a clean one after the fact.
-_RESILIENCE_ENV = ("REPRO_FAULTS", "REPRO_CELL_TIMEOUT",
-                   "REPRO_CELL_RETRIES")
+#: The fault-injection spec, recorded verbatim in every manifest when
+#: set, so a run that survived injected faults is distinguishable from
+#: a clean one after the fact.
+_FAULTS_ENV = "REPRO_FAULTS"
 
 
 def build_chrome_trace() -> dict:
@@ -103,14 +102,13 @@ def build_manifest(command: str | None = None,
                    config: dict | None = None,
                    stats: dict | None = None) -> dict:
     """Snapshot the live telemetry state into one JSON-ready dict."""
-    resilience = {name: os.environ[name] for name in _RESILIENCE_ENV
-                  if os.environ.get(name)}
+    faults = os.environ.get(_FAULTS_ENV)
     return {
         "schema": SCHEMA,
         "created_unix": time.time(),
         "command": command,
         "config": config or {},
-        "resilience": resilience,
+        "resilience": {_FAULTS_ENV: faults} if faults else {},
         "stats": stats or {},
         "metrics": TELEMETRY.metrics.snapshot(),
         "spans": TELEMETRY.tracer.tree(),

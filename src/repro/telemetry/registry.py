@@ -1,8 +1,8 @@
 """Append-only JSONL time-series of run records (the run registry).
 
 Every telemetry-enabled run appends one *record* — a compact summary of
-its manifest: the command, config, cache key, wall/host-instruction
-gauges, per-category cycle breakdown, and resilience counters — to
+its manifest: the command, config, wall/host-instruction gauges,
+per-category cycle breakdown, and resilience counters — to
 ``runs.jsonl`` under the registry directory. Records carry a
 **monotonic sequence number** assigned under an exclusive file lock, so
 "which run is newest" never depends on filesystem mtimes (which tie
@@ -102,7 +102,6 @@ def summarize_manifest(manifest: dict, kind: str = "run") -> dict:
         "created_unix": manifest.get("created_unix"),
         "command": manifest.get("command"),
         "config": config,
-        "cache_key": config.get("cache_key"),
         "resilience": manifest.get("resilience", {}),
         "stats": {key: stats[key] for key in
                   ("wall_seconds", "host_instructions", "cycles")

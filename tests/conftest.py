@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import os
 
 import pytest
 
@@ -37,8 +38,12 @@ def _telemetry_isolation(tmp_path, monkeypatch):
 
     Pointing REPRO_CACHE_DIR at a per-test directory keeps tests
     hermetic: no reuse of (possibly stale) cached runs from a
-    developer's working tree, and no ``.repro-cache`` litter.
+    developer's working tree, and no ``.repro-cache`` litter. Every
+    other ``REPRO_*`` variable of the calling shell is cleared; a test
+    that needs one sets it itself.
     """
+    for name in [n for n in os.environ if n.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
     monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path / "telemetry"))
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
     yield

@@ -419,9 +419,9 @@ def test_eviction_and_disk_refetch_are_counted(tmp_path, monkeypatch):
     runner.run("nbody", runtime="pypy", jit=True, nursery=64 * 1024)
     assert _counter("runner.cache.evicted{kind=trace}") == 1
     # Re-running the evicted workload reads it back from disk.
-    runner.run("chaos", runtime="pypy", jit=True, nursery=64 * 1024)
+    handle = runner.run("chaos", runtime="pypy", jit=True,
+                        nursery=64 * 1024)
     assert _counter("runner.disk_cache.hit{kind=trace}") == 1
-    handle = runner.last_handle
     state_a = runner.memory_side(handle, skylake_config())
     runner.memory_side(handle, scaled_config(1))
     assert _counter("runner.cache.evicted{kind=state}") == 1

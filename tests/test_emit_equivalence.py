@@ -25,7 +25,7 @@ from conftest import run_source
 from repro.analysis.breakdown import breakdown_for_run
 from repro.errors import TraceError
 from repro.experiments import runner as runner_module
-from repro.experiments.diskcache import DiskCache
+from repro.experiments.diskcache import DiskCache, content_key
 from repro.experiments.runner import ExperimentRunner
 from repro.host import _emit_kernel
 from repro.host.machine import HostMachine
@@ -62,6 +62,12 @@ def _run_combo(monkeypatch, tmp_path, backend: str, kernel: bool):
     return runner, handle
 
 
+def _cache_key(runner) -> str:
+    """Disk-cache content key of the CPython run of :data:`WORKLOAD`."""
+    return content_key(runner._trace_key_params(WORKLOAD, "cpython",
+                                                False, 0, 0))
+
+
 def _trace_digest(handle) -> str:
     # Every column is hashed widened to int64, so the pinned digests
     # below do not depend on the column dtypes.
@@ -78,7 +84,7 @@ def test_all_emission_combos_are_bit_identical(monkeypatch, tmp_path):
     for backend, kernel in COMBOS:
         runner, handle = _run_combo(monkeypatch, tmp_path, backend,
                                     kernel)
-        result = (_trace_digest(handle), runner.last_cache_key,
+        result = (_trace_digest(handle), _cache_key(runner),
                   handle.site_table, handle.bytecodes,
                   handle.allocations)
         if reference is None:
@@ -244,7 +250,7 @@ def test_category_breakdowns_match_across_backends(monkeypatch, tmp_path):
 
 _CHILD_SCRIPT = """
 import hashlib, sys
-from repro.experiments.diskcache import DiskCache
+from repro.experiments.diskcache import DiskCache, content_key
 from repro.experiments.runner import ExperimentRunner
 
 assert sys.flags.hash_randomization, "hash randomization must be live"
@@ -254,7 +260,8 @@ import numpy as np
 digest = hashlib.sha256()
 for name, column in sorted(handle.trace.arrays().items()):
     digest.update(np.ascontiguousarray(column, dtype="int64").tobytes())
-print(digest.hexdigest(), runner.last_cache_key)
+print(digest.hexdigest(), content_key(runner._trace_key_params(
+    {workload!r}, "cpython", False, 0, 0)))
 """
 
 

@@ -153,7 +153,7 @@ def test_registry_usage_counts_records(tmp_path):
 def test_summarize_manifest_splits_gauges_and_counters():
     manifest = {
         "command": "run",
-        "config": {"cache_key": "abc123", "workload": "chaos"},
+        "config": {"workload": "chaos"},
         "stats": {"wall_seconds": 1.5, "cycles": 100,
                   "category_cycles": {"DISPATCH": 40, "EXECUTE": 60}},
         "metrics": {
@@ -165,7 +165,7 @@ def test_summarize_manifest_splits_gauges_and_counters():
         "workers": {"cells": 3, "pids": [11, 12]},
     }
     record = summarize_manifest(manifest, kind="run")
-    assert record["cache_key"] == "abc123"
+    assert record["config"] == {"workload": "chaos"}
     assert record["gauges"] == {
         "guest.instructions_per_second{runtime=cpython}": 5.0}
     assert record["counters"] == {

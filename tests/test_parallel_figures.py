@@ -7,7 +7,7 @@ import pytest
 from repro import telemetry
 from repro.errors import ExperimentError
 from repro.experiments.figures import fig5
-from repro.experiments.parallel import JOBS_ENV, fan_out, resolve_jobs
+from repro.experiments.parallel import fan_out, resolve_jobs
 from repro.experiments.runner import ExperimentRunner
 from repro.telemetry import TELEMETRY
 
@@ -22,17 +22,10 @@ _REQUESTS = (
 )
 
 
-def test_resolve_jobs_defaults_and_env(monkeypatch):
-    monkeypatch.delenv(JOBS_ENV, raising=False)
+def test_resolve_jobs_defaults():
     assert resolve_jobs(None) == 1
     assert resolve_jobs(3) == 3
-    monkeypatch.setenv(JOBS_ENV, "5")
-    assert resolve_jobs(None) == 5
-    assert resolve_jobs(2) == 2  # explicit wins over the env
     assert resolve_jobs(0) >= 1  # 0 = one per CPU
-    monkeypatch.setenv(JOBS_ENV, "many")
-    with pytest.raises(ExperimentError):
-        resolve_jobs(None)
     with pytest.raises(ExperimentError):
         resolve_jobs(-2)
 

@@ -274,6 +274,27 @@ def test_reclaim_poisons_after_max_generations(tmp_path):
     assert len(record["reclaim_history"]) == 2
 
 
+def test_queue_opened_on_a_campaign_enforces_recorded_policy(tmp_path):
+    """A worker learns the TTL and reclaim budget only from the manifest
+    its coordinator wrote, and reclaims by them."""
+    assert WorkQueue(tmp_path / "default").ensure().manifest()["ttl"] \
+        == DEFAULT_TTL
+    coordinator = _queue(tmp_path, ttl=0.7, max_generations=1)
+    worker = WorkQueue(coordinator.directory)
+    assert worker.ttl == 0.7
+    assert worker.max_generations == 1
+    worker.publish(_cells(1))
+    claim = worker.claim("w0")
+    _backdate(claim.leased_path, 0.4)
+    assert worker.reclaim_expired()["reclaimed"] == 0   # younger than 0.7 s
+    _backdate(claim.leased_path, 0.4)
+    assert worker.reclaim_expired()["reclaimed"] == 1
+    claim = worker.claim("w1")
+    assert claim.generation == 1
+    _backdate(claim.leased_path, 0.8)
+    assert worker.reclaim_expired()["poisoned"] == 1    # one reclaim only
+
+
 def test_reclaim_heals_stuck_reclaiming_entries(tmp_path):
     queue = _queue(tmp_path, ttl=1.0)
     cell = _cells(1)[0]
@@ -381,6 +402,33 @@ def test_heartbeat_interval_carries_per_worker_jitter():
     assert a.interval != b.interval
     # Jitter points *downward* so renewals never outrun the TTL.
     assert 0.6 * 10.0 <= a.interval <= 10.0
+
+
+def test_heartbeat_takes_a_shorter_interval_at_once(tmp_path):
+    """A worker started at the default TTL that joins a 0.6 s campaign
+    renews the lease it holds there within 0.6 s, not after the 6-10 s
+    wait it began under."""
+    queue = _queue(tmp_path, ttl=0.6)
+    queue.publish(_cells(1))
+    claim = queue.claim("wH")
+    heart = _HeartbeatThread({}, "wH", DEFAULT_TTL, FaultPlan())
+    heart.start()
+    try:
+        time.sleep(0.1)              # now waiting out the long interval
+        heart.queues["camp"] = queue
+        heart.set_held("camp", (claim.leased_path,))
+        _backdate(claim.leased_path, 10.0)
+        stale = claim.leased_path.stat().st_mtime
+        heart.interval = max(0.05, queue.ttl / 3.0 * heart.jitter)
+        deadline = time.monotonic() + queue.ttl
+        while claim.leased_path.stat().st_mtime == stale \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert claim.leased_path.stat().st_mtime > stale
+    finally:
+        heart.stop()
+        heart.join(timeout=1.0)
+    assert not heart.is_alive()
 
 
 # ----------------------------------------------------------------------
@@ -522,7 +570,7 @@ def test_worker_survives_failing_cell_and_lease_recovers(tmp_path,
     queue.publish([make_cell(_failing_cell, (1,), _PARAMS),
                    make_cell(_double_cell, (2,), _PARAMS)])
     report = work_loop(campaign="camp-c", worker_id="wC",
-                       ttl=0.2, poll_seconds=0.01, max_cells=2,
+                       poll_seconds=0.01, max_cells=2,
                        idle_exit_seconds=0.5,
                        faults=FaultPlan(), emit=lambda *_: None)
     assert report.completed == 1          # the healthy cell
@@ -563,7 +611,7 @@ def test_lease_stall_abandons_then_reclaim_recovers(tmp_path,
     plan = FaultPlan({"lease_stall": FaultSpec(
         "lease_stall", 0.5, seed=seed, sleep_seconds=0.01)})
     report = work_loop(campaign="camp-d", worker_id="wD",
-                       ttl=0.2, poll_seconds=0.01, max_cells=1,
+                       poll_seconds=0.01, max_cells=1,
                        idle_exit_seconds=10.0, faults=plan,
                        emit=lambda *_: None)
     assert report.stalled == 1
@@ -680,12 +728,13 @@ def test_status_renders_queue_panel(tmp_path, monkeypatch):
 # Distributed campaign: coordinator + subprocess worker fleet
 # ----------------------------------------------------------------------
 
-def _spawn_worker(queue_dir: Path, *, faults: str = "", ttl: str = "2",
+def _spawn_worker(queue_dir: Path, *, faults: str = "",
                   extra_env: dict | None = None) -> subprocess.Popen:
+    # The worker takes its TTL (2 s in these tests) from the manifest
+    # its coordinator wrote.
     env = {**os.environ,
            "PYTHONPATH": _SRC + (os.pathsep + os.environ["PYTHONPATH"]
-                                 if os.environ.get("PYTHONPATH") else ""),
-           "REPRO_QUEUE_TTL": ttl}
+                                 if os.environ.get("PYTHONPATH") else "")}
     if faults:
         env["REPRO_FAULTS"] = faults
     else:

@@ -18,8 +18,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.resilience import (
     FAULTS_ENV,
-    RETRIES_ENV,
-    TIMEOUT_ENV,
     CampaignReport,
     FaultPlan,
     FaultSpec,
@@ -127,24 +125,11 @@ def test_backoff_grows_exponentially_and_saturates():
     assert policy.backoff(40) == pytest.approx(0.5)
 
 
-def test_retry_policy_from_env(monkeypatch):
-    monkeypatch.delenv(TIMEOUT_ENV, raising=False)
-    monkeypatch.delenv(RETRIES_ENV, raising=False)
-    assert RetryPolicy.from_env() == RetryPolicy()
-    monkeypatch.setenv(TIMEOUT_ENV, "2.5")
-    monkeypatch.setenv(RETRIES_ENV, "5")
-    policy = RetryPolicy.from_env()
-    assert policy.timeout == 2.5
-    assert policy.max_retries == 5
-    monkeypatch.setenv(TIMEOUT_ENV, "0")  # 0 = unlimited
-    assert RetryPolicy.from_env().timeout is None
-    monkeypatch.setenv(TIMEOUT_ENV, "soon")
-    with pytest.raises(ExperimentError):
-        RetryPolicy.from_env()
-    monkeypatch.setenv(TIMEOUT_ENV, "1")
-    monkeypatch.setenv(RETRIES_ENV, "lots")
-    with pytest.raises(ExperimentError):
-        RetryPolicy.from_env()
+def test_retry_policy_defaults():
+    # What fan_out supervises with when its caller passes no policy.
+    policy = RetryPolicy()
+    assert policy.max_retries == 3
+    assert policy.timeout is None
 
 
 def test_resolve_jobs_rejects_fork_bombs():
@@ -318,7 +303,6 @@ def test_faulted_figure_matches_fault_free_serial_run(monkeypatch,
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "faulted-cache"))
     monkeypatch.setenv(FAULTS_ENV, f"worker_crash:p=0.5,seed={seed};"
                                    "cache_corrupt:p=1")
-    monkeypatch.setenv(RETRIES_ENV, "3")
     faulted = fig5(ExperimentRunner(), quick=True, jobs=2)
     assert faulted.rendered == serial.rendered
     assert faulted.data["shares"] == serial.data["shares"]

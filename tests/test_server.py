@@ -37,6 +37,7 @@ from repro.experiments.server import (
     SessionJournal,
     SweepServer,
     TokenBucket,
+    _Responder,
     estimate_cost,
 )
 from repro.telemetry import TELEMETRY
@@ -438,6 +439,41 @@ def test_drain_past_grace_aborts_between_cells_then_resumes(tmp_path):
         record = _wait_for_result(reborn, "long")
         assert record["status"] == "ok"
         assert record["cells"] == 40
+
+
+def test_drain_request_is_answered_before_teardown(tmp_path, monkeypatch):
+    """``repro serve`` drains, closing every connection, as soon as a
+    drain is requested. The client that asked must get its answer
+    first, however late its connection thread sends it, and admission
+    must already be closed when that answer arrives."""
+    send = _Responder.send
+    admitting = []
+
+    def late_drain_ack(self, payload):
+        if payload.get("type") == "drain":
+            admitting.append(not server._draining)
+            time.sleep(0.3)
+        return send(self, payload)
+
+    monkeypatch.setattr(_Responder, "send", late_drain_ack)
+    server = _start(tmp_path)
+    drained = []
+
+    def serve_main():
+        # What the ``serve`` command's main thread does.
+        server.wait_for_drain_request()
+        drained.append(server.drain())
+
+    main = threading.Thread(target=serve_main)
+    main.start()
+    try:
+        ack = _client(server).drain()
+    finally:
+        server.request_drain("test")
+        main.join(timeout=30)
+    assert ack["ok"] and ack["type"] == "drain"
+    assert admitting == [False]
+    assert drained == [0]
 
 
 # ---------------------------------------------------------------------------

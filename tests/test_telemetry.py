@@ -345,14 +345,17 @@ def test_v8_run_counts_inline_caches():
 
 def test_manifest_round_trips_through_json(tmp_path):
     with telemetry.session():
-        runner = ExperimentRunner()
-        runner.run("chaos", runtime="pypy", jit=True, nursery=_64K)
-        path = runner.write_manifest(str(tmp_path / "manifest.json"))
+        handle = ExperimentRunner().run("chaos", runtime="pypy", jit=True,
+                                        nursery=_64K)
+        path = write_manifest(str(tmp_path / "manifest.json"),
+                              command="run",
+                              stats={"workload": handle.workload,
+                                     "wall_seconds": handle.wall_seconds})
         loaded = json.loads(path.read_text())
     rebuilt = json.loads(json.dumps(loaded))
     assert rebuilt == loaded
     assert rebuilt["schema"] == "repro-telemetry/2"
-    assert rebuilt["command"] == "experiments.runner"
+    assert rebuilt["command"] == "run"
     assert rebuilt["stats"]["workload"] == "chaos"
     assert rebuilt["stats"]["wall_seconds"] > 0
     assert rebuilt["metrics"]["gc.minor_collections{runtime=pypy}"] >= 1
