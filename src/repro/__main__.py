@@ -20,12 +20,11 @@ serve      long-lived multi-tenant sweep server (admission control,
 query      client for ``serve``: figure queries and health probes
 
 ``run``, ``breakdown``, ``figure``, ``figures``, and ``perf`` execute
-with telemetry enabled and write a per-run manifest (mirrored to
-``.repro-telemetry/last_run.json``; ``--metrics-out PATH`` adds an
-explicit copy, ``--trace-out PATH`` writes the unified Chrome trace
-with per-worker lanes) that the ``telemetry`` command reads back; each
-manifest is also summarized into the run registry under
-``<cache-root>/telemetry/``.
+with telemetry enabled and store a per-run manifest in the run registry
+under ``<cache-root>/telemetry/``, which the ``telemetry`` command reads
+back (``--metrics-out PATH`` adds an explicit copy, ``--trace-out
+PATH`` writes the unified Chrome trace with per-worker lanes derived
+from it).
 
 ``figures --all`` journals each completed figure to a checkpoint file
 (default: ``<cache-root>/figures.journal``); an interrupted campaign —
@@ -50,10 +49,12 @@ from .host import AddressSpace, HostMachine
 from .pintool import attribute
 from .telemetry import TELEMETRY
 from .telemetry.export import (
+    build_manifest,
     load_last_manifest,
     write_chrome_trace,
     write_manifest,
 )
+from .telemetry.registry import RunRegistry, registry_dir
 from .uarch import SimulatedSystem
 from .vm.cpython import CPythonVM
 from .vm.pypy import PyPyVM
@@ -253,7 +254,6 @@ def cmd_cache(args) -> int:
               f"under {cache.root}")
         # The registry is never size-evicted with the artifacts; its
         # retention is an explicit record-count prune here.
-        from .telemetry.registry import RunRegistry
         registry = RunRegistry(cache.root / "telemetry")
         pruned = registry.prune(max_records=args.max_registry_records)
         if pruned:
@@ -338,11 +338,11 @@ def cmd_serve(args) -> int:
     print(f"-- serve: listening on {server.endpoint} "
           f"(journal: {server.journal.path})", flush=True)
     signal.signal(signal.SIGTERM,
-                  lambda *_: server.request_drain("SIGTERM"))
+                  lambda *_: server.request_drain())
     try:
         server.wait_for_drain_request()
     except KeyboardInterrupt:
-        server.request_drain("SIGINT")
+        server.request_drain()
     rc = server.drain()
     stats = server.stats_snapshot()
     print(f"-- serve: drained ({stats['served']} served, "
@@ -396,7 +396,6 @@ def cmd_query(args) -> int:
 
 def cmd_telemetry(args) -> int:
     if args.registry:
-        from .telemetry.registry import RunRegistry
         records = RunRegistry().tail(args.tail)
         if not records:
             print("run registry is empty", file=sys.stderr)
@@ -684,14 +683,19 @@ def main(argv=None) -> int:
         if with_telemetry:
             config = {k: v for k, v in vars(args).items()
                       if not k.startswith("_") and k != "func"}
-            write_manifest(getattr(args, "metrics_out", None) or None,
-                           command=args.command, config=config,
-                           stats=getattr(args, "_manifest_stats", None))
+            manifest = build_manifest(
+                command=args.command, config=config,
+                stats=getattr(args, "_manifest_stats", None))
+            if write_manifest(getattr(args, "metrics_out", None) or None,
+                              manifest=manifest) is None:
+                print(f"warning: the run registry at {registry_dir()} "
+                      "did not store this run's manifest (lock timeout "
+                      "or unwritable directory)", file=sys.stderr)
             trace_out = getattr(args, "trace_out", None)
             if trace_out:
                 # Written in the finally block so even an interrupted
                 # campaign leaves its unified trace behind.
-                write_chrome_trace(trace_out)
+                write_chrome_trace(trace_out, manifest)
             telemetry.disable()
 
 

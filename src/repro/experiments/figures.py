@@ -94,21 +94,12 @@ def _runner(runner: ExperimentRunner | None, scale: int = 1,
 
 
 def _traced(func):
-    """Wrap a figure entry point in one telemetry span (``figure.<id>``).
-
-    Also brackets the span with ``figure.begin``/``figure.end`` instant
-    events, which mark the figure boundaries on the unified Chrome
-    trace's timeline.
-    """
+    """Wrap a figure entry point in one telemetry span (``figure.<id>``)."""
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
-        TELEMETRY.events.emit("figure.begin", figure=func.__name__)
-        try:
-            with TELEMETRY.tracer.span(f"figure.{func.__name__}"):
-                return func(*args, **kwargs)
-        finally:
-            TELEMETRY.events.emit("figure.end", figure=func.__name__)
+        with TELEMETRY.tracer.span(f"figure.{func.__name__}"):
+            return func(*args, **kwargs)
 
     return wrapper
 

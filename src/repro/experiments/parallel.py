@@ -50,8 +50,11 @@ exit status 130). Every recovery is counted:
 ``resilience.retries{reason=...}``, ``resilience.timeouts``,
 ``resilience.pool_rebuilds``, ``resilience.isolation_fallbacks``,
 ``resilience.isolated_cells``, ``resilience.serial_fallbacks``,
-``resilience.interrupted`` — and mirrored as events, which the unified
-Chrome trace renders as instant markers.
+``resilience.interrupted``. The recoveries that take time run inside
+parent spans, so they sit on the unified Chrome trace's timeline: a
+pool teardown and its backoff (``resilience.pool_rebuild``), a retry's
+backoff (``resilience.retry``), each isolated attempt
+(``resilience.isolated``) and each serial-fallback cell (``cell``).
 
 Cell functions must be module-level (picklable) and take the worker's
 runner as their first argument: ``fn(runner, *args)``.
@@ -135,7 +138,6 @@ def _init_worker(runner_params: dict, telemetry_on: bool,
     # contains only this worker's own increments and spans.
     TELEMETRY.metrics.reset()
     TELEMETRY.tracer.reset()
-    TELEMETRY.events.reset()
     from .runner import ExperimentRunner
     _WORKER_RUNNER = ExperimentRunner(**runner_params)
     _WORKER_FAULTS = fault_plan
@@ -282,7 +284,6 @@ class _Supervisor:
                     continue
         except KeyboardInterrupt:
             metrics.counter("resilience.interrupted").inc()
-            TELEMETRY.events.emit("resilience.interrupted")
             raise
         finally:
             self._shutdown(kill=not all(self.done))
@@ -339,10 +340,6 @@ class _Supervisor:
         self.results[index] = payload["result"]
         self.dumps[index] = payload
         self.done[index] = True
-        TELEMETRY.events.emit("cell.done", index=index,
-                              site=payload["site"],
-                              pid=payload["pid"],
-                              attempt=payload["attempt"])
 
     def _harvest(self, futures: dict) -> None:
         """Record every future that finished before the pool died.
@@ -388,7 +385,6 @@ class _Supervisor:
     def _on_timeout(self, index: int) -> None:
         metrics = TELEMETRY.metrics
         metrics.counter("resilience.timeouts").inc()
-        TELEMETRY.events.emit("resilience.timeout", site=self._site(index))
         self.timeout_counts[index] += 1
         self.attempts[index] += 1
         if self.timeout_counts[index] > self.policy.max_retries:
@@ -397,8 +393,6 @@ class _Supervisor:
                 f"{self.policy.timeout}s timeout "
                 f"{self.timeout_counts[index]} times; giving up")
         metrics.counter("resilience.retries", reason="timeout").inc()
-        TELEMETRY.events.emit("resilience.retry", reason="timeout",
-                              site=self._site(index))
         # The hung worker cannot be cancelled in place: kill the pool
         # and re-run every lost cell on a fresh one.
         self._pool_lost(reason="cell timeout", bump_attempts=False)
@@ -415,15 +409,14 @@ class _Supervisor:
                 f"{self.error_counts[index]} times "
                 f"(last error: {exc!r}); giving up") from exc
         metrics.counter("resilience.retries", reason="error").inc()
-        TELEMETRY.events.emit("resilience.retry", reason="error",
-                              site=self._site(index), error=repr(exc))
-        time.sleep(self.policy.backoff(self.error_counts[index]))
+        with TELEMETRY.tracer.span("resilience.retry", reason="error",
+                                   site=self._site(index)):
+            time.sleep(self.policy.backoff(self.error_counts[index]))
 
     def _pool_lost(self, reason: str, bump_attempts: bool = True) -> None:
         """Kill the (possibly broken) pool; schedule lost cells."""
         metrics = TELEMETRY.metrics
         metrics.counter("resilience.pool_rebuilds").inc()
-        TELEMETRY.events.emit("resilience.pool_rebuild", reason=reason)
         self.rebuilds += 1
         if bump_attempts:
             for i, finished in enumerate(self.done):
@@ -431,11 +424,10 @@ class _Supervisor:
                     self.attempts[i] += 1
                     metrics.counter("resilience.retries",
                                     reason="crash").inc()
-                    TELEMETRY.events.emit("resilience.retry",
-                                          reason="crash",
-                                          site=self._site(i))
-        self._shutdown(kill=True)
-        time.sleep(self.policy.backoff(self.rebuilds))
+        with TELEMETRY.tracer.span("resilience.pool_rebuild",
+                                   reason=reason):
+            self._shutdown(kill=True)
+            time.sleep(self.policy.backoff(self.rebuilds))
 
     # -- graceful degradation ------------------------------------------
 
@@ -459,8 +451,6 @@ class _Supervisor:
             return payload
         except FuturesTimeout:
             TELEMETRY.metrics.counter("resilience.timeouts").inc()
-            TELEMETRY.events.emit("resilience.timeout",
-                                  site=self._site(index), isolated=True)
             return None
         except (BrokenProcessPool, RuntimeError):
             return None
@@ -480,25 +470,24 @@ class _Supervisor:
         """
         metrics = TELEMETRY.metrics
         metrics.counter("resilience.isolation_fallbacks").inc()
-        TELEMETRY.events.emit("resilience.isolation_fallback",
-                              remaining=self.done.count(False))
         serial_started = False
         for i, finished in enumerate(self.done):
             if finished:
                 continue
             crashes = 0
             while not self.done[i] and crashes <= self.policy.max_retries:
-                payload = self._isolated_attempt(i)
+                with TELEMETRY.tracer.span("resilience.isolated",
+                                           site=self._site(i)):
+                    payload = self._isolated_attempt(i)
                 if payload is None:
                     crashes += 1
                     self.attempts[i] += 1
                     metrics.counter("resilience.retries",
                                     reason="crash").inc()
-                    TELEMETRY.events.emit("resilience.retry",
-                                          reason="crash",
-                                          site=self._site(i),
-                                          isolated=True)
-                    time.sleep(self.policy.backoff(crashes))
+                    with TELEMETRY.tracer.span("resilience.retry",
+                                               reason="crash",
+                                               site=self._site(i)):
+                        time.sleep(self.policy.backoff(crashes))
                 else:
                     metrics.counter("resilience.isolated_cells").inc()
                     self._record(i, payload)
@@ -507,8 +496,8 @@ class _Supervisor:
             if not serial_started:
                 serial_started = True
                 metrics.counter("resilience.serial_fallbacks").inc()
-                TELEMETRY.events.emit("resilience.serial_fallback",
-                                      remaining=self.done.count(False))
             metrics.counter("resilience.serial_cells").inc()
-            self.results[i] = self.fn(self.runner, *self.items[i])
+            with TELEMETRY.tracer.span("cell", site=self._site(i),
+                                       attempt=self.attempts[i]):
+                self.results[i] = self.fn(self.runner, *self.items[i])
             self.done[i] = True

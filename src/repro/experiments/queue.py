@@ -574,8 +574,6 @@ class WorkQueue:
         self._dir(_LEASES).joinpath(f"{cell_id}.json").unlink(
             missing_ok=True)
         TELEMETRY.metrics.counter("queue.poisoned").inc()
-        TELEMETRY.events.emit("queue.poisoned", cell=str(cell_id),
-                              reason=reason)
 
     def reclaim_expired(self, now: float | None = None) -> dict:
         """Recover cells whose leases went stale; heal stuck reclaims.
@@ -653,9 +651,6 @@ class WorkQueue:
         self._dir(_LEASES).joinpath(f"{cell['cell']}.json").unlink(
             missing_ok=True)
         stats["reclaimed"] += 1
-        TELEMETRY.events.emit("queue.reclaimed", cell=cell["cell"],
-                              generation=cell["generation"],
-                              worker=lease.get("worker"))
 
     def sweep_heartbeats(self, max_age: float | None = None) -> int:
         """Delete heartbeat files of workers gone for ``max_age``
@@ -737,7 +732,6 @@ class QueueExecutor:
         self.poll_seconds = poll_seconds
         #: ``--jobs`` for the degraded local fan-out (None = serial).
         self.local_jobs = local_jobs
-        self._saw_worker = False
 
     def run(self, runner, fn, items) -> list:
         from .parallel import fan_out, use_executor
@@ -772,7 +766,6 @@ class QueueExecutor:
                     "with --fresh once the cause is fixed.")
             self.queue.reclaim_expired()
             if self.queue.live_workers():
-                self._saw_worker = True
                 last_live = time.monotonic()
             elif time.monotonic() - last_live >= self.grace_seconds:
                 # No fleet (or the whole fleet died): finish the rest
@@ -798,10 +791,6 @@ class QueueExecutor:
         metrics = TELEMETRY.metrics
         metrics.counter("queue.degraded_fanouts").inc()
         metrics.counter("queue.degraded_cells").inc(len(missing))
-        TELEMETRY.events.emit("queue.degraded",
-                              campaign=self.queue.campaign,
-                              cells=len(missing),
-                              saw_worker=self._saw_worker)
         pending = [(cell_id, items[index_of[cell_id]])
                    for cell_id in missing]
         start = time.perf_counter()
@@ -1094,8 +1083,6 @@ def _execute_claim(queue: WorkQueue, claim: Claim, worker_id: str,
         # kill the worker; leave the lease to expire so the cell goes
         # back through reclaim accounting (and eventually poison).
         metrics.counter("queue.cell_errors").inc()
-        TELEMETRY.events.emit("queue.cell_error", cell=site,
-                              error=repr(exc))
         emit(f"-- worker {worker_id}: cell {site} failed: {exc!r}")
         return True
     finally:

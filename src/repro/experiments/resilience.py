@@ -367,7 +367,6 @@ def _checkpointed(name: str, done: dict, quick: bool,
         return False
     report.skipped.append(name)
     metrics.counter("campaign.figures_skipped").inc()
-    TELEMETRY.events.emit("campaign.figure.skipped", figure=name)
     emit(f"-- {name}: done at checkpoint "
          f"({record.get('wall_seconds', 0.0):.1f}s last time), "
          "skipping")
@@ -388,15 +387,12 @@ def _run_one_figure(name: str, quick: bool, jobs: int | None,
             runners[scale] = ExperimentRunner(scale=scale)
         runner = runners[scale]
     start = time.perf_counter()
-    TELEMETRY.events.emit("campaign.figure.begin", figure=name)
     with TELEMETRY.tracer.span("campaign.figure", figure=name):
         if runner is None:
             result = func()
         else:
             result = func(runner, quick=quick, jobs=jobs)
     wall = time.perf_counter() - start
-    TELEMETRY.events.emit("campaign.figure.end", figure=name,
-                          wall_seconds=round(wall, 3))
     emit(str(result))
     report.completed.append(name)
     report.wall_seconds[name] = wall
@@ -452,9 +448,6 @@ def _run_distributed_campaign(names, quick: bool, jobs: int | None,
     runners: dict[int, object] = {}
     emit(f"-- distributed campaign {queue.campaign}: queue at "
          f"{directory} (workers: python -m repro work)")
-    TELEMETRY.events.emit("campaign.distributed.begin",
-                          campaign=queue.campaign,
-                          queue_dir=str(directory))
     try:
         with use_executor(executor):
             for name in names:
@@ -472,14 +465,9 @@ def _run_distributed_campaign(names, quick: bool, jobs: int | None,
                     # checkpointed for this figure.
                     report.failed.append(name)
                     metrics.counter("campaign.figures_failed").inc()
-                    TELEMETRY.events.emit("campaign.figure.failed",
-                                          figure=name, error=str(exc))
                     emit(f"-- {name}: FAILED: {exc}")
     finally:
         queue.close("failed" if report.failed else "complete")
-        TELEMETRY.events.emit("campaign.distributed.end",
-                              campaign=queue.campaign,
-                              failed=len(report.failed))
     return report
 
 

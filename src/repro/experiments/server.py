@@ -365,8 +365,6 @@ class SweepServer:
         acceptor = threading.Thread(target=self._accept_loop,
                                     name="serve-accept", daemon=True)
         acceptor.start()
-        TELEMETRY.events.emit("serve.started", endpoint=self.endpoint,
-                              resumed=self._stats["resumed"])
         return self
 
     def _bind(self) -> None:
@@ -513,10 +511,10 @@ class SweepServer:
         elif rtype == "drain":
             # Answer after admission stops and before the drain starts:
             # the drain closes every connection, this one included.
-            self._stop_admission("client request")
+            self._stop_admission()
             responder.send({"ok": True, "type": "drain",
                             "message": "draining"})
-            self.request_drain("client request")
+            self.request_drain()
         elif rtype in ("figure", "bench"):
             self._admit(message, responder)
         else:
@@ -762,10 +760,6 @@ class SweepServer:
             if not responder.send(response):
                 self._stats["disconnects"] += 1
                 metrics.counter("serve.client_disconnects").inc()
-        TELEMETRY.events.emit("serve.result", key=request.key,
-                              tenant=request.tenant, status=status,
-                              cells=executor.cells,
-                              wall_seconds=round(wall, 3))
 
     def _run_spec(self, request: _Request,
                   executor: _RequestExecutor) -> str:
@@ -849,18 +843,15 @@ class SweepServer:
 
     # -- drain / shutdown ----------------------------------------------
 
-    def request_drain(self, reason: str = "signal") -> None:
+    def request_drain(self) -> None:
         """Flip into draining (idempotent; safe from signal handlers)."""
-        self._stop_admission(reason)
+        self._stop_admission()
         self._work.set()
         self._drain_requested.set()
 
-    def _stop_admission(self, reason: str) -> None:
+    def _stop_admission(self) -> None:
         with self._lock:
-            already = self._draining
             self._draining = True
-        if not already:
-            TELEMETRY.events.emit("serve.draining", reason=reason)
 
     def wait_for_drain_request(self, timeout: float | None = None) -> bool:
         return self._drain_requested.wait(timeout)
@@ -872,7 +863,7 @@ class SweepServer:
         work stays journaled and resumes on the next start. Returns 0
         on a clean drain, 1 if the scheduler had to be abandoned."""
         grace = self.drain_grace if grace is None else grace
-        self.request_drain("drain")
+        self.request_drain()
         scheduler = self._scheduler
         clean = True
         if scheduler is not None:
@@ -901,8 +892,6 @@ class SweepServer:
                              "pending": len(leftovers),
                              "completed_unix": time.time()})
         self._teardown()
-        TELEMETRY.events.emit("serve.drained", clean=clean,
-                              pending=len(leftovers))
         return 0 if clean else 1
 
     def _teardown(self) -> None:

@@ -1,10 +1,9 @@
-"""``repro.telemetry`` — spans, metrics, and structured VM events.
+"""``repro.telemetry`` — spans and metrics.
 
-One process-wide :data:`TELEMETRY` state object holds the three sinks:
+One process-wide :data:`TELEMETRY` state object holds the sinks:
 
 * ``TELEMETRY.metrics`` — :class:`~repro.telemetry.metrics.MetricsRegistry`
 * ``TELEMETRY.tracer`` — :class:`~repro.telemetry.tracing.Tracer`
-* ``TELEMETRY.events`` — :class:`~repro.telemetry.events.EventLog`
 * ``TELEMETRY.workers`` — :class:`~repro.telemetry.tracing.WorkerTraceStore`
   (span-tree dumps shipped back by fan-out worker processes)
 
@@ -15,7 +14,7 @@ read. The CLI and the benchmark suite call :func:`enable`;
 :func:`session` scopes enablement for tests.
 
 Instrumented code must read the sinks *through* ``TELEMETRY`` at use
-time (``TELEMETRY.events.emit(...)``), never cache them at import or
+time (``TELEMETRY.metrics.counter(...)``), never cache them at import or
 construction time — :func:`enable`/:func:`disable` swap the attributes
 in place.
 """
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from .events import DEFAULT_CAPACITY, EventLog, NullEventLog, NULL_EVENTS
 from .metrics import (
     Counter,
     Gauge,
@@ -48,7 +46,6 @@ __all__ = [
     "TELEMETRY", "TelemetryState", "enable", "disable", "reset",
     "session", "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "MetricError", "NullRegistry", "Tracer", "NullTracer", "Span",
-    "EventLog", "NullEventLog", "DEFAULT_CAPACITY",
     "WorkerTraceStore", "NullWorkerTraceStore",
 ]
 
@@ -56,13 +53,12 @@ __all__ = [
 class TelemetryState:
     """Holder whose attributes are swapped by enable()/disable()."""
 
-    __slots__ = ("enabled", "metrics", "tracer", "events", "workers")
+    __slots__ = ("enabled", "metrics", "tracer", "workers")
 
     def __init__(self) -> None:
         self.enabled = False
         self.metrics = NULL_REGISTRY
         self.tracer = NULL_TRACER
-        self.events = NULL_EVENTS
         self.workers = NULL_WORKER_TRACES
 
 
@@ -70,12 +66,11 @@ class TelemetryState:
 TELEMETRY = TelemetryState()
 
 
-def enable(event_capacity: int = DEFAULT_CAPACITY) -> TelemetryState:
+def enable() -> TelemetryState:
     """Install live sinks. Idempotent (keeps existing data if already on)."""
     if not TELEMETRY.enabled:
         TELEMETRY.metrics = MetricsRegistry()
         TELEMETRY.tracer = Tracer()
-        TELEMETRY.events = EventLog(capacity=event_capacity)
         TELEMETRY.workers = WorkerTraceStore()
         TELEMETRY.enabled = True
     return TELEMETRY
@@ -86,7 +81,6 @@ def disable() -> None:
     TELEMETRY.enabled = False
     TELEMETRY.metrics = NULL_REGISTRY
     TELEMETRY.tracer = NULL_TRACER
-    TELEMETRY.events = NULL_EVENTS
     TELEMETRY.workers = NULL_WORKER_TRACES
 
 
@@ -94,15 +88,14 @@ def reset() -> None:
     """Clear recorded data without changing enablement."""
     TELEMETRY.metrics.reset()
     TELEMETRY.tracer.reset()
-    TELEMETRY.events.reset()
     TELEMETRY.workers.reset()
 
 
 @contextmanager
-def session(event_capacity: int = DEFAULT_CAPACITY):
+def session():
     """Enable telemetry for a ``with`` block, then restore prior state."""
     was_enabled = TELEMETRY.enabled
-    enable(event_capacity=event_capacity)
+    enable()
     try:
         yield TELEMETRY
     finally:

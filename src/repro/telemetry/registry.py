@@ -3,7 +3,8 @@
 Every telemetry-enabled run appends one *record* — a compact summary of
 its manifest: the command, config, wall/host-instruction gauges,
 per-category cycle breakdown, and resilience counters — to
-``runs.jsonl`` under the registry directory. Records carry a
+``runs.jsonl`` under the registry directory, and stores the manifest
+itself beside it, the one copy the run keeps. Records carry a
 **monotonic sequence number** assigned under an exclusive file lock, so
 "which run is newest" never depends on filesystem mtimes (which tie
 under coarse timestamp granularity; see
@@ -21,11 +22,12 @@ Layout::
     <registry-dir>/
         runs.jsonl          # one record per line, seq-ordered
         runs.lock           # flock target serializing appenders
-        manifest-<seq>.json # full manifest copies (newest few kept)
+        manifest-<seq>.json # the runs' manifests (newest few kept)
 
 Overridable with ``REPRO_REGISTRY_DIR``; falls back to
-``<telemetry-dir>/registry`` when the disk cache is off. All writes are
-gated on ``TELEMETRY.enabled`` — disabled telemetry stays zero-cost.
+``.repro-telemetry`` under the working directory when the disk cache is
+off. All writes are gated on ``TELEMETRY.enabled`` — disabled telemetry
+stays zero-cost.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import json
 import os
 from pathlib import Path
 
-from ..durable import Journal
+from ..durable import Journal, atomic_write
 from . import TELEMETRY
 
 #: Bump when the record layout changes incompatibly.
@@ -45,7 +47,7 @@ REGISTRY_DIR_ENV = "REPRO_REGISTRY_DIR"
 RUNS_NAME = "runs.jsonl"
 LOCK_NAME = "runs.lock"
 
-#: Full-manifest copies kept alongside the JSONL (newest first).
+#: Manifests kept alongside the JSONL (newest first).
 MANIFEST_KEEP = 8
 
 #: Default record cap applied by ``repro cache gc``.
@@ -63,7 +65,7 @@ def registry_dir() -> Path:
     """Resolve the registry directory from the environment.
 
     ``REPRO_REGISTRY_DIR`` wins; otherwise ``<cache-root>/telemetry``;
-    with the disk cache off, ``<telemetry-dir>/registry``.
+    with the disk cache off, ``.repro-telemetry``.
     """
     override = os.environ.get(REGISTRY_DIR_ENV)
     if override:
@@ -74,8 +76,13 @@ def registry_dir() -> Path:
     root = cache_root()
     if root is not None:
         return root / "telemetry"
-    from .export import telemetry_dir
-    return telemetry_dir() / "registry"
+    return Path(".repro-telemetry")
+
+
+def manifest_bytes(manifest: dict) -> bytes:
+    """A manifest as the JSON document every stored copy holds."""
+    return (json.dumps(manifest, indent=2, default=str) + "\n").encode(
+        "utf-8")
 
 
 def summarize_manifest(manifest: dict, kind: str = "run") -> dict:
@@ -148,8 +155,8 @@ class RunRegistry:
         """Exclusive advisory lock context over the registry.
 
         Bounded: raises :class:`LockTimeout` (after counting
-        ``registry.lock_timeouts`` and emitting an event) when the
-        lock cannot be taken within ``lock_timeout`` seconds.
+        ``registry.lock_timeouts``) when the lock cannot be taken
+        within ``lock_timeout`` seconds.
         """
         import fcntl
         import time
@@ -169,10 +176,6 @@ class RunRegistry:
                         if time.monotonic() >= deadline:
                             TELEMETRY.metrics.counter(
                                 "registry.lock_timeouts").inc()
-                            TELEMETRY.events.emit(
-                                "registry.lock_timeout",
-                                root=str(self.root),
-                                timeout_seconds=self.lock_timeout)
                             raise LockTimeout(
                                 f"registry lock {self.root / LOCK_NAME} "
                                 f"held past {self.lock_timeout:g}s; "
@@ -190,15 +193,17 @@ class RunRegistry:
     # ------------------------------------------------------------------
 
     def append(self, record: dict,
-               manifest: dict | None = None,
-               manifest_path: str | None = None) -> dict | None:
+               manifest: dict | None = None) -> dict | None:
         """Append one record; returns it with its assigned ``seq``.
 
-        Gated on telemetry being enabled: with null sinks installed the
-        registry never touches disk (zero-cost guarantee). The sequence
-        number is ``max(existing) + 1``, computed and written under the
-        exclusive lock, so concurrent appenders (parallel campaigns)
-        cannot collide and ordering never consults mtimes.
+        With ``manifest``, the manifest is stored as
+        ``manifest-<seq>.json`` (replaced atomically) and the record
+        carries its ``manifest_path``. Gated on telemetry being
+        enabled: with null sinks installed the registry never touches
+        disk (zero-cost guarantee). The sequence number is
+        ``max(existing) + 1``, computed and written under the exclusive
+        lock, so concurrent appenders (parallel campaigns) cannot
+        collide and ordering never consults mtimes.
         """
         if not TELEMETRY.enabled:
             return None
@@ -207,14 +212,9 @@ class RunRegistry:
             with self._locked():
                 seq = self._max_seq_unlocked() + 1
                 record["seq"] = seq
-                if manifest_path is not None:
-                    record["manifest_path"] = str(manifest_path)
-                elif manifest is not None:
+                if manifest is not None:
                     copy = self.root / f"manifest-{seq}.json"
-                    copy.write_text(
-                        json.dumps(manifest, indent=2,
-                                   default=str) + "\n",
-                        encoding="utf-8")
+                    atomic_write(copy, manifest_bytes(manifest))
                     record["manifest_path"] = str(copy)
                     self._prune_manifests_unlocked()
                 Journal(self.runs_path).append(record)

@@ -1,4 +1,4 @@
-"""Nested wall-clock spans and their Chrome trace-event export.
+"""Nested wall-clock spans and their Chrome trace-event rendering.
 
 A :class:`Tracer` records a forest of :class:`Span` objects via a
 context manager::
@@ -7,29 +7,33 @@ context manager::
         with tracer.span("sim.memory_side"):
             ...
 
-The recorded forest exports two ways:
-
-* ``to_chrome_trace()`` — Trace Event Format "complete" events
-  (``ph="X"``, microsecond ``ts``/``dur``) that load directly in
-  ``chrome://tracing`` / Perfetto;
-* ``tree()`` — plain nested dicts, rendered as an ASCII self-time tree
-  by :func:`repro.analysis.report.render_span_tree`.
+``tree()`` exports the forest as plain nested dicts: the manifest's
+``spans``, rendered as an ASCII self-time tree by
+:func:`repro.analysis.report.render_span_tree`, and as Trace Event
+Format "complete" events (``ph="X"``, microsecond ``ts``/``dur``) by
+:func:`spans_to_chrome`.
 
 Timestamps are microseconds relative to the tracer's creation so
 manifests diff cleanly across runs. The clock is injectable for tests.
+A tracer keeps at most :data:`MAX_ROOTS` root spans: a long-lived
+process (``repro serve``, ``repro work``) opens one root per request or
+cell, so past that the oldest roots are dropped and their spans counted
+in ``telemetry.spans_dropped``.
 
 Cross-process unification: every tracer also remembers the wall-clock
 instant of its epoch (``epoch_unix``), so span forests recorded in
 *worker processes* — shipped back as :meth:`Tracer.export_state` dumps
 and collected in a :class:`WorkerTraceStore` — can be rebased onto the
 parent's timeline and rendered as per-worker pid lanes in one merged
-Chrome trace (:func:`spans_to_chrome`,
-:func:`repro.telemetry.export.build_chrome_trace`).
+Chrome trace (:func:`repro.telemetry.export.build_chrome_trace`).
 """
 
 from __future__ import annotations
 
 import time
+
+#: Root spans a :class:`Tracer` keeps before it drops the oldest.
+MAX_ROOTS = 4096
 
 
 class Span:
@@ -53,6 +57,10 @@ class Span:
     def self_us(self) -> float:
         """Time spent in this span excluding its children."""
         return self.duration_us - sum(c.duration_us for c in self.children)
+
+    def size(self) -> int:
+        """Spans in this subtree, this one included."""
+        return 1 + sum(child.size() for child in self.children)
 
     def to_dict(self) -> dict:
         return {
@@ -103,8 +111,18 @@ class Tracer:
             self._stack[-1].children.append(span)
         else:
             self.roots.append(span)
+            if len(self.roots) > MAX_ROOTS:
+                self._drop_oldest_root()
         self._stack.append(span)
         return _SpanContext(self, span)
+
+    def _drop_oldest_root(self) -> None:
+        # A root opens on an empty stack, so every earlier root is
+        # finished. Imported here: the package imports this module.
+        from . import TELEMETRY
+        dropped = self.roots.pop(0)
+        TELEMETRY.metrics.counter("telemetry.spans_dropped").inc(
+            dropped.size())
 
     def _close(self, span: Span) -> None:
         span.end_us = self._now_us()
@@ -136,28 +154,6 @@ class Tracer:
         own timeline via ``epoch_unix`` (see :func:`spans_to_chrome`).
         """
         return {"epoch_unix": self.epoch_unix, "spans": self.tree()}
-
-    def to_chrome_trace(self) -> list[dict]:
-        """Trace Event Format complete events (``chrome://tracing``)."""
-        events: list[dict] = []
-
-        def visit(span: Span) -> None:
-            events.append({
-                "name": span.name,
-                "ph": "X",
-                "ts": round(span.start_us, 3),
-                "dur": round(span.duration_us, 3),
-                "pid": 1,
-                "tid": 1,
-                "cat": "repro",
-                "args": dict(span.attrs),
-            })
-            for child in span.children:
-                visit(child)
-
-        for root in self.roots:
-            visit(root)
-        return events
 
 
 def spans_to_chrome(spans: list[dict], pid: int, tid: int = 1,
@@ -280,9 +276,6 @@ class NullTracer:
 
     def export_state(self) -> dict:
         return {"epoch_unix": 0.0, "spans": []}
-
-    def to_chrome_trace(self) -> list:
-        return []
 
 
 NULL_TRACER = NullTracer()

@@ -26,9 +26,10 @@ _FREED = -(1 << 40)
 #: Refcount above which an object is treated as immortal.
 _IMMORTAL = 1 << 29
 
-#: Dealloc cascades at least this long are worth a telemetry event
-#: (container teardown bursts the paper's allocation category captures).
-_CASCADE_EVENT_THRESHOLD = 16
+#: Dealloc cascades at least this long are observed in the
+#: ``cpython.dealloc_cascade_objects`` histogram (container teardown
+#: bursts the paper's allocation category captures).
+_CASCADE_THRESHOLD = 16
 
 
 class CPythonVM(BaseVM):
@@ -140,7 +141,6 @@ class CPythonVM(BaseVM):
         """
         worklist = [root]
         freed_objects = 0
-        freed_bytes = 0
         while worklist:
             obj = worklist.pop()
             if obj.refcount == _FREED or obj.refcount >= _IMMORTAL:
@@ -155,17 +155,13 @@ class CPythonVM(BaseVM):
                     worklist.append(child)
             if isinstance(obj, PyList) and obj.buffer_addr:
                 self._free(obj.buffer_addr, obj.buffer_bytes(), _GC)
-                freed_bytes += obj.buffer_bytes()
             elif isinstance(obj, PyDict) and obj.table_addr:
                 self._free(obj.table_addr, obj.table_bytes(), _GC)
-                freed_bytes += obj.table_bytes()
             self._free(obj.addr, obj.size_bytes(), _GC)
             freed_objects += 1
-            freed_bytes += obj.size_bytes()
-        if freed_objects >= _CASCADE_EVENT_THRESHOLD and TELEMETRY.enabled:
-            TELEMETRY.events.emit("cpython.dealloc_cascade",
-                                  objects=freed_objects,
-                                  bytes=freed_bytes)
+        if freed_objects >= _CASCADE_THRESHOLD and TELEMETRY.enabled:
+            TELEMETRY.metrics.histogram(
+                "cpython.dealloc_cascade_objects").observe(freed_objects)
 
     def _rows_gc_child(self, child_addr: int) -> None:
         m = self.machine

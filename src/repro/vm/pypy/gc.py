@@ -157,12 +157,7 @@ class GenerationalGC:
         m = self.machine
         telemetry = TELEMETRY if TELEMETRY.enabled else None
         if telemetry is not None:
-            telemetry.events.emit(
-                "gc.minor.start", runtime=self.vm.runtime_name,
-                nursery_used=self.nursery.used,
-                remembered=len(self.remembered))
             copied_before = self.copied_bytes
-            promoted_before = self.promoted_objects
         saved = m.suppressed
         m.suppressed = False
         try:
@@ -171,11 +166,6 @@ class GenerationalGC:
             m.suppressed = saved
         if telemetry is not None:
             bytes_promoted = self.copied_bytes - copied_before
-            telemetry.events.emit(
-                "gc.minor.end", runtime=self.vm.runtime_name,
-                bytes_promoted=bytes_promoted,
-                objects_promoted=self.promoted_objects - promoted_before,
-                old_used=self.old.used)
             telemetry.metrics.counter(
                 "gc.minor_collections",
                 runtime=self.vm.runtime_name).inc()
@@ -271,11 +261,6 @@ class GenerationalGC:
         modeled as one pass here — the paper's figures do not depend on
         incrementality)."""
         m = self.machine
-        telemetry = TELEMETRY if TELEMETRY.enabled else None
-        if telemetry is not None:
-            telemetry.events.emit(
-                "gc.major.start", runtime=self.vm.runtime_name,
-                old_used=self.old.used, threshold=self._major_threshold)
         visited: set[int] = set()
         live_bytes = 0
         queue = [obj for frame in self.vm.frames
@@ -307,11 +292,7 @@ class GenerationalGC:
             int(live_bytes * (self.config.major_growth_factor - 1.0)))
         self.vm.stats.major_gcs += 1
         self.major_gc_count += 1
-        if telemetry is not None:
-            telemetry.events.emit(
-                "gc.major.end", runtime=self.vm.runtime_name,
-                live_bytes=live_bytes, marked_objects=len(visited),
-                next_threshold=self._major_threshold)
-            telemetry.metrics.counter(
+        if TELEMETRY.enabled:
+            TELEMETRY.metrics.counter(
                 "gc.major_collections",
                 runtime=self.vm.runtime_name).inc()

@@ -205,10 +205,6 @@ class TraceJIT:
 
     def _abort_recording(self) -> None:
         if TELEMETRY.enabled:
-            TELEMETRY.events.emit(
-                "jit.trace_abort", runtime=self.vm.runtime_name,
-                bridge=self._rec_bridge_of is not None,
-                ops=len(self._rec_ops))
             TELEMETRY.metrics.counter(
                 "jit.trace_aborts", runtime=self.vm.runtime_name).inc()
         if self._rec_bridge_of is not None:
@@ -249,10 +245,6 @@ class TraceJIT:
         if TELEMETRY.enabled:
             kind = "bridge" if is_bridge else (
                 "loop" if self._rec_is_loop else "function")
-            TELEMETRY.events.emit(
-                "jit.trace_compile", runtime=self.vm.runtime_name,
-                trace_kind=kind, ops=len(ops),
-                trace_id=self._trace_count)
             TELEMETRY.metrics.counter(
                 "jit.traces_compiled", runtime=self.vm.runtime_name,
                 kind=kind).inc()
@@ -362,10 +354,6 @@ class TraceJIT:
         fails = self.guard_fails.get(fail_key, 0) + 1
         self.guard_fails[fail_key] = fails
         if TELEMETRY.enabled:
-            TELEMETRY.events.emit(
-                "jit.guard_fail", runtime=self.vm.runtime_name,
-                guard_index=index, fails=fails,
-                has_bridge=bridge is not None)
             TELEMETRY.metrics.counter(
                 "jit.guard_fails", runtime=self.vm.runtime_name).inc()
         m.branch(trace.code_base + 16 * (index & 0x3FFF) + 4, _COMPILED,
@@ -388,9 +376,6 @@ class TraceJIT:
             m.load(self.s_deopt + 20, _COMPILING, trace.code_base)
             self.vm.stats.deopts += 1
             if TELEMETRY.enabled:
-                TELEMETRY.events.emit(
-                    "jit.deopt", runtime=self.vm.runtime_name,
-                    guard_index=index, live_values=live)
                 TELEMETRY.metrics.counter(
                     "jit.deopts", runtime=self.vm.runtime_name).inc()
             self.mode = _IDLE
@@ -399,9 +384,8 @@ class TraceJIT:
         # divergent operation; iterations stay interpreted while the
         # bridge is being traced.
         if TELEMETRY.enabled:
-            TELEMETRY.events.emit(
-                "jit.bridge_start", runtime=self.vm.runtime_name,
-                guard_index=index, fails=fails)
+            TELEMETRY.metrics.counter(
+                "jit.bridges_started", runtime=self.vm.runtime_name).inc()
         self._start_recording(("bridge", trace.key, index),
                               is_loop=False, bridge_of=(trace, index))
         self._rec_ops.append(actual)

@@ -61,11 +61,10 @@ class V8VM(PyPyVM):
         if TELEMETRY.enabled:
             TELEMETRY.metrics.counter("v8.ic.hit").inc()
 
-    def _note_ic_generic(self, name: str) -> None:
+    def _note_ic_generic(self) -> None:
         """A non-instance receiver fell back to the megamorphic path."""
         if TELEMETRY.enabled:
             TELEMETRY.metrics.counter("v8.ic.megamorphic").inc()
-            TELEMETRY.events.emit("v8.ic.megamorphic", name=name)
 
     def _rows_global_ic(self, cell_addr: int) -> None:
         """Global-property cell IC: load the cell, check it is valid."""
@@ -107,7 +106,7 @@ class V8VM(PyPyVM):
             return _NEXT
         # Non-instance receivers: restore the stack and use the generic
         # (megamorphic) path of the base handler.
-        self._note_ic_generic(name)
+        self._note_ic_generic()
         self.emit_push(frame, obj)
         return super().op_load_attr(frame, arg)
 
@@ -122,7 +121,7 @@ class V8VM(PyPyVM):
             obj.attrs[name] = value
             return _NEXT
         # Restore the stack and defer to the generic handler.
-        self._note_ic_generic(name)
+        self._note_ic_generic()
         self.emit_push(frame, value)
         self.emit_push(frame, obj)
         return super().op_store_attr(frame, arg)

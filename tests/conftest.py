@@ -38,13 +38,15 @@ def _telemetry_isolation(tmp_path, monkeypatch):
 
     Pointing REPRO_CACHE_DIR at a per-test directory keeps tests
     hermetic: no reuse of (possibly stale) cached runs from a
-    developer's working tree, and no ``.repro-cache`` litter. Every
+    developer's working tree, and no ``.repro-cache`` litter. The run
+    registry gets its own tmp directory, so a test that turns the disk
+    cache off still stores no manifest in the working directory. Every
     other ``REPRO_*`` variable of the calling shell is cleared; a test
     that needs one sets it itself.
     """
     for name in [n for n in os.environ if n.startswith("REPRO_")]:
         monkeypatch.delenv(name)
-    monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path / "telemetry"))
+    monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "registry"))
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
     yield
     telemetry.disable()

@@ -17,6 +17,7 @@ from repro.experiments.status import render_status, watch_status
 from repro.telemetry import TELEMETRY
 from repro.telemetry.export import (
     build_chrome_trace,
+    build_manifest,
     load_last_manifest,
     write_manifest,
 )
@@ -194,16 +195,6 @@ def test_load_last_manifest_orders_by_seq_not_mtime(tmp_path):
     assert manifest["command"] == "second"
 
 
-def test_load_last_manifest_falls_back_to_mirror(tmp_path):
-    telemetry.disable()
-    # Disabled telemetry still mirrors to last_run.json (no registry).
-    write_manifest(command="mirror-only")
-    assert not registry_dir().joinpath("runs.jsonl").exists()
-    manifest = load_last_manifest()
-    assert manifest is not None
-    assert manifest["command"] == "mirror-only"
-
-
 def test_write_manifest_survives_readonly_registry(tmp_path, monkeypatch):
     telemetry.enable()
     telemetry.reset()
@@ -212,10 +203,11 @@ def test_write_manifest_survives_readonly_registry(tmp_path, monkeypatch):
     blocked = tmp_path / "blocked"
     blocked.write_text("", encoding="utf-8")
     monkeypatch.setenv(REGISTRY_DIR_ENV, str(blocked / "registry"))
-    write_manifest(command="still-works")
+    explicit = tmp_path / "out" / "m.json"
+    assert write_manifest(explicit, command="still-works") is None
     assert TELEMETRY.metrics.snapshot().get("registry.write_errors") == 1
-    manifest = load_last_manifest()
-    assert manifest["command"] == "still-works"
+    assert json.loads(explicit.read_text())["command"] == "still-works"
+    assert load_last_manifest() is None
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +219,7 @@ def _square_cell(runner, value):
     return value * value
 
 
-def test_unified_trace_has_worker_lanes_and_cell_instants():
+def test_unified_trace_has_worker_lanes_and_cell_spans():
     telemetry.enable()
     telemetry.reset()
     runner = ExperimentRunner()
@@ -239,17 +231,17 @@ def test_unified_trace_has_worker_lanes_and_cell_instants():
     parent = os.getpid()
     assert snapshot["pids"] and parent not in snapshot["pids"]
 
-    trace = build_chrome_trace()
-    events = trace["traceEvents"]
+    events = build_chrome_trace(build_manifest())["traceEvents"]
+    # One lane and one process_name row per worker pid.
     lanes = {e["pid"] for e in events if e["ph"] == "X"}
-    assert set(snapshot["pids"]) <= lanes
-    names = {e["args"]["name"] for e in events if e["ph"] == "M"}
+    assert lanes == set(snapshot["pids"])
+    rows = [e for e in events if e["ph"] == "M"]
+    assert sorted(e["pid"] for e in rows) == \
+        sorted([parent, *snapshot["pids"]])
+    names = {e["args"]["name"] for e in rows}
     assert f"repro parent (pid {parent})" in names
-    assert any(name.startswith("repro worker") for name in names)
-    done = [e for e in events if e["ph"] == "i" and e["name"] == "cell.done"]
-    assert len(done) == 4
     # Worker span timestamps are rebased onto the parent's wall clock:
-    # every cell span starts after the fan-out began on the parent lane.
+    # every cell span starts after the parent's tracer began.
     cell_spans = [e for e in events
                   if e["ph"] == "X" and e["name"] == "cell"]
     assert len(cell_spans) == 4
@@ -283,6 +275,17 @@ def test_serial_degrade_merges_telemetry_exactly_once(monkeypatch):
     assert TELEMETRY.workers.snapshot()["cells"] == 0
     assert snapshot.get("resilience.serial_fallbacks") == 1
     assert snapshot.get("resilience.serial_cells") == 5
+    # The recoveries are on the parent's timeline: pool teardowns, and
+    # the serial cells as ``cell`` spans on the parent lane.
+    parent = os.getpid()
+    events = build_chrome_trace(build_manifest())["traceEvents"]
+    rebuilds = [e for e in events if e["name"] == "resilience.pool_rebuild"]
+    assert len(rebuilds) == snapshot["resilience.pool_rebuilds"] >= 1
+    assert {e["pid"] for e in rebuilds} == {parent}
+    serial = [e for e in events if e["ph"] == "X" and e["name"] == "cell"]
+    assert len(serial) == 5 and {e["pid"] for e in serial} == {parent}
+    isolated = [e for e in events if e["name"] == "resilience.isolated"]
+    assert isolated and all(e["dur"] > 0 for e in isolated)
 
 
 def _isolation_sites(n):

@@ -469,7 +469,7 @@ def test_drain_request_is_answered_before_teardown(tmp_path, monkeypatch):
     try:
         ack = _client(server).drain()
     finally:
-        server.request_drain("test")
+        server.request_drain()
         main.join(timeout=30)
     assert ack["ok"] and ack["type"] == "drain"
     assert admitting == [False]

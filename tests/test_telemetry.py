@@ -1,4 +1,4 @@
-"""The ``repro.telemetry`` subsystem: metrics, spans, events, export."""
+"""The ``repro.telemetry`` subsystem: metrics, spans, export."""
 
 from __future__ import annotations
 
@@ -13,16 +13,19 @@ from repro.config import skylake_config
 from repro.experiments.runner import ExperimentRunner
 from repro.telemetry import (
     TELEMETRY,
-    EventLog,
     MetricError,
     MetricsRegistry,
     Tracer,
 )
 from repro.telemetry.export import (
+    SCHEMA,
+    build_chrome_trace,
     build_manifest,
     load_last_manifest,
     write_manifest,
 )
+from repro.telemetry.registry import registry_dir
+from repro.telemetry.tracing import MAX_ROOTS, spans_to_chrome
 
 _64K = 64 * 1024
 
@@ -150,7 +153,7 @@ def test_chrome_trace_schema():
         clock.advance(0.001)
         with tracer.span("inner", k=1):
             clock.advance(0.004)
-    events = tracer.to_chrome_trace()
+    events = spans_to_chrome(tracer.tree(), pid=1)
     assert [e["name"] for e in events] == ["outer", "inner"]
     for event in events:
         assert event["ph"] == "X"
@@ -178,38 +181,27 @@ def test_render_span_tree():
     assert render_span_tree([]).endswith("(no spans recorded)")
 
 
-# ----------------------------------------------------------------------
-# Event log
-# ----------------------------------------------------------------------
-
-def test_event_log_records_fields():
-    log = EventLog(capacity=16)
-    log.emit("gc.minor.end", bytes_promoted=128, runtime="pypy")
-    (event,) = list(log)
-    assert event["kind"] == "gc.minor.end"
-    assert event["bytes_promoted"] == 128
-    assert event["runtime"] == "pypy"
-    assert event["ts_us"] >= 0
-
-
-def test_event_log_bounding_keeps_counts():
-    log = EventLog(capacity=4)
-    for i in range(10):
-        log.emit("tick", i=i)
-    assert len(log) == 4
-    assert log.emitted == 10
-    assert log.dropped == 6
-    assert log.count("tick") == 10  # cumulative despite eviction
-    # The ring keeps the newest events.
-    assert [e["i"] for e in log] == [6, 7, 8, 9]
-    snap = log.snapshot()
-    assert snap["dropped"] == 6
-    assert snap["counts"] == {"tick": 10}
-
-
-def test_event_log_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        EventLog(capacity=0)
+def test_tracer_keeps_a_bounded_number_of_roots():
+    """A long-lived process opens one root per request or cell; past
+    MAX_ROOTS the oldest finished roots go, and their spans are
+    counted."""
+    with telemetry.session():
+        tracer = TELEMETRY.tracer
+        for i in range(5000):
+            with tracer.span("request", i=i):
+                pass
+        assert MAX_ROOTS == 4096
+        assert len(tracer.roots) == 4096
+        assert tracer.roots[0].attrs == {"i": 904}
+        assert TELEMETRY.metrics.get(
+            "telemetry.spans_dropped").value == 904
+        # A dropped root takes its children with it.
+        for _ in range(2):
+            with tracer.span("request"):
+                with tracer.span("child"):
+                    pass
+        assert TELEMETRY.metrics.get(
+            "telemetry.spans_dropped").value == 906
 
 
 # ----------------------------------------------------------------------
@@ -219,12 +211,10 @@ def test_event_log_rejects_bad_capacity():
 def test_disabled_by_default_records_nothing():
     assert not TELEMETRY.enabled
     TELEMETRY.metrics.counter("x").inc()
-    TELEMETRY.events.emit("e", a=1)
     with TELEMETRY.tracer.span("s"):
         pass
     assert TELEMETRY.metrics.snapshot() == {}
     assert TELEMETRY.tracer.tree() == []
-    assert len(TELEMETRY.events) == 0
 
 
 def test_session_restores_prior_state():
@@ -245,11 +235,12 @@ def test_session_restores_prior_state():
 def test_reset_clears_data_but_not_enablement():
     with telemetry.session():
         TELEMETRY.metrics.counter("x").inc()
-        TELEMETRY.events.emit("e")
+        with TELEMETRY.tracer.span("s"):
+            pass
         telemetry.reset()
         assert TELEMETRY.enabled
         assert TELEMETRY.metrics.snapshot() == {}
-        assert len(TELEMETRY.events) == 0
+        assert TELEMETRY.tracer.tree() == []
 
 
 # ----------------------------------------------------------------------
@@ -261,18 +252,19 @@ def test_pypy_run_emits_gc_and_jit_events():
         runner = ExperimentRunner()
         handle = runner.run("chaos", runtime="pypy", jit=True,
                             nursery=_64K)
-        events = TELEMETRY.events
-        assert events.count("gc.minor.start") >= 1
-        assert events.count("gc.minor.end") >= 1
-        assert events.count("jit.trace_compile") >= 1
-        minor_ends = [e for e in events if e["kind"] == "gc.minor.end"]
-        assert any(e["bytes_promoted"] > 0 for e in minor_ends)
-        compile_events = [e for e in events
-                          if e["kind"] == "jit.trace_compile"]
-        assert all(e["ops"] > 0 for e in compile_events)
-        # The handle's stats agree with the event log.
-        assert events.count("gc.minor.end") == handle.minor_gcs
-        assert events.count("jit.trace_compile") == handle.traces_compiled
+        metrics = TELEMETRY.metrics.snapshot()
+    assert handle.minor_gcs >= 1
+    assert handle.traces_compiled >= 1
+    # The handle's stats agree with the counters.
+    assert metrics["gc.minor_collections{runtime=pypy}"] == \
+        handle.minor_gcs
+    promoted = metrics["gc.bytes_promoted{runtime=pypy}"]
+    assert promoted["count"] == handle.minor_gcs and promoted["sum"] > 0
+    compiled = {key: value for key, value in metrics.items()
+                if key.startswith("jit.traces_compiled{")}
+    assert compiled and all("runtime=pypy" in key for key in compiled)
+    assert sum(compiled.values()) == handle.traces_compiled
+    assert metrics["jit.trace_ops{runtime=pypy}"]["sum"] > 0
 
 
 def test_runner_spans_and_cache_counters():
@@ -354,39 +346,45 @@ def test_manifest_round_trips_through_json(tmp_path):
         loaded = json.loads(path.read_text())
     rebuilt = json.loads(json.dumps(loaded))
     assert rebuilt == loaded
-    assert rebuilt["schema"] == "repro-telemetry/2"
+    assert rebuilt["schema"] == SCHEMA == "repro-telemetry/3"
+    assert "events" not in rebuilt and "chrome_trace" not in rebuilt
     assert rebuilt["command"] == "run"
     assert rebuilt["stats"]["workload"] == "chaos"
     assert rebuilt["stats"]["wall_seconds"] > 0
     assert rebuilt["metrics"]["gc.minor_collections{runtime=pypy}"] >= 1
+    assert rebuilt["metrics"]["jit.traces_compiled{kind=loop,"
+                              "runtime=pypy}"] >= 1
     assert any(s["name"] == "guest.run" for s in rebuilt["spans"])
-    kinds = {e["kind"] for e in rebuilt["events"]["events"]}
-    assert "gc.minor.end" in kinds
-    assert "jit.trace_compile" in kinds
-    # The unified trace mixes complete spans with lane metadata and
-    # instant markers.
-    for event in rebuilt["chrome_trace"]["traceEvents"]:
-        assert event["ph"] in ("X", "M", "i")
+    # The unified trace derives from the stored copy: complete spans on
+    # the recorded parent pid, plus lane metadata.
+    events = build_chrome_trace(rebuilt)["traceEvents"]
+    assert {e["ph"] for e in events} == {"X", "M"}
+    assert {e["pid"] for e in events} == {rebuilt["pid"]}
+    for event in events:
         if event["ph"] == "X":
             assert "ts" in event and "dur" in event
 
 
 def test_write_manifest_mirrors_last_run(tmp_path):
+    """The registry's copy is the one copy: ``load_last_manifest``
+    reads it back, and no ``last_run.json`` mirror is written."""
     with telemetry.session():
         with TELEMETRY.tracer.span("s"):
             pass
-        write_manifest(command="test")
+        stored = write_manifest(command="test")
         manifest = load_last_manifest()
-    assert manifest is not None
+    assert stored == registry_dir() / "manifest-1.json"
+    assert json.loads(stored.read_text()) == manifest
     assert manifest["command"] == "test"
     assert manifest["spans"][0]["name"] == "s"
+    assert not list(tmp_path.rglob("last_run.json"))
 
 
 def test_build_manifest_disabled_is_empty_but_valid():
     manifest = build_manifest(command="noop")
     assert manifest["metrics"] == {}
     assert manifest["spans"] == []
-    assert manifest["events"]["events"] == []
+    assert manifest["workers"]["dumps"] == []
     json.dumps(manifest)
 
 
@@ -405,11 +403,8 @@ def test_cli_metrics_out_writes_manifest(tmp_path, capsys):
     assert any(s["name"] == "guest.run" for s in manifest["spans"])
     assert manifest["metrics"]["guest.instructions{runtime=pypy}"] > 0
     assert manifest["stats"]["bytecodes"] > 0
-    trace_events = manifest["chrome_trace"]["traceEvents"]
-    assert trace_events and all(
-        "ts" in e and "dur" in e
-        for e in trace_events if e["ph"] == "X")
-    assert any(e["ph"] == "X" for e in trace_events)
+    # The explicit copy equals the one the registry stores.
+    assert load_last_manifest() == manifest
     # The CLI leaves library defaults untouched.
     assert not TELEMETRY.enabled
 
@@ -424,7 +419,10 @@ def test_cli_telemetry_dumps_last_manifest(capsys):
 
 
 def test_cli_telemetry_tree_and_chrome_out(tmp_path, capsys):
-    assert main(["run", "sym_sum"]) == 0
+    """``--trace-out`` and ``telemetry --chrome-out`` are one builder
+    over one stored manifest."""
+    direct = tmp_path / "a.json"
+    assert main(["run", "sym_sum", "--trace-out", str(direct)]) == 0
     capsys.readouterr()
     assert main(["telemetry", "--tree"]) == 0
     assert "guest.run" in capsys.readouterr().out
@@ -433,11 +431,58 @@ def test_cli_telemetry_tree_and_chrome_out(tmp_path, capsys):
     capsys.readouterr()
     trace = json.loads(chrome.read_text())
     assert trace["traceEvents"]
-    assert all(e["ph"] in ("X", "M", "i") for e in trace["traceEvents"])
+    assert all(e["ph"] in ("X", "M") for e in trace["traceEvents"])
     assert any(e["ph"] == "X" for e in trace["traceEvents"])
+    assert trace["traceEvents"] == \
+        json.loads(direct.read_text())["traceEvents"]
 
 
 def test_cli_telemetry_without_manifest_fails(capsys):
-    # The isolation fixture points REPRO_TELEMETRY_DIR at an empty dir.
+    # The isolation fixture points the registry at an empty dir.
     assert main(["telemetry"]) == 1
     assert "no telemetry manifest" in capsys.readouterr().err
+
+
+def test_cli_stores_one_manifest_that_a_figure_record_does_not_hide(
+        tmp_path, capsys, monkeypatch):
+    from repro.experiments.diskcache import cache_root
+    from repro.experiments.resilience import _register_figure
+    monkeypatch.delenv("REPRO_REGISTRY_DIR")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "sym_sum"]) == 0
+    capsys.readouterr()
+    stored = cache_root() / "telemetry" / "manifest-1.json"
+    assert stored.exists()
+    assert not list(tmp_path.rglob("last_run.json"))
+    with telemetry.session():
+        _register_figure("table1", quick=True, wall=0.1)
+    assert main(["telemetry"]) == 0
+    manifest = json.loads(capsys.readouterr().out)
+    assert manifest == json.loads(stored.read_text())
+    assert manifest["config"]["file"] == "sym_sum"
+
+
+def test_cli_telemetry_names_a_torn_manifest(capsys):
+    assert main(["run", "sym_sum"]) == 0
+    capsys.readouterr()
+    stored = registry_dir() / "manifest-1.json"
+    stored.write_bytes(stored.read_bytes()[:40])
+    assert main(["telemetry"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert str(stored) in line and "does not parse" in line
+
+
+def test_cli_reports_a_registry_that_cannot_store_the_run(
+        tmp_path, capsys, monkeypatch):
+    blocked = tmp_path / "blocked"
+    blocked.write_text("", encoding="utf-8")
+    monkeypatch.setenv("REPRO_REGISTRY_DIR", str(blocked / "registry"))
+    out = tmp_path / "m.json"
+    assert main(["run", "sym_sum", "--metrics-out", str(out)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if "run registry" in line]
+    assert len(warnings) == 1
+    assert "did not store this run's manifest" in warnings[0]
+    assert json.loads(out.read_text())["config"]["file"] == "sym_sum"
