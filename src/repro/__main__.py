@@ -254,7 +254,7 @@ def cmd_cache(args) -> int:
               f"under {cache.root}")
         # The registry is never size-evicted with the artifacts; its
         # retention is an explicit record-count prune here.
-        registry = RunRegistry(cache.root / "telemetry")
+        registry = RunRegistry(registry_dir())
         pruned = registry.prune(max_records=args.max_registry_records)
         if pruned:
             print(f"pruned {pruned} registry records "
@@ -329,7 +329,7 @@ def cmd_serve(args) -> int:
 
     from .experiments.server import SweepServer
     server = SweepServer(
-        socket_path=args.socket, tcp=args.tcp, jobs=args.jobs,
+        socket_path=args.socket, tcp=args.tcp,
         tenant_rate=args.tenant_rate, tenant_burst=args.tenant_burst,
         max_inflight=args.max_inflight, quantum=args.quantum,
         drain_grace=args.drain_grace,
@@ -581,9 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "<cache-root>/serve/serve.sock)")
     p.add_argument("--tcp", metavar="HOST:PORT", default=None,
                    help="listen on TCP instead (port 0 = ephemeral)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes per request's cells "
-                        "(default: serial in-process)")
     p.add_argument("--tenant-rate", type=float, default=2.0,
                    help="admission tokens per second per tenant "
                         "(default: 2)")

@@ -34,7 +34,7 @@ DEFAULT_BASELINE = Path(__file__).resolve().parents[3] \
 PROBE_SCHEMA = 1
 
 #: Reference cell: small enough for a CI smoke, big enough that the
-#: vectorized stages dominate interpreter noise.
+#: compiled and batched stages dominate interpreter noise.
 PROBE_WORKLOAD = "deltablue"
 PROBE_RUNTIME = "cpython"
 PROBE_SCALE = 2

@@ -52,9 +52,8 @@ and exits cleanly so the CLI can flush the telemetry manifest.
 
 Scheduling is single-threaded on purpose: one scheduler thread owns
 all execution (and the process-global executor slot in
-:mod:`~repro.experiments.parallel`), so results are as deterministic
-as the batch drivers; ``--jobs N`` fans each request's cells onto the
-supervised pool without changing the one-request-at-a-time order.
+:mod:`~repro.experiments.parallel`) and runs every cell itself, so
+results are as deterministic as the batch drivers.
 
 Chaos-testability: the :data:`~repro.experiments.resilience.FAULTS_ENV`
 kinds ``server_crash`` (``os._exit`` between cells), ``slow_tenant``
@@ -241,9 +240,8 @@ class _RequestExecutor:
 
     Installed behind :func:`~repro.experiments.parallel.fan_out` via
     ``use_executor`` for the duration of the figure call, so every
-    cold cell of the figure flows through these checkpoints. With
-    server ``jobs > 1`` the whole batch is delegated to the ordinary
-    supervised pool after the entry checkpoint.
+    cold cell of the figure runs in the scheduler thread through these
+    checkpoints.
     """
 
     def __init__(self, server: "SweepServer", request: _Request) -> None:
@@ -252,14 +250,6 @@ class _RequestExecutor:
         self.cells = 0
 
     def run(self, runner, fn, items) -> list:
-        jobs = self.server.jobs
-        if jobs is not None and jobs > 1 and len(items) > 1:
-            from .parallel import fan_out, use_executor
-            self.checkpoint(self.cells)
-            with use_executor(None):
-                values = fan_out(runner, fn, list(items), jobs=jobs)
-            self._account(len(items))
-            return values
         values = []
         for args in items:
             self.checkpoint(self.cells)
@@ -302,7 +292,7 @@ class SweepServer:
     """
 
     def __init__(self, socket_path: str | os.PathLike | None = None,
-                 tcp: str | None = None, jobs: int | None = None,
+                 tcp: str | None = None,
                  tenant_rate: float = 2.0, tenant_burst: float = 8.0,
                  max_inflight: int = 16, quantum: float = 4.0,
                  drain_grace: float = 30.0,
@@ -311,7 +301,6 @@ class SweepServer:
                  faults: FaultPlan | None = None) -> None:
         from .client import parse_endpoint
         self.kind, self.address = parse_endpoint(socket_path, tcp)
-        self.jobs = jobs
         self.tenant_rate = float(tenant_rate)
         self.tenant_burst = float(tenant_burst)
         self.max_inflight = int(max_inflight)

@@ -5,10 +5,13 @@ microarchitecture models (consumers). It has two forms.
 
 **Live**, while a guest runs. Committed rows land in a fixed-size
 row-major NumPy buffer (``int64``, shape ``(rows, 8)``) behind an
-explicit cursor; each time it fills, its rows move into per-column
-blocks in the canonical narrow dtypes, so a live trace costs 35 bytes
-per row plus the buffer, never a 64 B/row image of the whole run. Two
-*staging* paths feed the buffer:
+explicit cursor; each time it fills, its rows move into one growable
+region per column, in the canonical narrow dtypes, so a live trace costs
+35 bytes per row plus the buffer, never a 64 B/row image of the whole
+run. A region is an anonymous private memory mapping that doubles with
+``mmap.resize`` (``mremap`` moves page tables, not bytes; where it is
+unavailable the region is copied into a larger mapping). Two *staging*
+paths feed the buffer:
 
 * the scalar append path — eight flat ``array`` columns the
   :class:`~repro.host.machine.HostMachine` appends to directly, drained
@@ -17,15 +20,19 @@ per row plus the buffer, never a 64 B/row image of the whole run. Two
   :class:`~repro.host.burst.BurstEngine`, registered here as a *flusher*
   so length queries and readers always see a consistent trace.
 
+A region cannot grow while a view of it is alive, so a live trace's
+readers hand out copies.
+
 **Finished**, once :meth:`InstructionTrace.freeze` has run (the
 experiment runner freezes every trace as its guest run ends) or when the
 trace was loaded from an encoded file. A finished trace is one dict of
 decoded columns in the canonical narrow dtypes, 35 bytes per row.
-Freezing moves the last buffered rows out, joins each column's blocks
-into one array, and drops the buffer, the staging columns and the
-flusher, and with the flusher the machine and burst engine that produced
-the trace. A loaded trace decodes its columns from the file
-(:mod:`.codec`) into the same dict on first use.
+Freezing moves the last buffered rows out, trims each region to the
+trace's length and keeps it as the column (no join, no copy: a column
+is unmapped when the last array over it goes), and drops the buffer,
+the staging columns and the flusher, and with the flusher the machine
+and burst engine that produced the trace. A loaded trace decodes its
+columns from the file (:mod:`.codec`) into the same dict on first use.
 
 Columns
 -------
@@ -42,6 +49,7 @@ origin    origin PC for caller-dependent annotation (Section IV-B.1)
 
 from __future__ import annotations
 
+import mmap
 from array import array
 from pathlib import Path
 
@@ -61,13 +69,72 @@ _DTYPES = tuple(np.dtype(code) for code in _TYPECODES)
 # The codec owns the persisted format; the column schemas must agree.
 assert _COLUMNS == _codec.COLUMNS and _DTYPES == _codec.DTYPES
 
-#: Rows the live buffer holds before they move into the column blocks.
-#: 128K rows (8 MB) keep a small trace in one block; a single burst
-#: flush larger than this widens the buffer to fit it.
+#: Rows the live buffer holds before they move into the column regions.
+#: A single burst flush larger than this widens the buffer to fit it.
 _BUFFER_ROWS = 1 << 17
 
 #: Drain the scalar staging columns into the buffer past this many rows.
 _STAGE_DRAIN_ROWS = 1 << 15
+
+
+def _anonymous_map(size: int) -> mmap.mmap:
+    """A private anonymous mapping: zero pages that cost nothing until
+    written, and that ``mremap`` can grow (a shared one cannot)."""
+    size = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+
+
+class _Region:
+    """One column's committed rows of a live trace, in one mapping."""
+
+    __slots__ = ("dtype", "map", "rows")
+
+    def __init__(self, dtype: np.dtype) -> None:
+        self.dtype = dtype
+        self.map: mmap.mmap | None = None
+        self.rows = 0
+
+    def append(self, values: np.ndarray) -> None:
+        """Cast ``values`` into the next rows, growing the mapping."""
+        itemsize = self.dtype.itemsize
+        used = self.rows * itemsize
+        need = used + len(values) * itemsize
+        if self.map is None:
+            self.map = _anonymous_map(need)
+        elif need > len(self.map):
+            size = max(need, 2 * len(self.map))
+            try:
+                self.map.resize(size)
+            except SystemError:  # no mremap: copy into a larger map
+                fresh = _anonymous_map(size)
+                fresh[:used] = self.map[:used]
+                self.map.close()
+                self.map = fresh
+        np.frombuffer(self.map, self.dtype, count=len(values),
+                      offset=used)[:] = values
+        self.rows += len(values)
+
+    def copy(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows ``[start, stop)`` as a fresh array (the map can still
+        grow)."""
+        stop = self.rows if stop is None else stop
+        if self.map is None or start >= stop:
+            return np.empty(0, dtype=self.dtype)
+        return np.frombuffer(self.map, self.dtype, count=stop - start,
+                             offset=start * self.dtype.itemsize).copy()
+
+    def finish(self) -> np.ndarray:
+        """The rows as one array over the mapping, trimmed to fit.
+
+        The region must not be appended to afterwards.
+        """
+        if self.map is None:
+            return np.empty(0, dtype=self.dtype)
+        try:
+            self.map.resize(self.rows * self.dtype.itemsize)
+        except SystemError:  # no mremap: the untouched tail stays
+            pass
+        return np.frombuffer(self.map, self.dtype, count=self.rows)
 
 
 class InstructionTrace:
@@ -82,13 +149,12 @@ class InstructionTrace:
                                                 dtype=np.int64)
         #: Rows of ``_buf`` in use.
         self._fill = 0
-        #: Committed rows: the blocks' and the buffer's while live, the
+        #: Committed rows: the regions' and the buffer's while live, the
         #: whole trace once finished.
         self._n = 0
-        #: Live only: per column, the narrow blocks moved out of the
-        #: buffer, in row order.
-        self._blocks: tuple[list[np.ndarray], ...] | None = tuple(
-            [] for _ in _COLUMNS)
+        #: Live only: per column, the rows moved out of the buffer.
+        self._regions: tuple[_Region, ...] | None = tuple(
+            _Region(dtype) for dtype in _DTYPES)
         # Scalar staging columns: the machine's emit helpers bind and
         # append to these directly (array.append is far cheaper than a
         # per-row numpy assignment); they are drained in bulk.
@@ -187,24 +253,20 @@ class InstructionTrace:
         return self._buf
 
     def _move_buffer(self) -> None:
-        """Move the buffered rows into the narrow column blocks."""
+        """Move the buffered rows into the narrow column regions."""
         k = self._fill
         if not k:
             return
         buf = self._buf
-        for j, (blocks, dtype) in enumerate(zip(self._blocks, _DTYPES)):
-            blocks.append(np.ascontiguousarray(buf[:k, j], dtype=dtype))
+        for j, region in enumerate(self._regions):
+            region.append(buf[:k, j])
         self._fill = 0
 
-    def _join_blocks(self) -> dict[str, np.ndarray]:
-        """Each column as one array. Joins a column at a time, so the
-        peak is the blocks plus one joined column."""
-        for blocks, dtype in zip(self._blocks, _DTYPES):
-            if len(blocks) != 1:
-                blocks[:] = [np.concatenate(blocks) if blocks
-                             else np.empty(0, dtype=dtype)]
-        return {name: blocks[0]
-                for name, blocks in zip(_COLUMNS, self._blocks)}
+    def _committed_regions(self) -> tuple[_Region, ...]:
+        """A live trace's regions, holding every committed row."""
+        self._sync()
+        self._move_buffer()
+        return self._regions
 
     def close(self) -> None:
         """Release a loaded trace's file mapping (it re-maps on use)."""
@@ -219,18 +281,18 @@ class InstructionTrace:
         """Finish the trace: seal every append path, keep only columns.
 
         Drains the burst queue and the staging columns, moves the last
-        buffered rows into the blocks, joins each column once, and drops
-        the row buffer, the staging arrays and the flusher, so the trace
-        no longer keeps the machine and burst engine that produced it
-        alive. Idempotent.
+        buffered rows into the regions, keeps each trimmed region as its
+        column, and drops the row buffer, the staging arrays and the
+        flusher, so the trace no longer keeps the machine and burst
+        engine that produced it alive. Idempotent.
         """
         if self._buf is None:
             return
-        self._sync()
-        self._move_buffer()
+        regions = self._committed_regions()
         self._buf = None
-        self._columns = self._join_blocks()
-        self._blocks = None
+        self._columns = {name: region.finish()
+                         for name, region in zip(_COLUMNS, regions)}
+        self._regions = None
         self._stage = None
         self._flusher = None
 
@@ -247,13 +309,11 @@ class InstructionTrace:
 
         A finished trace returns its columns, decoding any a loaded
         trace has not touched yet. A live trace moves its buffered rows
-        out and joins its blocks; the joined blocks stay, so the next
-        call only joins what was appended since.
+        out and returns copies of its regions.
         """
         if self._buf is not None:
-            self._sync()
-            self._move_buffer()
-            return self._join_blocks()
+            return {name: region.copy() for name, region
+                    in zip(_COLUMNS, self._committed_regions())}
         columns = self._columns
         if len(columns) < len(_COLUMNS):
             self._columns = columns = {
@@ -264,7 +324,7 @@ class InstructionTrace:
         if name not in _COLUMNS:
             raise TraceError(f"unknown trace column: {name!r}")
         if self._buf is not None:
-            return self.arrays()[name]
+            return self._committed_regions()[_COLUMNS.index(name)].copy()
         cached = self._columns.get(name)
         if cached is None:
             # Per-column lazy decode: a consumer that only needs
@@ -297,7 +357,7 @@ class InstructionTrace:
         trace._buf = None
         trace._fill = 0
         trace._n = reader.rows
-        trace._blocks = None
+        trace._regions = None
         trace._stage = None
         trace._flusher = None
         trace._columns = {}
@@ -324,7 +384,10 @@ class InstructionTrace:
             raise TraceError(
                 f"slice [{start}, {stop}) out of range for trace of "
                 f"length {len(self)}")
-        if self._buf is None and len(self._columns) < len(_COLUMNS):
+        if self._buf is not None:
+            return {name: region.copy(start, stop) for name, region
+                    in zip(_COLUMNS, self._committed_regions())}
+        if len(self._columns) < len(_COLUMNS):
             return self._reader.decode_range(start, stop)
         return {name: arr[start:stop]
                 for name, arr in self.arrays().items()}

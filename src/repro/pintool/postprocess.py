@@ -30,6 +30,9 @@ from .annotate import AnnotationTable, default_annotations
 
 _UNRESOLVED = int(OverheadCategory.UNRESOLVED)
 
+#: Rows per chunk of :meth:`Attribution.breakdown`.
+_CHUNK_ROWS = 1 << 18
+
 
 def resolve_categories(trace: InstructionTrace,
                        site_table: dict[str, int],
@@ -43,14 +46,14 @@ def resolve_categories(trace: InstructionTrace,
     """
     if annotations is None:
         annotations = default_annotations()
-    categories = trace.column("category").astype(np.int64)
+    categories = trace.column("category").copy()
     unresolved = categories == _UNRESOLVED
     if not unresolved.any():
         return categories
     bound = annotations.bind(site_table)
     origins = trace.column("origin")[unresolved]
     resolved = np.full(len(origins), int(annotations.default_category),
-                       dtype=np.int64)
+                       dtype=categories.dtype)
     for origin_pc, category in bound.items():
         resolved[origins == origin_pc] = category
     categories[unresolved] = resolved
@@ -115,7 +118,8 @@ class Breakdown:
 
 @dataclass
 class Attribution:
-    """Simple-core cycles and resolved category of every instruction.
+    """Simple-core cycles (int32) and resolved category (int8) of every
+    instruction.
 
     Every simple-core cycle is a whole number, so any sum over any
     subset of instructions is exact in float64 and does not depend on
@@ -127,9 +131,17 @@ class Attribution:
 
     def breakdown(self, runtime: str = "cpython",
                   workload: str = "<unknown>") -> Breakdown:
-        """Cycles per category, in category order, empty ones dropped."""
-        sums = np.bincount(self.categories, weights=self.cycles,
-                           minlength=len(OverheadCategory))
+        """Cycles per category, in category order, empty ones dropped.
+
+        Bincounts in chunks, so its float64 weights and intp indices
+        stay bounded whatever the trace length.
+        """
+        sums = np.zeros(len(OverheadCategory))
+        for start in range(0, len(self.cycles), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            sums += np.bincount(self.categories[start:stop],
+                                weights=self.cycles[start:stop],
+                                minlength=len(sums))
         breakdown = Breakdown(runtime=runtime, workload=workload)
         for category in OverheadCategory:
             value = float(sums[int(category)])

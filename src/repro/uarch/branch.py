@@ -11,14 +11,14 @@ stack, and unconditional direct branches/calls are always correct. This
 separation lets the analysis quantify the *indirect* share of the C
 function call overhead the way Section IV-C.1 does.
 
-Like the cache model, the predictor has two engines: a scalar reference
-that feeds one branch at a time through :class:`BranchPredictor`, which
-tests call as the oracle, and the vectorized engine behind
-:func:`simulate_branches`, which computes per-branch histories with
-grouped window sums and resolves the saturating counters with a
-segmented prefix scan of clamped-add functions (saturation composes:
-the composition of ``c -> clip(c + a, lo, hi)`` maps is again such a
-map). Both produce bit-identical mispredict flags and statistics.
+Like the cache model, the predictor has two engines, both feeding one
+branch at a time in program order: a scalar reference that drives
+:class:`BranchPredictor` (:func:`simulate_branches_scalar`, which tests
+call as the oracle), and the compiled walk in
+:mod:`~repro.uarch._ooo_kernel`, which keeps the same tables in C.
+:func:`simulate_branches` runs the compiled walk when a C compiler built
+it and the scalar engine otherwise; both produce bit-identical
+mispredict flags and statistics.
 """
 
 from __future__ import annotations
@@ -161,157 +161,23 @@ def simulate_branches_scalar(trace_arrays: dict[str, np.ndarray],
     return mispredicted, predictor.stats
 
 
-def _sort_key(values: np.ndarray, limit: int) -> np.ndarray:
-    """Cast table indices so argsort takes NumPy's radix path."""
-    dtype = np.uint16 if limit <= 65536 else np.int64
-    return values.astype(dtype)
-
-
-def _grouped_positions(sorted_keys: np.ndarray) -> np.ndarray:
-    """Occurrence rank of each element within its (contiguous) group."""
-    m = len(sorted_keys)
-    head = np.empty(m, dtype=bool)
-    head[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
-    idx = np.arange(m, dtype=np.int32)
-    starts = idx[head]
-    counts = np.diff(np.append(starts, m))
-    return idx - np.repeat(starts, counts)
-
-
-def _vec_conditional(pcs: np.ndarray, taken: np.ndarray,
-                     config: BranchPredictorConfig) -> np.ndarray:
-    """Exact vectorized 2-level predictor; returns mispredict flags."""
-    m = len(pcs)
-    if m == 0:
-        return np.zeros(0, dtype=bool)
-    l1_mask = _pow2_mask(config.scaled_l1_entries)
-    l2_mask = _pow2_mask(config.scaled_l2_entries)
-    hist_mask = (1 << config.history_bits) - 1
-    pcs2 = (pcs >> 2).astype(np.int64)
-    l1_idx = pcs2 & l1_mask
-
-    # History before each branch = bits of the previous accesses to the
-    # same L1 entry: group by entry, then sum windowed shifted copies.
-    o1 = np.argsort(_sort_key(l1_idx, l1_mask + 1), kind="stable")
-    g_taken = taken[o1].astype(np.int32)
-    pos = _grouped_positions(l1_idx[o1])
-    history = np.zeros(m, dtype=np.int32)
-    contrib = np.zeros(m, dtype=np.int32)
-    for k in range(1, min(config.history_bits, int(pos.max())) + 1):
-        np.left_shift(g_taken[:-k], k - 1, out=contrib[k:])
-        contrib[:k] = 0
-        contrib[pos < k] = 0
-        history += contrib
-    history &= hist_mask
-    hist = np.empty(m, dtype=np.int64)
-    hist[o1] = history
-
-    # Counter before each branch: group by L2 entry (histories are
-    # independent of the counters, so every index is known up front) and
-    # run a segmented inclusive scan composing clamped-add functions
-    # c -> clip(c + A, L, H); evaluate the prefix of the *previous*
-    # element at the initial counter value 2 (weakly taken). Because the
-    # counter domain is [0, 3], any |A| >= 4 already saturates, so the
-    # whole scan state fits in int8 with A clamped to [-4, 4] each step.
-    l2_idx = (hist ^ pcs2) & l2_mask
-    o2 = np.argsort(_sort_key(l2_idx, l2_mask + 1), kind="stable")
-    taken2 = taken[o2]
-    pos2 = _grouped_positions(l2_idx[o2])
-    add = np.where(taken2, 1, -1).astype(np.int8)
-    lo = np.zeros(m, dtype=np.int8)
-    hi = np.full(m, 3, dtype=np.int8)
-    new_add = np.empty(m, dtype=np.int8)
-    new_lo = np.empty(m, dtype=np.int8)
-    new_hi = np.empty(m, dtype=np.int8)
-    can = np.empty(m, dtype=bool)
-    max_pos = int(pos2.max())
-    off = 1
-    while off <= max_pos:
-        # predecessor at i-off is in the same group iff pos2 >= off
-        np.greater_equal(pos2, off, out=can)
-        np.add(add[:-off], add[off:], out=new_add[off:])
-        np.minimum(new_add, 4, out=new_add)
-        np.maximum(new_add, -4, out=new_add)
-        np.add(lo[:-off], add[off:], out=new_lo[off:])
-        np.maximum(new_lo[off:], lo[off:], out=new_lo[off:])
-        np.minimum(new_lo[off:], hi[off:], out=new_lo[off:])
-        np.add(hi[:-off], add[off:], out=new_hi[off:])
-        np.maximum(new_hi[off:], lo[off:], out=new_hi[off:])
-        np.minimum(new_hi[off:], hi[off:], out=new_hi[off:])
-        np.copyto(add, new_add, where=can)
-        np.copyto(lo, new_lo, where=can)
-        np.copyto(hi, new_hi, where=can)
-        off *= 2
-    counter = np.full(m, 2, dtype=np.int8)
-    inner = pos2 > 0
-    prev = np.nonzero(inner)[0] - 1
-    counter[inner] = np.clip(2 + add[prev], lo[prev], hi[prev])
-    mis_sorted = (counter >= 2) != taken2
-    mispredicted = np.empty(m, dtype=bool)
-    mispredicted[o2] = mis_sorted
-    return mispredicted
-
-
-def _vec_indirect(pcs: np.ndarray, targets: np.ndarray,
-                  config: BranchPredictorConfig) -> np.ndarray:
-    """Exact vectorized BTB: after any access the entry holds that
-    access's (pc, target), so a branch mispredicts iff it is the first
-    access to its entry or differs from the immediately preceding one."""
-    m = len(pcs)
-    if m == 0:
-        return np.zeros(0, dtype=bool)
-    btb_mask = _pow2_mask(config.scaled_btb_entries)
-    bidx = ((pcs >> 2).astype(np.int64)) & btb_mask
-    o = np.argsort(_sort_key(bidx, btb_mask + 1), kind="stable")
-    g = bidx[o]
-    p = pcs[o]
-    t = targets[o]
-    mis_sorted = np.empty(m, dtype=bool)
-    mis_sorted[0] = True
-    mis_sorted[1:] = ((g[1:] != g[:-1]) | (p[1:] != p[:-1]) |
-                      (t[1:] != t[:-1]))
-    mispredicted = np.empty(m, dtype=bool)
-    mispredicted[o] = mis_sorted
-    return mispredicted
-
-
-def simulate_branches_vectorized(trace_arrays: dict[str, np.ndarray],
-                                 config: BranchPredictorConfig,
-                                 ) -> tuple[np.ndarray, BranchStats]:
-    """Batched engine; bit-identical outputs to the scalar reference."""
-    n = len(trace_arrays["kind"])
-    flags = trace_arrays["flags"]
-    addrs = trace_arrays["addr"]
-    pcs = trace_arrays["pc"]
-    mispredicted = np.zeros(n, dtype=bool)
-    stats = BranchStats()
-
-    cond_mask, ind_mask = _control_masks(trace_arrays)
-    cond_idx = np.nonzero(cond_mask)[0]
-    ind_idx = np.nonzero(ind_mask)[0]
-
-    if len(cond_idx):
-        taken = (flags[cond_idx] & FLAG_TAKEN) != 0
-        cond_mis = _vec_conditional(pcs[cond_idx], taken, config)
-        mispredicted[cond_idx] = cond_mis
-        stats.conditional = len(cond_idx)
-        stats.conditional_mispredicts = int(np.count_nonzero(cond_mis))
-    if len(ind_idx):
-        ind_mis = _vec_indirect(pcs[ind_idx], addrs[ind_idx], config)
-        mispredicted[ind_idx] = ind_mis
-        stats.indirect = len(ind_idx)
-        stats.indirect_mispredicts = int(np.count_nonzero(ind_mis))
-    return mispredicted, stats
-
-
 def simulate_branches(trace_arrays: dict[str, np.ndarray],
                       config: BranchPredictorConfig,
                       ) -> tuple[np.ndarray, BranchStats]:
     """Run every control instruction through a fresh predictor.
 
     Returns a per-instruction boolean mispredict array (aligned with the
-    full trace) and the aggregate statistics, from the vectorized
-    engine.
+    full trace) and the aggregate statistics, from the compiled walk
+    when one was built, else from :func:`simulate_branches_scalar`.
     """
-    return simulate_branches_vectorized(trace_arrays, config)
+    from . import _ooo_kernel
+    if not _ooo_kernel.kernel_available():
+        return simulate_branches_scalar(trace_arrays, config)
+    masks = (_pow2_mask(config.scaled_l1_entries),
+             _pow2_mask(config.scaled_l2_entries),
+             _pow2_mask(config.scaled_btb_entries),
+             (1 << config.history_bits) - 1)
+    mispredicted, counts = _ooo_kernel.branch_walk(
+        trace_arrays["pc"], trace_arrays["kind"], trace_arrays["flags"],
+        trace_arrays["addr"], masks)
+    return mispredicted, BranchStats(*counts)

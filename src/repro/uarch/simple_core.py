@@ -16,28 +16,45 @@ from ..config import MachineConfig
 from .cache import SERVICE_L1, SERVICE_MEM
 
 
+#: Rows per chunk: ``take`` widens its indices to intp, so chunks bound
+#: that temporary at 2 MB whatever the trace length.
+_CHUNK_ROWS = 1 << 18
+
+
 def _service_penalties(config: MachineConfig) -> np.ndarray:
     """Extra cycles per service level beyond the single base cycle.
 
     Index by service level + 1 so that SERVICE_NONE (-1) maps to zero.
     """
     return np.array([
-        0.0,                                         # not a memory access
-        0.0,                                         # L1 hit: the 1 cycle
-        float(config.l2.latency),                    # L2 hit
-        float(config.l2.latency + config.l3.latency),  # LLC hit
-        float(config.l2.latency + config.l3.latency
-              + config.memory.latency),              # memory
-    ])
+        0,                                           # not a memory access
+        0,                                           # L1 hit: the 1 cycle
+        config.l2.latency,                           # L2 hit
+        config.l2.latency + config.l3.latency,       # LLC hit
+        config.l2.latency + config.l3.latency
+        + config.memory.latency,                     # memory
+    ], dtype=np.int32)
 
 
 def simple_core_cycles(dlevel: np.ndarray, ilevel: np.ndarray,
                        config: MachineConfig) -> np.ndarray:
-    """Per-instruction cycle counts under the simple core model."""
+    """Per-instruction cycle counts (int32) under the simple core model.
+
+    One lookup per row into a 25-entry table indexed by (data, fetch)
+    service level, in bounded chunks; every count is a whole number,
+    so sums of them are exact.
+    """
     penalties = _service_penalties(config)
-    cycles = np.ones(len(dlevel), dtype=np.float64)
-    cycles += penalties[dlevel.astype(np.int64) + 1]
-    cycles += penalties[ilevel.astype(np.int64) + 1]
+    table = (1 + penalties[:, None] + penalties[None, :]).ravel()
+    n = len(dlevel)
+    cycles = np.empty(n, dtype=np.int32)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        index = dlevel[start:stop] + 1
+        index *= len(penalties)
+        index += ilevel[start:stop]
+        index += 1
+        table.take(index, out=cycles[start:stop])
     return cycles
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import os
 
 import pytest
@@ -11,24 +10,40 @@ from repro import telemetry
 from repro.config import pypy_runtime, v8_runtime
 from repro.frontend import compile_source
 from repro.host import AddressSpace, HostMachine
+from repro.uarch import _ooo_kernel
+from repro.uarch.branch import simulate_branches, simulate_branches_scalar
 from repro.uarch.cache import (
     simulate_cache_hierarchy,
     simulate_cache_hierarchy_scalar,
-    simulate_cache_hierarchy_vectorized,
 )
 from repro.vm.cpython import CPythonVM
 from repro.vm.pypy import PyPyVM
 from repro.vm.v8 import V8VM
 
-#: The cache engines tests compare, by the id they are parametrized
-#: with: the scalar oracle, waves at every level, and the production
-#: entry point, where each level picks waves or the run-head walk from
-#: its stream.
+
+def _compiled(entry_point):
+    """``entry_point`` on the compiled walk; skips without a compiler."""
+    def walk(*args, **kwargs):
+        if not _ooo_kernel.kernel_available():
+            pytest.skip("no C compiler available")
+        return entry_point(*args, **kwargs)
+    return walk
+
+
+#: The memory-side engines tests compare, by the id they are
+#: parametrized with: the scalar oracle, the compiled walk (``vector``
+#: is the id of the NumPy engines it replaced; it skips where no
+#: compiler builds the walk), and the production entry point, which
+#: runs whichever of the two this process has.
 CACHE_ENGINES = {
     "scalar": simulate_cache_hierarchy_scalar,
-    "vector": functools.partial(simulate_cache_hierarchy_vectorized,
-                                adaptive=False),
+    "vector": _compiled(simulate_cache_hierarchy),
     "auto": simulate_cache_hierarchy,
+}
+BRANCH_ENGINES = {
+    "scalar": simulate_branches_scalar,
+    "vector": _compiled(simulate_branches),
+    "auto": simulate_branches,
 }
 
 

@@ -16,7 +16,7 @@ from repro.categories import (
 )
 from repro.experiments import figures
 from repro.experiments.runner import ExperimentRunner
-from repro.uarch import cache
+from repro.uarch import system
 from repro.workloads import BREAKDOWN_QUICK_SUITE
 
 
@@ -116,13 +116,10 @@ def test_warm_fig4_simulates_no_caches(monkeypatch):
     memory side: one simulation per trace on an empty cache, none once
     the states are on disk."""
     calls = []
-    for name in ("simulate_cache_hierarchy_scalar",
-                 "simulate_cache_hierarchy_vectorized"):
-        engine = getattr(cache, name)
-        monkeypatch.setattr(
-            cache, name,
-            lambda *args, _engine=engine, **kwargs:
-            calls.append(1) or _engine(*args, **kwargs))
+    simulate = system.simulate_cache_hierarchy
+    monkeypatch.setattr(
+        system, "simulate_cache_hierarchy",
+        lambda *args, **kwargs: calls.append(1) or simulate(*args, **kwargs))
     cold = figures.fig4(runner=ExperimentRunner(), quick=True)
     assert len(calls) == len(BREAKDOWN_QUICK_SUITE)
     calls.clear()

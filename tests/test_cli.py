@@ -8,6 +8,7 @@ from repro.__main__ import build_parser, main
 from repro.categories import OverheadCategory
 from repro.frontend import compile_source
 from repro.host import AddressSpace, HostMachine
+from repro.telemetry.registry import RunRegistry
 from repro.uarch import SimulatedSystem
 from repro.vm.cpython import CPythonVM
 
@@ -138,6 +139,23 @@ def test_cache_stats_and_gc(capsys):
     assert "remain under" in capsys.readouterr().out
 
 
+def test_cache_gc_prunes_the_registry_the_runs_went_to(tmp_path, monkeypatch,
+                                                        capsys):
+    """With ``REPRO_REGISTRY_DIR`` away from the cache root, gc prunes
+    that registry, not ``<cache-root>/telemetry``."""
+    monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "reg"))
+    for _ in range(3):
+        assert main(["run", "sym_sum"]) == 0
+    registry = RunRegistry()
+    assert registry.root == tmp_path / "reg"
+    assert len(registry.tail(10)) == 3
+    capsys.readouterr()
+    assert main(["cache", "gc", "--max-registry-records", "1"]) == 0
+    assert "pruned 2 registry records (keeping newest 1)" \
+        in capsys.readouterr().out
+    assert len(registry.tail(10)) == 1
+
+
 def test_cache_commands_report_disabled_cache(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE", "off")
     assert main(["cache", "stats"]) == 1
@@ -238,11 +256,11 @@ def test_serve_parser_defaults_and_overrides():
     assert args.max_inflight == 16 and args.quantum == 4.0
     assert args.drain_grace == 30.0 and args.default_deadline is None
     args = build_parser().parse_args(
-        ["serve", "--tcp", "127.0.0.1:0", "--jobs", "4",
+        ["serve", "--tcp", "127.0.0.1:0",
          "--tenant-rate", "0.5", "--tenant-burst", "2",
          "--max-inflight", "3", "--quantum", "8",
          "--drain-grace", "5", "--default-deadline", "60"])
-    assert args.tcp == "127.0.0.1:0" and args.jobs == 4
+    assert args.tcp == "127.0.0.1:0"
     assert args.tenant_rate == 0.5 and args.tenant_burst == 2.0
     assert args.max_inflight == 3 and args.quantum == 8.0
     assert args.drain_grace == 5.0 and args.default_deadline == 60.0

@@ -35,21 +35,33 @@ def _bench_run(monkeypatch):
     return module
 
 
-def test_quick_figures_match_bench_reference(tmp_path, monkeypatch):
+def _assert_figures_match(figures, tmp_path, monkeypatch, **env_extra):
+    """Render ``figures`` in a fresh process; compare their digests."""
     bench = _bench_run(monkeypatch)
     reference = json.loads(
         (BENCH / "reference.json").read_text(encoding="utf-8"))["figures"]
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("REPRO_")}
     env.update(PYTHONPATH=str(ROOT / "src"),
-               REPRO_CACHE_DIR=str(tmp_path / "cache"))
+               REPRO_CACHE_DIR=str(tmp_path / "cache"), **env_extra)
     done = subprocess.run(
-        [sys.executable, "-m", "repro", "figures", *FIGURES],
+        [sys.executable, "-m", "repro", "figures", *figures],
         cwd=tmp_path, env=env, capture_output=True, text=True,
         timeout=600)
     assert done.returncode == 0, done.stderr
     blocks = bench.figure_blocks(done.stdout)
-    for name in FIGURES:
+    for name in figures:
         assert name in blocks, name
         assert bench.digest(blocks[name]) == reference[name], \
             f"{name} moved:\n{blocks[name]}"
+
+
+def test_quick_figures_match_bench_reference(tmp_path, monkeypatch):
+    _assert_figures_match(FIGURES, tmp_path, monkeypatch)
+
+
+def test_figure_without_compiler_matches_bench_reference(tmp_path,
+                                                         monkeypatch):
+    """``CC=false`` builds no kernel, so fig5's burst flush, trace codec
+    and memory side run their Python fallbacks: same bytes."""
+    _assert_figures_match(("fig5",), tmp_path, monkeypatch, CC="false")

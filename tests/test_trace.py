@@ -1,5 +1,6 @@
 """Columnar instruction traces: append, views, persistence, freezing."""
 
+import mmap
 import weakref
 
 import numpy as np
@@ -104,10 +105,10 @@ def test_roundtrip_property(tmp_path_factory, rows):
 
 
 def test_live_trace_keeps_full_buffers_as_narrow_blocks(monkeypatch):
-    """Rows that fill the live buffer move into narrow column blocks:
-    the buffer keeps its size, one reservation wider than the buffer
-    widens it, and every row reads back in order through either append
-    path, live and frozen."""
+    """Rows that fill the live buffer move into the narrow column
+    regions: the buffer keeps its size, one reservation wider than the
+    buffer widens it, and every row reads back in order through either
+    append path, live and frozen."""
     monkeypatch.setattr(trace_module, "_BUFFER_ROWS", 8)
     monkeypatch.setattr(trace_module, "_STAGE_DRAIN_ROWS", 3)
     trace = InstructionTrace()
@@ -133,6 +134,43 @@ def test_live_trace_keeps_full_buffers_as_narrow_blocks(monkeypatch):
     for name, column in trace.arrays().items():
         assert column.dtype == live[name].dtype, name
         assert np.array_equal(column, live[name]), name
+
+
+class _NoRemapMap(mmap.mmap):
+    """A mapping whose resize fails as it does where mremap is absent."""
+
+    def resize(self, newsize):
+        raise SystemError("mmap: resizing not available--no mremap()")
+
+
+@pytest.mark.parametrize("grow", ["remap", "copy"])
+def test_regions_grow_past_their_first_mapping(monkeypatch, grow):
+    """Column regions grow many times over (in place by mremap, or by
+    copying where it is missing); live reads are copies the next growth
+    cannot invalidate, and freeze keeps every row."""
+    if grow == "copy":
+        monkeypatch.setattr(
+            trace_module, "_anonymous_map",
+            lambda size: _NoRemapMap(
+                -1, -(-size // mmap.PAGESIZE) * mmap.PAGESIZE,
+                flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
+    monkeypatch.setattr(trace_module, "_BUFFER_ROWS", 64)
+    trace = InstructionTrace()
+    held = []
+    for i in range(5000):
+        trace.append(pc=i, kind=int(InstrKind.LOAD), category=i % 7,
+                     addr=3 * i, size=8, dep=1, flags=0, origin=i)
+        if i % 1000 == 999:
+            held.append(trace.column("pc"))
+    assert [len(column) for column in held] == [1000, 2000, 3000, 4000,
+                                                5000]
+    assert held[0].tolist() == list(range(1000))
+    trace.freeze()
+    columns = trace.arrays()
+    assert columns["pc"].tolist() == list(range(5000))
+    assert columns["addr"].tolist() == [3 * i for i in range(5000)]
+    assert columns["category"].dtype == np.int8
+    assert columns["origin"][-1] == 4999
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Vectorized engines must match the scalar references bit for bit.
+"""Compiled walks must match the scalar references bit for bit.
 
 Property-style checks: randomized traces (hot/cold address mixes,
 conditional/indirect branch patterns, dependence forests with long
-edges) run through both the scalar and the vectorized cache/branch
-engines and both OOO engines (scalar loop and compiled kernel), and
+edges) run through both the scalar oracles and the compiled walks of
+the cache hierarchy, the branch predictor and the OOO core, and
 every output the rest of the pipeline consumes — per-instruction
 service levels, mispredict flags, aggregate statistics, core cycle
 counts — must be bit-identical for single- and batched-config walks
@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import CACHE_ENGINES
+from conftest import BRANCH_ENGINES, CACHE_ENGINES
 
 from repro.config import (
     BranchPredictorConfig,
@@ -37,12 +37,7 @@ from repro.host.isa import (
     InstrKind,
 )
 from repro.uarch import _ooo_kernel
-from repro.uarch import cache as cache_module
-from repro.uarch.branch import (
-    simulate_branches,
-    simulate_branches_scalar,
-    simulate_branches_vectorized,
-)
+from repro.uarch.branch import simulate_branches, simulate_branches_scalar
 from repro.uarch.cache import (
     SERVICE_L1,
     SERVICE_L3,
@@ -106,15 +101,8 @@ def tiny_config() -> MachineConfig:
 _CONFIGS = {
     "skylake": skylake_config,
     "scaled4": lambda: scaled_config(4),
+    "scaled5": lambda: scaled_config(5),
     "tiny": tiny_config,
-}
-
-#: The branch engines by the ids their tests are parametrized with: the
-#: scalar oracle, the vectorized engine, and the production entry point.
-_BRANCH_ENGINES = {
-    "scalar": simulate_branches_scalar,
-    "vector": simulate_branches_vectorized,
-    "auto": simulate_branches,
 }
 
 
@@ -137,40 +125,15 @@ def test_cache_engines_bit_identical(seed, config_name, engine):
                               CACHE_ENGINES[engine](arrays, config))
 
 
-def test_each_cache_level_picks_its_walk_from_its_stream(monkeypatch):
-    """Production runs waves at a level whose stream spreads over many
-    sets and the run-head walk at one with too few (the 2-set L1s of
-    ``scaled_config(6)``); either way it matches the scalar oracle."""
-    levels = {}
-
-    class RecordedLevel(cache_module._VecLevel):
-        def __init__(self, config, adaptive):
-            super().__init__(config, adaptive)
-            levels[config.name] = self
-
-    monkeypatch.setattr(cache_module, "_VecLevel", RecordedLevel)
-    arrays = random_trace(0, 6000)
-    waves = {"L1I": "vector", "L1D": "vector", "L2": "vector",
-             "L3": "vector"}
-    for config, modes in ((skylake_config(), waves),
-                          (tiny_config(), {**waves, "L1I": "scalar",
-                                           "L1D": "scalar"})):
-        levels.clear()
-        out = simulate_cache_hierarchy(arrays, config)
-        assert {name: level._mode for name, level in levels.items()} \
-            == modes
-        _assert_same_cache_result(
-            simulate_cache_hierarchy_scalar(arrays, config), out)
-
-
 @pytest.mark.parametrize("engine", ["vector", "auto"])
-@pytest.mark.parametrize("scale", [1.0, 1 / 64])
+@pytest.mark.parametrize("scale", [1.0, 1 / 64, 0.5, 8.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_branch_engines_bit_identical(seed, scale, engine):
     arrays = random_trace(seed, 6000)
     config = BranchPredictorConfig(scale=scale)
     ref_mis, ref_stats = simulate_branches_scalar(arrays, config)
-    out_mis, out_stats = _BRANCH_ENGINES[engine](arrays, config)
+    out_mis, out_stats = BRANCH_ENGINES[engine](arrays, config)
+    assert out_mis.dtype == np.bool_
     assert np.array_equal(ref_mis, out_mis)
     assert ref_stats == out_stats
 
@@ -178,10 +141,11 @@ def test_branch_engines_bit_identical(seed, scale, engine):
 def test_empty_trace_all_backends():
     arrays = random_trace(0, 0)
     config = skylake_config()
-    for engine in ("scalar", "vector", "auto"):
+    for engine in ("scalar", "auto"):
         result = CACHE_ENGINES[engine](arrays, config)
         assert len(result.dlevel) == 0
-        mis, _ = _BRANCH_ENGINES[engine](arrays, config.branch)
+        assert result.stats["L1D"].accesses == 0
+        mis, _ = BRANCH_ENGINES[engine](arrays, config.branch)
         assert len(mis) == 0
 
 
@@ -219,6 +183,36 @@ def _memory_configs() -> list[MachineConfig]:
 
 
 _MEMORY_INPUTS = [(seed, 1 + (seed * 1187) % 2000) for seed in range(4)]
+
+
+@pytest.mark.parametrize("engine", ["vector", "auto"])
+def test_cache_engines_bit_identical_on_generated_geometries(engine):
+    """One set per level up to many, random ways: every level of every
+    geometry equals the oracle, service levels stay int8."""
+    for seed, n in _MEMORY_INPUTS:
+        arrays = random_trace(seed, n)
+        for config in _memory_configs():
+            out = CACHE_ENGINES[engine](arrays, config)
+            assert out.dlevel.dtype == out.ilevel.dtype == np.int8
+            _assert_same_cache_result(
+                simulate_cache_hierarchy_scalar(arrays, config), out)
+
+
+@pytest.mark.parametrize("engine", ["vector", "auto"])
+@pytest.mark.parametrize("config_name", ["skylake", "scaled5", "tiny"])
+def test_store_only_stream_writes_back_dirty_lines(engine, config_name):
+    """A stream of stores over more lines than L1D and L2 hold evicts
+    dirty lines from both; the writebacks equal the oracle's."""
+    rng = np.random.default_rng(7)
+    n = 20_000
+    arrays = random_trace(0, n)
+    arrays["kind"] = np.full(n, _STORE, dtype=np.int8)
+    arrays["addr"] = (0x800000 + 64 * rng.integers(0, 1 << 15, size=n)
+                      ).astype(np.int64)
+    config = _CONFIGS[config_name]()
+    ref = simulate_cache_hierarchy_scalar(arrays, config)
+    assert ref.stats["L1D"].writebacks > 0 and ref.stats["L2"].writebacks > 0
+    _assert_same_cache_result(ref, CACHE_ENGINES[engine](arrays, config))
 
 
 @pytest.mark.parametrize("engine", _ENGINES)
@@ -285,7 +279,7 @@ def test_mispredicts_fall_only_on_predicted_branches(engine, scale):
             & ((flags & FLAG_INDIRECT) != 0)
         conditional = (kind == int(InstrKind.BRANCH)) \
             & ((flags & FLAG_COND) != 0) & ~indirect
-        mispredicted, stats = _BRANCH_ENGINES[engine](arrays, config)
+        mispredicted, stats = BRANCH_ENGINES[engine](arrays, config)
         assert not mispredicted[~(conditional | indirect)].any()
         assert np.count_nonzero(mispredicted) == stats.total_mispredicts
         assert stats.conditional == np.count_nonzero(conditional)
@@ -517,7 +511,7 @@ def test_real_guest_trace_bit_identical(pypy_run):
     arrays = machine.trace.arrays()
     config = skylake_config()
     _assert_same_cache_result(simulate_cache_hierarchy_scalar(arrays, config),
-                              CACHE_ENGINES["vector"](arrays, config))
+                              simulate_cache_hierarchy(arrays, config))
     ref_mis, ref_stats = simulate_branches_scalar(arrays, config.branch)
     out_mis, out_stats = simulate_branches(arrays, config.branch)
     assert np.array_equal(ref_mis, out_mis)
