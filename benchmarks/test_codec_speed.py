@@ -44,10 +44,7 @@ def test_codec_footprint_and_bandwidth(tmp_path):
     v2_bytes = v2_path.stat().st_size
 
     def decode_all():
-        loaded = InstructionTrace.load(v2_path)
-        arrays = loaded.arrays()
-        loaded.close()
-        return arrays
+        return InstructionTrace.load(v2_path).arrays()
 
     decode_s, arrays = _best_of(3, decode_all)
     for name, column in trace.arrays().items():

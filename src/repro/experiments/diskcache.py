@@ -329,9 +329,14 @@ class DiskCache:
         return handle
 
     def store_run(self, key: str, handle,
-                  key_params: dict | None = None) -> None:
+                  key_params: dict | None = None) -> bool:
+        """Store one finished run; True when the entry was committed.
+
+        False means :meth:`load_run` cannot give the run back: the cache
+        is disabled, or a write failed.
+        """
         if not self.enabled:
-            return
+            return False
         payload_path, meta_path = self._paths("traces", key)
         meta = {
             "rows": len(handle.trace),
@@ -371,6 +376,8 @@ class DiskCache:
             # the artifact; the entry simply stays a miss.
             TELEMETRY.metrics.counter("cache.write_errors",
                                       kind="traces").inc()
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Memory-side states

@@ -703,8 +703,9 @@ ALL_FIGURES = {
 
 #: Runner scale each figure builds its default runner with (None for
 #: the tables, which take no runner). The ``figures --all`` campaign
-#: driver shares one runner per scale across figures so the in-memory
-#: caches stay warm between figures of the same family.
+#: driver shares one runner per scale across figures, so a trace that a
+#: later figure of the same family reads again (fig8 re-reads fig7's)
+#: is held from that second read on; a trace read once is not held.
 FIGURE_SCALES = {
     "table1": None, "table2": None,
     "fig4": 1, "fig5": 1, "fig6": 1, "fig7": 1, "fig8": 1, "fig9": 1,

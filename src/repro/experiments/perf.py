@@ -113,7 +113,6 @@ def run_probe(repeats: int = 3) -> dict:
         for _ in range(repeats):
             loaded = InstructionTrace.load(path)
             loaded.arrays()
-            loaded.close()
             keep_best("trace.codec.decode")
         breakdown = attribute(handle.trace, handle.site_table, state,
                               config).breakdown()

@@ -10,6 +10,14 @@ loop workload-outer / config-inner without re-interpreting. Every trace
 is frozen as its guest run ends: it holds only its narrow columns, not
 the row buffer or the machine that produced it.
 
+A trace is held from its second read in the process on. Most figures
+read each trace once, and holding those would only crowd out what is
+read again, so a first read is handed to the caller and not kept,
+unless nothing could give it back: the disk cache is off, or storing the
+run failed. A trace loaded from disk is charged what a computed one is,
+its decoded columns, because it releases the file mapping once every
+column is decoded. Memory-side states are held at their first read.
+
 The in-memory cache is backed by a write-through persistent
 :class:`~repro.experiments.diskcache.DiskCache`: every fresh guest run
 and memory-side state is also stored on disk, and a memory miss
@@ -128,11 +136,13 @@ class ExperimentRunner:
     """Runs workloads and caches (trace, memory-side) results."""
 
     #: Bytes of traces and memory-side states held in memory. A trace is
-    #: charged its decoded columns (35 B per row), a state the bytes of
-    #: its arrays. 512 MiB keeps the sweep server's working set of
-    #: figures resident; larger grids, such as the nursery figures',
-    #: cycle through it least recently used first, with the disk cache
-    #: behind it.
+    #: charged its decoded columns (35 B per row; a loaded one costs no
+    #: more, since it unmaps its file once decoded), a state the bytes
+    #: of its arrays. Only traces read a second time are held, so the
+    #: budget fills with what is re-read: 512 MiB keeps the sweep
+    #: server's working set of figures resident, and larger grids, such
+    #: as the nursery figures', cycle through it least recently used
+    #: first, with the disk cache behind it.
     CACHE_BUDGET_BYTES = 512 * _MB
 
     def __init__(self, scale: int = 1,
@@ -146,6 +156,10 @@ class ExperimentRunner:
         self._held: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
         #: Sum of the charges in ``_held``.
         self.cache_bytes = 0
+        #: Run keys :meth:`run` has returned: a trace is held from its
+        #: second read on. One key per point of the figure grids a
+        #: process runs (hundreds at most), so it is left unbounded.
+        self._seen: set[tuple] = set()
         self._programs: dict[tuple, Program] = {}
         #: Next RunHandle.token; never reused within a runner.
         self._next_token = 1
@@ -186,13 +200,15 @@ class ExperimentRunner:
         if handle is not None:
             metrics.counter("runner.trace_cache.hit", runtime=runtime).inc()
             return handle
+        read_before = key in self._seen
+        self._seen.add(key)
         trace_params = self._trace_key_params(*key[:4], warmup_runs)
         disk_key = content_key(trace_params)
         cached = self.disk_cache.load_run(disk_key)
         if cached is not None:
             metrics.counter("runner.trace_cache.hit", runtime=runtime).inc()
             metrics.counter("runner.disk_cache.hit", kind="trace").inc()
-            return self._adopt_handle(key, cached)
+            return self._adopt_handle(key, cached, hold=read_before)
         metrics.counter("runner.trace_cache.miss", runtime=runtime).inc()
         if self.disk_cache.enabled:
             metrics.counter("runner.disk_cache.miss", kind="trace").inc()
@@ -235,8 +251,9 @@ class ExperimentRunner:
         if wall_seconds > 0:
             metrics.gauge("guest.instructions_per_second",
                           runtime=runtime).set(len(trace) / wall_seconds)
-        self._admit("trace", key, handle, len(trace) * RAW_ROW_BYTES)
-        self.disk_cache.store_run(disk_key, handle, key_params=trace_params)
+        stored = self.disk_cache.store_run(disk_key, handle,
+                                           key_params=trace_params)
+        self._keep_trace(key, handle, hold=read_before or not stored)
         # A finished VM is a reference cycle that holds the whole guest
         # heap; collect it here (~10 ms per run) instead of whenever the
         # cyclic collector next runs, so peak memory does not depend on
@@ -255,14 +272,25 @@ class ExperimentRunner:
             "max_instructions": MAX_INSTRUCTIONS,
         }
 
-    def _adopt_handle(self, key: tuple, handle: RunHandle) -> RunHandle:
-        """Insert a handle loaded from the disk cache as if this runner
-        had run it: fresh token, normal eviction."""
+    def _adopt_handle(self, key: tuple, handle: RunHandle,
+                      hold: bool) -> RunHandle:
+        """Take a handle loaded from the disk cache as if this runner
+        had run it: fresh token, and held under the same rule."""
         handle.token = self._next_token
         self._next_token += 1
-        self._admit("trace", key, handle,
-                    len(handle.trace) * RAW_ROW_BYTES)
+        self._keep_trace(key, handle, hold)
         return handle
+
+    def _keep_trace(self, key: tuple, handle: RunHandle,
+                    hold: bool) -> None:
+        """Hold a trace that is read again or cannot be loaded back;
+        count the first reads handed out without being held."""
+        if hold:
+            self._admit("trace", key, handle,
+                        len(handle.trace) * RAW_ROW_BYTES)
+        else:
+            TELEMETRY.metrics.counter("runner.cache.not_held",
+                                      kind="trace").inc()
 
     # ------------------------------------------------------------------
     # In-memory cache: one LRU over traces and states, bounded in bytes

@@ -24,10 +24,12 @@ OS page cache shares the mapped bytes between every process on the
 host. A loaded trace (:meth:`~repro.host.trace.InstructionTrace.load`)
 decodes each column it is asked for in full, with
 :meth:`FrameReader.column`, and keeps it; its ``arrays()`` decodes all
-eight. :meth:`FrameReader.decode_range` decodes only the frames that
-cover a row range; it runs when ``slice_view`` is called on a loaded
-trace whose columns are not all decoded, which no figure or query
-does.
+eight. Every decoded column is a copy, so once the last one is decoded
+the trace closes its reader and the mapping goes (a later decode maps
+the file again). :meth:`FrameReader.decode_range` decodes only the
+frames that cover a row range; it runs when ``slice_view`` is called on
+a loaded trace whose columns are not all decoded, which no figure or
+query does.
 
 File layout::
 

@@ -32,7 +32,9 @@ trace's length and keeps it as the column (no join, no copy: a column
 is unmapped when the last array over it goes), and drops the buffer,
 the staging columns and the flusher, and with the flusher the machine
 and burst engine that produced the trace. A loaded trace decodes its
-columns from the file (:mod:`.codec`) into the same dict on first use.
+columns from the file (:mod:`.codec`) into the same dict on first use,
+and unmaps the file once the last one is decoded, so it too costs
+35 bytes per row.
 
 Columns
 -------
@@ -269,7 +271,10 @@ class InstructionTrace:
         return self._regions
 
     def close(self) -> None:
-        """Release a loaded trace's file mapping (it re-maps on use)."""
+        """Release a loaded trace's file mapping (it re-maps on use).
+
+        Decoding the last column calls it.
+        """
         if self._reader is not None:
             self._reader.close()
 
@@ -330,6 +335,11 @@ class InstructionTrace:
             # Per-column lazy decode: a consumer that only needs
             # ``category`` never pays for the pc/addr varint streams.
             cached = self._columns[name] = self._reader.column(name)
+            if len(self._columns) == len(_COLUMNS):
+                # Every column is a decoded copy now: unmap the file,
+                # whose pages would otherwise add 10 B/row to the
+                # 35 B/row the columns cost.
+                self.close()
         return cached
 
     def category_counts(self) -> np.ndarray:

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..config import BranchPredictorConfig
 from ..host.isa import FLAG_COND, FLAG_INDIRECT, FLAG_TAKEN, InstrKind
+from .cache import SCALAR_CHUNK_ROWS
 
 
 @dataclass
@@ -132,32 +133,34 @@ def _control_masks(trace_arrays: dict[str, np.ndarray],
 def simulate_branches_scalar(trace_arrays: dict[str, np.ndarray],
                              config: BranchPredictorConfig,
                              ) -> tuple[np.ndarray, BranchStats]:
-    """Reference engine: one predictor call per control instruction."""
-    n = len(trace_arrays["kind"])
+    """Reference engine: one predictor call per control instruction,
+    fed from chunks of :data:`~repro.uarch.cache.SCALAR_CHUNK_ROWS`
+    rows."""
+    kinds = trace_arrays["kind"]
     flags = trace_arrays["flags"]
     addrs = trace_arrays["addr"]
     pcs = trace_arrays["pc"]
+    n = len(kinds)
     mispredicted = np.zeros(n, dtype=bool)
     predictor = BranchPredictor(config)
-
-    cond_mask, ind_mask = _control_masks(trace_arrays)
-    ctrl_idx = np.nonzero(cond_mask | ind_mask)[0]
-    if len(ctrl_idx) == 0:
-        return mispredicted, predictor.stats
-
-    ctrl_pcs = pcs[ctrl_idx].tolist()
-    ctrl_targets = addrs[ctrl_idx].tolist()
-    ctrl_taken = ((flags[ctrl_idx] & FLAG_TAKEN) != 0).tolist()
-    ctrl_indirect = (ind_mask[ctrl_idx]).tolist()
-
     predict_cond = predictor.predict_conditional
     predict_ind = predictor.predict_indirect
-    results = [
-        predict_ind(pc, target) if indirect else predict_cond(pc, taken)
-        for pc, target, taken, indirect
-        in zip(ctrl_pcs, ctrl_targets, ctrl_taken, ctrl_indirect)
-    ]
-    mispredicted[ctrl_idx] = results
+    for start in range(0, n, SCALAR_CHUNK_ROWS):
+        stop = start + SCALAR_CHUNK_ROWS
+        chunk_flags = flags[start:stop]
+        cond_mask, ind_mask = _control_masks(
+            {"kind": kinds[start:stop], "flags": chunk_flags})
+        rows = np.flatnonzero(cond_mask | ind_mask)
+        if not len(rows):
+            continue
+        mispredicted[start + rows] = [
+            predict_ind(pc, target) if indirect else predict_cond(pc, taken)
+            for pc, target, taken, indirect in zip(
+                pcs[start:stop][rows].tolist(),
+                addrs[start:stop][rows].tolist(),
+                ((chunk_flags[rows] & FLAG_TAKEN) != 0).tolist(),
+                ind_mask[rows].tolist())
+        ]
     return mispredicted, predictor.stats
 
 

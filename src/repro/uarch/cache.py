@@ -48,6 +48,10 @@ SERVICE_L2 = 1
 SERVICE_L3 = 2
 SERVICE_MEM = 3
 
+#: Rows the scalar engines (here and in :mod:`.branch`) turn into Python
+#: lists at a time, so the lists stay a few MB however long the trace.
+SCALAR_CHUNK_ROWS = 1 << 16
+
 
 @dataclass
 class CacheStats:
@@ -168,7 +172,8 @@ def simulate_cache_hierarchy_scalar(trace_arrays: dict[str, np.ndarray],
 
     Instruction fetch is simulated at line granularity: consecutive
     instructions on the same line share one fetch access, the way a fetch
-    buffer would.
+    buffer would. Both paths walk the trace in chunks of
+    :data:`SCALAR_CHUNK_ROWS` rows, so no list spans the whole trace.
     """
     hierarchy = CacheHierarchy(config)
     n = len(trace_arrays["pc"])
@@ -180,28 +185,35 @@ def simulate_cache_hierarchy_scalar(trace_arrays: dict[str, np.ndarray],
     line_bits = hierarchy.line_bits
     kinds = trace_arrays["kind"]
     addrs = trace_arrays["addr"]
+    pcs = trace_arrays["pc"]
+    chunks = range(0, n, SCALAR_CHUNK_ROWS)
 
     # --- data path -----------------------------------------------------
-    mem_mask = (kinds == int(InstrKind.LOAD)) | \
-               (kinds == int(InstrKind.STORE))
-    mem_idx = np.nonzero(mem_mask)[0]
-    if len(mem_idx):
-        mem_lines = (addrs[mem_idx] >> line_bits).tolist()
-        mem_writes = (kinds[mem_idx] == int(InstrKind.STORE)).tolist()
-        access = hierarchy.data_access
-        results = [access(line, write)
-                   for line, write in zip(mem_lines, mem_writes)]
-        dlevel[mem_idx] = results
+    access = hierarchy.data_access
+    for start in chunks:
+        stop = start + SCALAR_CHUNK_ROWS
+        chunk_kinds = kinds[start:stop]
+        writes = chunk_kinds == int(InstrKind.STORE)
+        rows = np.flatnonzero(writes | (chunk_kinds == int(InstrKind.LOAD)))
+        if not len(rows):
+            continue
+        lines = (addrs[start:stop][rows] >> line_bits).tolist()
+        dlevel[start + rows] = [
+            access(line, write)
+            for line, write in zip(lines, writes[rows].tolist())]
 
     # --- instruction fetch path -----------------------------------------
-    pc_lines = trace_arrays["pc"] >> line_bits
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(pc_lines[1:], pc_lines[:-1], out=change[1:])
-    fetch_idx = np.nonzero(change)[0]
-    fetch_lines = pc_lines[fetch_idx].tolist()
     fetch = hierarchy.fetch_access
-    ilevel[fetch_idx] = [fetch(line) for line in fetch_lines]
+    previous = None  # the line of the row before the chunk
+    for start in chunks:
+        pc_lines = pcs[start:start + SCALAR_CHUNK_ROWS] >> line_bits
+        change = np.empty(len(pc_lines), dtype=bool)
+        change[0] = previous is None or pc_lines[0] != previous
+        np.not_equal(pc_lines[1:], pc_lines[:-1], out=change[1:])
+        previous = pc_lines[-1]
+        rows = np.flatnonzero(change)
+        ilevel[start + rows] = [fetch(line)
+                                for line in pc_lines[rows].tolist()]
 
     stats = hierarchy.stats()
     mem_lines_moved = (stats["L3"].misses + stats["L3"].writebacks)

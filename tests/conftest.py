@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.config import pypy_runtime, v8_runtime
 from repro.frontend import compile_source
 from repro.host import AddressSpace, HostMachine
+from repro.host.codec import COLUMNS, DTYPES
+from repro.host.isa import FLAG_COND, FLAG_INDIRECT, FLAG_TAKEN, InstrKind
 from repro.uarch import _ooo_kernel
 from repro.uarch.branch import simulate_branches, simulate_branches_scalar
 from repro.uarch.cache import (
@@ -45,6 +49,56 @@ BRANCH_ENGINES = {
     "vector": _compiled(simulate_branches),
     "auto": simulate_branches,
 }
+
+
+def traced_peak(fn):
+    """(result, peak bytes ``fn`` allocated over what was live before)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def interpreter_like_trace(rows: int, seed: int = 0,
+                           ) -> dict[str, np.ndarray]:
+    """Canonical trace columns shaped like an interpreter's: a third of
+    the rows load or store, mostly within a 16 KiB hot set of a 4 MiB
+    heap; an eighth branch, a quarter of those indirectly to one of four
+    targets; and the pc steps through short basic blocks of a 32 KiB
+    handler region."""
+    rng = np.random.default_rng(seed)
+    columns = {name: np.zeros(rows, dtype=dtype)
+               for name, dtype in zip(COLUMNS, DTYPES)}
+    draw = rng.random(rows)
+    memory = draw < 0.33
+    branches = (draw >= 0.33) & (draw < 0.46)
+    indirect = branches & (rng.random(rows) < 0.25)
+    kind = columns["kind"]
+    kind[memory] = int(InstrKind.LOAD)
+    kind[draw < 0.08] = int(InstrKind.STORE)
+    kind[branches] = int(InstrKind.BRANCH)
+    flags = columns["flags"]
+    flags[branches] = FLAG_COND
+    flags[indirect] = FLAG_INDIRECT
+    flags[branches & (rng.random(rows) < 0.6)] |= FLAG_TAKEN
+    block_start = rng.random(rows) < 0.125
+    blocks = rng.integers(0, 128, rows)[np.cumsum(block_start)]
+    columns["pc"][:] = 0x400000 + 256 * blocks \
+        + 4 * (np.arange(rows) % 16)
+    accesses = int(memory.sum())
+    heap = np.where(rng.random(accesses) < 0.9, 1 << 11, 1 << 19)
+    columns["addr"][memory] = 0x7F00_0000_0000 \
+        + 8 * rng.integers(0, heap)
+    columns["addr"][branches] = 0x400000 + 256 * rng.integers(
+        0, 128, int(branches.sum()))
+    columns["addr"][indirect] = 0x500000 + 64 * rng.integers(
+        0, 4, int(indirect.sum()))
+    columns["size"][memory] = 8
+    return columns
 
 
 @pytest.fixture(autouse=True)

@@ -1,10 +1,15 @@
 """Branch predictor: learning, aliasing, BTB, sweep scaling."""
 
 import numpy as np
+from conftest import interpreter_like_trace, traced_peak
 
 from repro.config import BranchPredictorConfig
 from repro.host.isa import FLAG_COND, FLAG_INDIRECT, FLAG_TAKEN, InstrKind
-from repro.uarch.branch import BranchPredictor, simulate_branches
+from repro.uarch.branch import (
+    BranchPredictor,
+    simulate_branches,
+    simulate_branches_scalar,
+)
 
 
 def test_always_taken_is_learned():
@@ -104,3 +109,15 @@ def test_stats_accuracy_properties():
     stats = predictor.stats
     assert 0.9 <= stats.conditional_accuracy <= 1.0
     assert stats.indirect_accuracy == 1.0
+
+
+def test_scalar_walk_allocates_a_bounded_chunk():
+    """The scalar oracle feeds the predictor one chunk of rows at a
+    time: on a 1M-row trace it allocates at most 8 B/row, its bool
+    output included, where whole-column lists took over 15 B/row."""
+    rows = 1 << 20
+    trace = interpreter_like_trace(rows)
+    (_, stats), peak = traced_peak(
+        lambda: simulate_branches_scalar(trace, BranchPredictorConfig()))
+    assert stats.conditional + stats.indirect > rows // 10
+    assert peak / rows <= 8.0, peak / rows

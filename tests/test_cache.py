@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CACHE_ENGINES
+from conftest import CACHE_ENGINES, interpreter_like_trace, traced_peak
 
 from repro.config import CacheConfig, MachineConfig, skylake_config
 from repro.host.isa import InstrKind
@@ -18,6 +18,7 @@ from repro.uarch.cache import (
     CacheHierarchy,
     _Level,
     simulate_cache_hierarchy,
+    simulate_cache_hierarchy_scalar,
 )
 
 
@@ -160,3 +161,15 @@ def test_miss_invariants(line_ids):
         * level.ways
     # Evictions can never exceed fills (= misses).
     assert stats.evictions <= stats.misses
+
+
+def test_scalar_walk_allocates_a_bounded_chunk():
+    """The scalar oracle turns one chunk of rows at a time into Python
+    lists: on a 1M-row trace it allocates at most 24 B/row, its two int8
+    outputs included, where whole-column lists took over 40 B/row."""
+    rows = 1 << 20
+    trace = interpreter_like_trace(rows)
+    result, peak = traced_peak(
+        lambda: simulate_cache_hierarchy_scalar(trace, skylake_config()))
+    assert result.stats["L1D"].accesses > rows // 4
+    assert peak / rows <= 24.0, peak / rows

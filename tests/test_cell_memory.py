@@ -3,7 +3,8 @@
 A fig4 cell runs a guest, freezes its trace (35 B/row), simulates the
 memory side and attributes simple-core cycles. Each step after the
 guest run must stay a small fraction of the trace it works on, so the
-cell's peak is the trace plus a few bytes per row.
+cell's peak is the trace plus a few bytes per row. A figure costs its
+largest cell: the runner holds no trace its figure reads only once.
 """
 
 from __future__ import annotations
@@ -11,27 +12,15 @@ from __future__ import annotations
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 
 import pytest
+from conftest import traced_peak
 
 from repro.config import skylake_config
 from repro.experiments.runner import ExperimentRunner
 from repro.pintool.postprocess import attribute
 from repro.uarch import _ooo_kernel
 from repro.uarch.system import SimulatedSystem
-
-
-def _traced_peak(fn):
-    """(result, peak bytes ``fn`` allocated over what was live before)."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def test_memory_side_and_attribution_stay_narrow():
@@ -46,9 +35,9 @@ def test_memory_side_and_attribution_stay_narrow():
     assert rows > 2_000_000
     config = skylake_config()
     handle.trace.arrays()  # decode outside the measured steps
-    state, side_peak = _traced_peak(
+    state, side_peak = traced_peak(
         lambda: SimulatedSystem(config).memory_side(handle.trace))
-    attribution, attribute_peak = _traced_peak(
+    attribution, attribute_peak = traced_peak(
         lambda: attribute(handle.trace, handle.site_table, state, config))
     assert side_peak / rows <= 4.0, side_peak / rows
     assert attribute_peak / rows <= 10.0, attribute_peak / rows
@@ -56,21 +45,23 @@ def test_memory_side_and_attribution_stay_narrow():
         == float(attribution.cycles.sum())
 
 
-#: Run in a fresh process: the eparse guest on CPython, whose live
-#: trace (2.2M rows) is then frozen. VmHWM, unlike ``ru_maxrss``,
-#: belongs to the process image, so it does not carry the forking
-#: parent's peak.
-_FREEZE_PROBE = textwrap.dedent("""
-    from repro.frontend import compile_source
-    from repro.host import AddressSpace, HostMachine
-    from repro.vm.cpython import CPythonVM
-    from repro.workloads import get_workload
-
+_STATUS_KB = textwrap.dedent("""
     def status_kb(field):
         with open("/proc/self/status") as fh:
             for line in fh:
                 if line.startswith(field + ":"):
                     return int(line.split()[1])
+""")
+
+#: Run in a fresh process: the eparse guest on CPython, whose live
+#: trace (2.2M rows) is then frozen. VmHWM, unlike ``ru_maxrss``,
+#: belongs to the process image, so it does not carry the forking
+#: parent's peak.
+_FREEZE_PROBE = _STATUS_KB + textwrap.dedent("""
+    from repro.frontend import compile_source
+    from repro.host import AddressSpace, HostMachine
+    from repro.vm.cpython import CPythonVM
+    from repro.workloads import get_workload
 
     program = compile_source(get_workload("eparse").source(1), "eparse")
     machine = HostMachine(AddressSpace(nursery_size=16 * 1024))
@@ -93,3 +84,30 @@ def test_freeze_does_not_copy_the_trace():
     rows, grew = map(int, done.stdout.split())
     assert rows >= 1_000_000
     assert grew / rows < 8.0, grew / rows
+
+
+#: Run in a fresh process on the test's empty disk cache: quick fig4,
+#: whose seven traces (6.4M rows, 223 MiB of columns) are each read
+#: once.
+_FIG4_PROBE = _STATUS_KB + textwrap.dedent("""
+    from repro.experiments.figures import fig4
+    from repro.experiments.runner import ExperimentRunner
+
+    runner = ExperimentRunner()
+    before = status_kb("VmRSS")
+    fig4(runner, quick=True, jobs=1)
+    print(runner.cache_bytes, (status_kb("VmHWM") - before) * 1024)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status")
+def test_fig4_holds_no_trace_it_reads_once():
+    """Quick fig4 raises a fresh process's peak RSS by less than
+    160 MiB, about its largest cell, since each trace is stored on disk
+    and let go after its one read. Holding every trace took 250 MiB."""
+    done = subprocess.run([sys.executable, "-c", _FIG4_PROBE],
+                          capture_output=True, text=True, check=True)
+    held, grew = map(int, done.stdout.split())
+    assert held < 32 * 2**20, held  # memory-side states only
+    assert grew < 160 * 2**20, grew / 2**20

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import time
@@ -415,13 +416,22 @@ def test_eviction_and_disk_refetch_are_counted(tmp_path, monkeypatch):
     # A one-byte budget holds only the newest entry.
     monkeypatch.setattr(ExperimentRunner, "CACHE_BUDGET_BYTES", 1)
     runner = ExperimentRunner(disk_cache=DiskCache(tmp_path / "cache"))
-    runner.run("chaos", runtime="pypy", jit=True, nursery=64 * 1024)
-    runner.run("nbody", runtime="pypy", jit=True, nursery=64 * 1024)
+    point = dict(runtime="pypy", jit=True, nursery=64 * 1024)
+    # First reads are stored on disk and not held.
+    runner.run("chaos", **point)
+    runner.run("nbody", **point)
+    assert _counter("runner.cache.not_held{kind=trace}") == 2
+    assert _counter("runner.cache.evicted") == 0
+    # Second reads come back from disk and are held, the newest
+    # evicting the one before it.
+    runner.run("chaos", **point)
+    runner.run("nbody", **point)
+    assert _counter("runner.disk_cache.hit{kind=trace}") == 2
     assert _counter("runner.cache.evicted{kind=trace}") == 1
     # Re-running the evicted workload reads it back from disk.
-    handle = runner.run("chaos", runtime="pypy", jit=True,
-                        nursery=64 * 1024)
-    assert _counter("runner.disk_cache.hit{kind=trace}") == 1
+    handle = runner.run("chaos", **point)
+    assert _counter("runner.disk_cache.hit{kind=trace}") == 3
+    assert _counter("runner.cache.evicted{kind=trace}") == 2
     state_a = runner.memory_side(handle, skylake_config())
     runner.memory_side(handle, scaled_config(1))
     assert _counter("runner.cache.evicted{kind=state}") == 1
@@ -429,6 +439,26 @@ def test_eviction_and_disk_refetch_are_counted(tmp_path, monkeypatch):
     assert _counter("runner.disk_cache.hit{kind=state}") == 1
     assert refetched.mem_lines == state_a.mem_lines
     assert runner.cache_bytes == _counter("runner.cache.bytes")
+
+
+def test_trace_whose_store_fails_is_held_at_first_read(tmp_path,
+                                                       monkeypatch):
+    """A run the disk cache did not commit cannot be loaded back, so the
+    runner holds it from its first read."""
+    from repro import telemetry
+    from repro.experiments import diskcache
+
+    def full_disk(path, data, fsync=False):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    telemetry.enable()
+    monkeypatch.setattr(diskcache, "atomic_write", full_disk)
+    runner = fresh_runner(tmp_path)
+    first = runner.run("sym_sum", runtime="cpython")
+    assert _counter("cache.write_errors{kind=traces}") == 1
+    assert _counter("runner.cache.not_held") == 0
+    assert runner.run("sym_sum", runtime="cpython") is first
+    assert _counter("runner.disk_cache.hit") == 0
 
 
 def test_eviction_without_disk_cache_recomputes(tmp_path, monkeypatch):

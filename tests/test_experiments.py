@@ -2,6 +2,7 @@
 
 import gc
 
+import numpy as np
 import pytest
 
 from repro.analysis.nursery import (
@@ -20,11 +21,32 @@ from repro.experiments import figures
 from repro.vm.base import BaseVM
 
 
+def _counter(prefix):
+    from repro import telemetry
+    return sum(v for k, v in telemetry.TELEMETRY.metrics.snapshot().items()
+               if k.startswith(prefix))
+
+
 def test_runner_caches_traces():
+    """A trace is held from its second read on. The first is handed out
+    and left to the disk cache, which gives it back on the second."""
+    from repro import telemetry
+    telemetry.enable()
     runner = ExperimentRunner(scale=1)
     first = runner.run("sym_sum", runtime="cpython")
+    assert _counter("runner.cache.not_held{kind=trace}") == 1
     second = runner.run("sym_sum", runtime="cpython")
-    assert first is second
+    assert second is not first
+    assert _counter("runner.disk_cache.hit{kind=trace}") == 1
+    ours, theirs = first.trace.arrays(), second.trace.arrays()
+    assert all(np.array_equal(ours[name], theirs[name]) for name in ours)
+    assert runner.run("sym_sum", runtime="cpython") is second
+    # With no disk cache nothing could give a trace back: the first
+    # read is held.
+    runner = ExperimentRunner(scale=1, disk_cache=DiskCache(None))
+    first = runner.run("sym_sum", runtime="cpython")
+    assert runner.run("sym_sum", runtime="cpython") is first
+    assert _counter("runner.cache.not_held") == 1
 
 
 def test_runner_distinguishes_runtime_params():
@@ -102,21 +124,26 @@ def test_simulate_many_configs_matches_serial():
 def test_adaptive_capacity_keeps_grid_resident():
     """A grid that fits the byte budget stays hot, however many entries.
 
-    Telemetry hit counters prove it: a second pass over the same
-    (workload, nursery) points re-misses nothing — the regression the
-    nursery figures would otherwise hit.
+    The first pass is left to the disk cache and the second pass holds
+    the grid. Telemetry hit counters prove it: a third pass over the
+    same (workload, nursery) points re-misses nothing — the regression
+    the nursery figures would otherwise hit.
     """
     from repro import telemetry
     runner = ExperimentRunner(scale=1)
     nurseries = [64 * 1024 * (i + 1) for i in range(4)]
-    first = [runner.run("sym_sum", runtime="pypy", jit=True, nursery=nb)
-             for nb in nurseries]
+
+    def grid_pass():
+        return [runner.run("sym_sum", runtime="pypy", jit=True, nursery=nb)
+                for nb in nurseries]
+
+    grid_pass()
+    second = grid_pass()
     assert runner.cache_bytes <= ExperimentRunner.CACHE_BUDGET_BYTES
     telemetry.enable()
     telemetry.reset()
-    second = [runner.run("sym_sum", runtime="pypy", jit=True, nursery=nb)
-              for nb in nurseries]
-    assert all(a is b for a, b in zip(first, second))
+    third = grid_pass()
+    assert all(a is b for a, b in zip(second, third))
     snapshot = telemetry.TELEMETRY.metrics.snapshot()
     misses = sum(v for k, v in snapshot.items()
                  if k.startswith("runner.trace_cache.miss"))

@@ -1,6 +1,7 @@
 """Columnar instruction traces: append, views, persistence, freezing."""
 
 import mmap
+import sys
 import weakref
 
 import numpy as np
@@ -77,6 +78,31 @@ def test_save_load_roundtrip(tmp_path):
                    "flags", "origin"):
         assert np.array_equal(loaded.column(column),
                               trace.column(column)), column
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/maps")
+def test_loaded_trace_unmaps_its_file_once_decoded(tmp_path):
+    """Decoding the last column releases the file mapping: the columns
+    are copies, so a held loaded trace costs its columns alone."""
+    trace = make_trace(3 * 4096)
+    path = tmp_path / "trace.rpt"
+    trace.save(path)
+
+    def mapped():
+        with open("/proc/self/maps") as maps:
+            return any(line.rstrip().endswith(str(path)) for line in maps)
+
+    loaded = InstructionTrace.load(path)
+    loaded.column("category")
+    assert mapped()
+    columns = loaded.arrays()
+    assert not mapped()
+    assert all(np.array_equal(columns[name], trace.column(name))
+               for name in columns)
+    # A later range decode maps the file again.
+    assert np.array_equal(loaded._reader.decode_range(5, 9)["pc"],
+                          trace.column("pc")[5:9])
 
 
 def test_slice_view():
