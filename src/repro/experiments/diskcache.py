@@ -291,11 +291,7 @@ class DiskCache:
                 pass
 
     def load_run(self, key: str):
-        """Rebuild a RunHandle from disk (None on miss or corruption).
-
-        The returned handle carries ``token=0``; the runner assigns a
-        fresh token when it adopts the handle into its caches.
-        """
+        """Rebuild a RunHandle from disk (None on miss or corruption)."""
         if not self.enabled:
             return None
         from .runner import RunHandle
@@ -316,7 +312,7 @@ class DiskCache:
             trace = InstructionTrace._from_reader(reader)
             meta["site_table"] = {name: int(pc) for name, pc
                                   in meta.get("site_table", {}).items()}
-            handle = RunHandle(trace=trace, token=0, **meta)
+            handle = RunHandle(trace=trace, **meta)
         except Exception:
             # Undecodable payload / sidecar shaped wrong for RunHandle:
             # any parse failure means the entry is corrupt, not the

@@ -12,14 +12,19 @@ from __future__ import annotations
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import pytest
-from conftest import traced_peak
+from conftest import interpreter_like_trace, traced_peak
 
+from repro.analysis.sweeps import axis_config
 from repro.config import skylake_config
 from repro.experiments.runner import ExperimentRunner
 from repro.pintool.postprocess import attribute
 from repro.uarch import _ooo_kernel
+from repro.uarch.branch import simulate_branches
+from repro.uarch.cache import simulate_cache_hierarchy
+from repro.uarch.ooo_core import ooo_cycles_many
 from repro.uarch.system import SimulatedSystem
 
 
@@ -43,6 +48,32 @@ def test_memory_side_and_attribution_stay_narrow():
     assert attribute_peak / rows <= 10.0, attribute_peak / rows
     assert attribution.breakdown().total_cycles \
         == float(attribution.cycles.sum())
+
+
+def test_ooo_sweep_copies_no_column():
+    """Nine configs sharing one memory-side state of a 1M-row trace (a
+    Figure 7 issue-width, latency and bandwidth axis) walk the stored
+    columns: the sweep allocates less than 1 B/row, its finish rings
+    included. Int64 copies of the columns for the state took 43 B/row."""
+    if not _ooo_kernel.kernel_available():
+        pytest.skip("no C compiler: the OOO core runs the scalar oracle")
+    rows = 1 << 20
+    trace = interpreter_like_trace(rows)
+    trace["dep"][1::3] = 1
+    base = skylake_config()
+    memory = simulate_cache_hierarchy(trace, base)
+    mispredicted, _ = simulate_branches(trace, base.branch)
+    state = SimpleNamespace(dlevel=memory.dlevel, ilevel=memory.ilevel,
+                            mispredicted=mispredicted)
+    configs = [axis_config(base, axis, value)
+               for axis, values in (("issue_width", (2, 4, 8)),
+                                    ("memory_latency", (50, 200, 400)),
+                                    ("memory_bandwidth", (200, 1600, 25600)))
+               for value in values]
+    cycles, peak = traced_peak(
+        lambda: ooo_cycles_many(trace, [state] * len(configs), configs))
+    assert len(set(cycles)) > 1
+    assert peak / rows < 1.0, peak / rows
 
 
 _STATUS_KB = textwrap.dedent("""

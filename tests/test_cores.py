@@ -2,11 +2,14 @@
 
 import numpy as np
 
+from conftest import interpreter_like_trace, traced_peak
+
 from repro.categories import OverheadCategory as C
 from repro.config import skylake_config
 from repro.host import AddressSpace, HostMachine
-from repro.uarch.cache import simulate_cache_hierarchy
-from repro.uarch.ooo_core import ooo_cycles
+from repro.uarch.branch import simulate_branches
+from repro.uarch.cache import SCALAR_CHUNK_ROWS, simulate_cache_hierarchy
+from repro.uarch.ooo_core import ooo_cycles, ooo_cycles_scalar
 from repro.uarch.simple_core import simple_core_cycles
 from repro.uarch.system import SimulatedSystem
 
@@ -119,3 +122,23 @@ def test_empty_trace():
     result = system.run(m.trace, core="ooo")
     assert result.cycles == 0.0
     assert result.cpi == 0.0
+
+
+def test_scalar_walk_allocates_a_bounded_chunk():
+    """The scalar OOO oracle turns one chunk of rows at a time into
+    Python lists: on a four-chunk trace it allocates at most 48 B per
+    chunk row (five lists of 8 B pointers, and its finish ring), however
+    long the trace. Whole-column lists took over 50 B per trace row.
+    The walk allocates a Python int per row, which tracemalloc makes
+    slow, so the trace is four chunks long, not 1M rows."""
+    rows = 4 * SCALAR_CHUNK_ROWS
+    trace = interpreter_like_trace(rows)
+    trace["dep"][1::3] = 1
+    trace["dep"][2::5] = 7
+    config = skylake_config()
+    memory = simulate_cache_hierarchy(trace, config)
+    mispredicted, _ = simulate_branches(trace, config.branch)
+    cycles, peak = traced_peak(lambda: ooo_cycles_scalar(
+        trace, memory.dlevel, memory.ilevel, mispredicted, config))
+    assert cycles * 4 >= rows
+    assert peak <= 48 * SCALAR_CHUNK_ROWS, peak / SCALAR_CHUNK_ROWS

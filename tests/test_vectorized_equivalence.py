@@ -39,16 +39,18 @@ from repro.host.isa import (
 from repro.uarch import _ooo_kernel
 from repro.uarch.branch import simulate_branches, simulate_branches_scalar
 from repro.uarch.cache import (
+    SCALAR_CHUNK_ROWS,
     SERVICE_L1,
     SERVICE_L3,
     simulate_cache_hierarchy,
     simulate_cache_hierarchy_scalar,
 )
+from repro.errors import ReproError
 from repro.uarch.ooo_core import (
     KIND_LATENCY_TICKS,
+    MSHRS,
     TICKS,
     front_interval_ticks,
-    max_dep_distance,
     ooo_cycles,
     ooo_cycles_many,
     ooo_cycles_scalar,
@@ -293,20 +295,22 @@ def test_mispredicts_fall_only_on_predicted_branches(engine, scale):
 # ----------------------------------------------------------------------
 
 def random_ooo_inputs(seed: int, n: int, max_dep: int = 300):
-    """Synthetic OOO-core inputs: dep forests, misses, mispredicts."""
+    """Synthetic OOO-core inputs (dep forests, misses, mispredicts) in
+    the dtypes a trace and a memory-side state store: int8 kinds and
+    service levels, int32 deps and bool mispredict flags."""
     rng = np.random.default_rng(seed)
-    kinds = rng.integers(0, len(InstrKind), n).astype(np.int64)
-    dep = rng.integers(0, 4, n).astype(np.int64)
+    kinds = rng.integers(0, len(InstrKind), n).astype(np.int8)
+    dep = rng.integers(0, 4, n).astype(np.int32)
     big = rng.random(n) < 0.03
     dep[big] = rng.integers(1, max_dep, int(big.sum()))
     dl = np.where(rng.random(n) < 0.1,
-                  rng.integers(0, 4, n), -1).astype(np.int64)
+                  rng.integers(0, 4, n), -1).astype(np.int8)
     kinds[dl >= 0] = _LOAD
     stores = rng.random(n) < 0.05
     kinds[stores] = _STORE
     dl[stores] = np.where(rng.random(int(stores.sum())) < 0.3, 3, 0)
     il = np.where(rng.random(n) < 0.05,
-                  rng.integers(1, 4, n), 0).astype(np.int64)
+                  rng.integers(1, 4, n), 0).astype(np.int8)
     misp = rng.random(n) < 0.03
     trace = {"pc": np.arange(n, dtype=np.int64), "kind": kinds,
              "dep": dep}
@@ -344,6 +348,106 @@ def test_ooo_kernel_bit_identical():
         assert got == ref
         one = [ooo_cycles(trace, dl, il, misp, c) for c in configs]
         assert one == ref
+
+
+def _edge_ooo_inputs(case: str):
+    """Inputs at the edges of the kernel's rings and guards."""
+    if case == "dep_one_at_row_zero":
+        # Row 0 has no producer: a dep of 1 there must be ignored.
+        trace, dl, il, misp = random_ooo_inputs(7, 600)
+        trace["dep"][0] = 1
+        trace["dep"][1] = 2
+        return trace, dl, il, misp
+    if case == "deps_past_the_ring":
+        # Chains of dep == 1 broken by producers 4096 and more rows
+        # back, past the ring's 4096-slot floor.
+        n = 12_000
+        trace, dl, il, misp = random_ooo_inputs(8, n)
+        dep = np.ones(n, dtype=np.int32)
+        far = np.arange(4096, n, 61)
+        dep[far] = np.random.default_rng(8).integers(4096, far + 1)
+        dep[[4096, 4097, n - 1]] = (4096, 4097, n - 1)
+        trace["dep"] = dep
+        return trace, dl, il, misp
+    if case == "more_misses_than_mshrs":
+        # Runs of 3 * MSHRS loads and stores that miss to memory in a
+        # row, some independent and some chained.
+        trace, dl, il, misp = random_ooo_inputs(9, 3000)
+        for begin in (100, 1000, 2000):
+            rows = slice(begin, begin + 3 * MSHRS)
+            trace["kind"][rows] = _LOAD
+            trace["kind"][begin + 1:begin + 3 * MSHRS:3] = _STORE
+            dl[rows] = 3
+            trace["dep"][rows] = 0 if begin < 2000 else 1
+        return trace, dl, il, misp
+    if case == "across_scalar_chunks":
+        # The scalar oracle's chunk boundary, with deps, misses and a
+        # mispredict reaching across it.
+        n = SCALAR_CHUNK_ROWS + 3000
+        trace, dl, il, misp = random_ooo_inputs(10, n)
+        edge = slice(SCALAR_CHUNK_ROWS - 40, SCALAR_CHUNK_ROWS + 40)
+        trace["kind"][edge] = _LOAD
+        dl[edge] = 3
+        trace["dep"][edge] = 5
+        misp[SCALAR_CHUNK_ROWS - 1] = True
+        return trace, dl, il, misp
+    raise ValueError(case)
+
+
+_EDGE_CASES = ["dep_one_at_row_zero", "deps_past_the_ring",
+               "more_misses_than_mshrs", "across_scalar_chunks"]
+
+
+@pytest.mark.parametrize("case", _EDGE_CASES)
+def test_ooo_kernel_bit_identical_at_the_edges(case):
+    """Kernel == scalar where a ring, a guard or a chunk decides: a dep
+    that points before row 0, producers past the ring's floor, more
+    misses in a row than there are MSHRs (each of which waits for the
+    miss MSHRS before it), and the scalar oracle's chunk boundary."""
+    if not _ooo_kernel.kernel_available():
+        pytest.skip("no C compiler available")
+    trace, dl, il, misp = _edge_ooo_inputs(case)
+    configs = _ooo_sweep_configs()
+    ref = [ooo_cycles_scalar(trace, dl, il, misp, c) for c in configs]
+    state = _State(dl, il, misp)
+    assert ooo_cycles_many(trace, [state] * len(configs), configs) == ref
+    assert [ooo_cycles(trace, dl, il, misp, c) for c in configs] == ref
+    if case == "more_misses_than_mshrs":
+        for config, cycles in zip(configs, ref):
+            assert cycles >= 2 * config.memory.latency, config
+
+
+def test_ooo_kernel_reads_the_stored_columns():
+    """Stored dtypes reach the kernel as they are; other dtypes are
+    converted with the same result, and a value that does not fit its
+    column raises instead of wrapping."""
+    if not _ooo_kernel.kernel_available():
+        pytest.skip("no C compiler available")
+    trace, dl, il, misp = random_ooo_inputs(10, 3000)
+    stored = (trace["kind"], trace["dep"], dl, il, misp)
+    columns = _ooo_kernel._columns(*zip(stored, (
+        np.int8, np.int32, np.int8, np.int8, np.bool_)))
+    assert all(got is column for got, column in zip(columns, stored))
+    config = skylake_config()
+    ref = ooo_cycles(trace, dl, il, misp, config)
+    wide = {"pc": trace["pc"], "kind": trace["kind"].astype(np.int64),
+            "dep": trace["dep"].astype(np.int64)}
+    assert ooo_cycles(wide, dl.astype(np.int64), il.astype(np.int64),
+                      misp.astype(np.uint8), config) == ref
+    wide["dep"][5] = 1 << 32  # would wrap to 0 in int32
+    with pytest.raises(ValueError, match="int32"):
+        ooo_cycles(wide, dl, il, misp, config)
+
+
+def test_ooo_many_rejects_line_sizes_that_share_a_state():
+    """One memory-side state is one geometry: configs of two line sizes
+    cannot share it, on either engine."""
+    trace, dl, il, misp = random_ooo_inputs(11, 100)
+    state = _State(dl, il, misp)
+    base = skylake_config()
+    with pytest.raises(ReproError, match="line size"):
+        ooo_cycles_many(trace, [state, state],
+                        [base, base.with_line_size(128)])
 
 
 def _ooo_engine(name: str):
@@ -389,10 +493,9 @@ def test_ooo_cycles_cover_the_dependence_critical_path(engine):
     for seed, n in _INVARIANT_INPUTS:
         trace, _, _, misp = random_ooo_inputs(seed, n)
         memory = (trace["kind"] == _LOAD) | (trace["kind"] == _STORE)
-        trace["kind"] = np.where(memory, int(InstrKind.ALU),
-                                 trace["kind"])
-        dl = np.full(n, -1, dtype=np.int64)
-        il = np.zeros(n, dtype=np.int64)
+        trace["kind"][memory] = int(InstrKind.ALU)
+        dl = np.full(n, -1, dtype=np.int8)
+        il = np.zeros(n, dtype=np.int8)
         floor = _critical_path(trace["kind"], trace["dep"])
         for config in configs:
             assert walk(trace, dl, il, misp, config) >= floor, \
@@ -464,12 +567,11 @@ def test_ooo_long_dependence_and_large_rob_regression():
     trace["kind"][2000] = _LOAD
     dl[2000] = 3
     trace["dep"][8000] = 6000
-    max_dep = max_dep_distance(trace["dep"])
-    assert ring_size(224, n, max_dep) > 4096
+    assert ring_size(224, trace["dep"]) > 6000
     base = skylake_config()
     huge_rob = dataclasses.replace(
         base, core=dataclasses.replace(base.core, rob_entries=8192))
-    assert ring_size(8192, n, max_dep) > 8192
+    assert ring_size(8192, trace["dep"]) > 8192
     for config in (base, huge_rob):
         ref = ooo_cycles_scalar(trace, dl, il, misp, config)
         assert ooo_cycles(trace, dl, il, misp, config) == ref
@@ -485,9 +587,9 @@ def test_kind_latency_table_derived_from_isa():
 def test_ooo_empty_and_tiny_traces(monkeypatch):
     config = skylake_config()
     empty = {"pc": np.zeros(0, dtype=np.int64),
-             "kind": np.zeros(0, dtype=np.int64),
-             "dep": np.zeros(0, dtype=np.int64)}
-    zeros = np.zeros(0, dtype=np.int64)
+             "kind": np.zeros(0, dtype=np.int8),
+             "dep": np.zeros(0, dtype=np.int32)}
+    zeros = np.zeros(0, dtype=np.int8)
     state = _State(zeros, zeros, zeros.astype(bool))
     trace, dl, il, misp = random_ooo_inputs(6, 1)
     ref = ooo_cycles_scalar(trace, dl, il, misp, config)
