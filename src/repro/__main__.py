@@ -285,7 +285,7 @@ def cmd_cache(args) -> int:
     rows = [[kind,
              str(usage.get(kind, {}).get("entries", 0)),
              f"{usage.get(kind, {}).get('bytes', 0) / 1e6:.1f} MB"]
-            for kind in ("traces", "states", "telemetry")]
+            for kind in ("traces", "states", "kernels", "telemetry")]
     queue = usage.get("queue", {})
     rows.append(["queue",
                  f"{queue.get('campaigns', 0)} campaigns / "

@@ -19,10 +19,19 @@ artifact kinds on disk:
     equal levels deflate to well under 0.1 B per instruction),
     cache/branch counters in the sidecar.
 
+``kernels/``
+    one compiled C kernel per entry (:mod:`repro.host.kernel_loader`):
+    the shared library as a ``.so`` file, and a sidecar holding only
+    its checksum and key parameters. A library is loaded, so it runs:
+    :meth:`DiskCache.load_kernel` and :meth:`DiskCache.store_kernel`
+    use an entry only while ``kernels/`` and the library belong to the
+    current user and are writable by no one else.
+
 Entries are content-addressed: the file name is the SHA-256 of the
 canonical JSON of every parameter that determines the artifact (run
 parameters for traces; run parameters plus the full machine geometry
-for states) salted with :data:`CACHE_SCHEMA`. Anything that would
+for states; the kernel's source, flags, compiler and platform for
+kernels) salted with :data:`CACHE_SCHEMA`. Anything that would
 change the bytes changes the key, so there is no invalidation protocol
 beyond "bump the schema when the serialized layout changes" and
 "delete the directory when the simulator's behavior changes".
@@ -83,7 +92,7 @@ from .resilience import FaultPlan
 CACHE_SCHEMA = 3
 
 #: Payload extension per artifact kind.
-_PAYLOAD_EXT = {"traces": ".rpt", "states": ".npz"}
+_PAYLOAD_EXT = {"traces": ".rpt", "states": ".npz", "kernels": ".so"}
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_TOGGLE_ENV = "REPRO_CACHE"
@@ -110,6 +119,26 @@ def cache_root() -> Path | None:
     if toggle in _OFF_VALUES:
         return None
     return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
+
+
+def kernel_cache() -> DiskCache | None:
+    """The disk cache compiled kernels are kept in (None: build them
+    privately). None when the cache is off or its root does not exist:
+    building a kernel never creates the cache root."""
+    root = cache_root()
+    if root is None or not root.is_dir():
+        return None
+    return DiskCache(root)
+
+
+def _private(path: Path) -> bool:
+    """True when ``path`` is the current user's and no one else may
+    write it (what a library must be before it is loaded)."""
+    try:
+        stat = path.stat()
+    except OSError:
+        return False
+    return stat.st_uid == os.getuid() and not stat.st_mode & 0o022
 
 
 def content_key(params: dict) -> str:
@@ -436,6 +465,50 @@ class DiskCache:
                                       kind="states").inc()
 
     # ------------------------------------------------------------------
+    # Compiled kernels
+    # ------------------------------------------------------------------
+
+    def load_kernel(self, key: str) -> Path | None:
+        """The library of a committed kernel entry, checksum verified
+        (None on a miss, on corruption, or when it is not private)."""
+        if not self.enabled:
+            return None
+        payload, _ = self._paths("kernels", key)
+        if not (_private(payload.parent) and _private(payload)):
+            return None
+        loaded = self._load_sidecar("kernels", key)
+        if loaded is None:
+            return None
+        self._touch("kernels", key)
+        return loaded[1]
+
+    def store_kernel(self, key: str, library: Path,
+                     key_params: dict) -> None:
+        """Commit a built library; skipped when ``kernels/`` is not
+        private. Never creates the cache root."""
+        if not self.enabled:
+            return
+        payload_path, meta_path = self._paths("kernels", key)
+
+        def writer(tmp: Path) -> None:
+            # Mode 0o644, which a umask can only narrow: the entry stays
+            # private.
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(library.read_bytes())
+
+        try:
+            payload_path.parent.mkdir(mode=0o755, exist_ok=True)
+            if not _private(payload_path.parent):
+                return
+            atomic_write(payload_path, writer)
+            self._finish_store("kernels", key, payload_path, meta_path,
+                               {"key_params": key_params})
+        except OSError:
+            TELEMETRY.metrics.counter("cache.write_errors",
+                                      kind="kernels").inc()
+
+    # ------------------------------------------------------------------
     # Maintenance: tmp sweeping, size-bounded gc, usage
     # ------------------------------------------------------------------
 
@@ -572,10 +645,11 @@ class DiskCache:
         counts).
 
         Size-based LRU covers the artifact kinds (``traces/``,
-        ``states/``). The run registry under ``telemetry/`` is never
-        evicted by size — its retention is record-count based and
-        explicit (:meth:`repro.telemetry.registry.RunRegistry.prune`,
-        invoked by ``repro cache gc``).
+        ``states/``, ``kernels/``). The run registry under
+        ``telemetry/`` is never evicted by size — its retention is
+        record-count based and explicit
+        (:meth:`repro.telemetry.registry.RunRegistry.prune`, invoked by
+        ``repro cache gc``).
         """
         stats = {"evicted": 0, "bytes_freed": 0, "kept_entries": 0,
                  "kept_bytes": 0, "tmp_removed": 0,

@@ -22,6 +22,9 @@ rely on:
   trees into ``TELEMETRY.workers`` — so the run manifest and the
   unified Chrome trace cover the whole fan-out. (Work lost to a
   crashed worker is not counted: its sinks died with it.)
+* **Kernels** — the parent loads or builds every compiled C kernel
+  (:mod:`repro.host.kernel_loader`) before its first fork, so the
+  workers inherit the loaded libraries and never run the compiler.
 * **Cache sharing** — workers build their own
   :class:`~repro.experiments.runner.ExperimentRunner` from
   :meth:`~repro.experiments.runner.ExperimentRunner.spawn_params`, so
@@ -215,9 +218,19 @@ def fan_out(runner, fn, items, jobs: int | None = None,
         return [fn(runner, *args) for args in items]
     if policy is None:
         policy = RetryPolicy()
+    load_kernels()
     supervisor = _Supervisor(runner, fn, items, jobs, policy,
                              FaultPlan.from_env())
     return supervisor.run()
+
+
+def load_kernels() -> None:
+    """Load or build every compiled C kernel in this process (before a
+    pool forks, so that its workers inherit them)."""
+    from ..host import _codec_kernel, _emit_kernel
+    from ..uarch import _ooo_kernel
+    for module in (_codec_kernel, _emit_kernel, _ooo_kernel):
+        module.get_kernel()
 
 
 class _PoolLost(Exception):

@@ -70,12 +70,11 @@ def run_probe(repeats: int = 3) -> dict:
     import tempfile
 
     from ..config import skylake_config
-    from ..host import _codec_kernel, _emit_kernel
     from ..host.trace import InstructionTrace
     from ..pintool.postprocess import attribute
-    from ..uarch import _ooo_kernel
     from ..uarch.system import SimulatedSystem
     from .diskcache import DiskCache
+    from .parallel import load_kernels
     from .runner import ExperimentRunner
 
     snapshot = TELEMETRY.metrics.snapshot
@@ -88,8 +87,7 @@ def run_probe(repeats: int = 3) -> dict:
     system = SimulatedSystem(config)
     # Build the C kernels before the timed loops, so that no gauge times
     # a build: with repeats=1 there is no later repeat to keep instead.
-    for kernel in (_emit_kernel, _ooo_kernel, _codec_kernel):
-        kernel.get_kernel()
+    load_kernels()
     with TELEMETRY.tracer.span("perf.probe", workload=PROBE_WORKLOAD), \
             tempfile.TemporaryDirectory() as tmp:
         for _ in range(repeats):

@@ -82,7 +82,7 @@ def _cache_lines() -> list[str]:
         return ["disk cache : off (REPRO_CACHE=off)"]
     lines = [f"disk cache : {usage['entries']} entries, "
              f"{_fmt_bytes(usage['bytes'])} at {usage['root']}"]
-    for kind in ("traces", "states"):
+    for kind in ("traces", "states", "kernels"):
         block = usage.get(kind)
         if block:
             lines.append(f"  {kind:9s}: {block['entries']} entries, "

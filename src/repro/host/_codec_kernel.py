@@ -1,15 +1,23 @@
-"""Optional compiled kernel for the trace codec's varint hot loop.
+"""Optional compiled kernels for the trace codec's hot loops.
 
 The v2 trace codec (:mod:`repro.host.codec`) spends essentially all of
 its time turning uint64 zigzag values into LEB128 varint bytes and
-back. Both directions are tight byte-at-a-time loops over buffers the
-delta/zigzag stages have already prepared, so — exactly like the OOO
-core's :mod:`repro.uarch._ooo_kernel` and the burst flush's
-:mod:`repro.host._emit_kernel` — :mod:`repro.host.kernel_loader`
-builds them into a per-process shared library at first use. No
-compiler or a failed build leaves the pure-NumPy reference in
-``codec.py``, and both paths produce bit-identical bytes (LEB128 is
-canonical: one encoding per value, so the kernel is an
+back. Both directions are tight byte-at-a-time loops, so — exactly
+like the OOO core's :mod:`repro.uarch._ooo_kernel` and the burst
+flush's :mod:`repro.host._emit_kernel` — they are a short C source
+that :mod:`repro.host.kernel_loader` builds once per disk cache and
+loads in every process that uses it:
+
+* ``varint_encode`` writes the varints of values the delta/zigzag
+  stages have already prepared;
+* ``segment_decode`` decodes a whole ``zv``/``dzv`` column segment in
+  one pass, straight into its slice of the preallocated column:
+  varint, unzigzag, the running sum for ``dzv``, and for ``zv`` the
+  narrowing to int32 with a range check.
+
+No compiler or a failed build leaves the pure-NumPy reference in
+``codec.py``, and both paths produce bit-identical bytes and columns
+(LEB128 is canonical: one encoding per value, so the kernel is an
 evaluation-order change, not a format change).
 """
 
@@ -42,14 +50,20 @@ int64_t varint_encode(const uint64_t *vals, int64_t n, uint8_t *out)
     return w;
 }
 
-/* Decode exactly `count` values from `buf`. Returns the number of
-   bytes consumed, or -1 when the stream is truncated or a value runs
-   past 10 bytes (not a canonical int64 varint). The caller treats any
-   return != nbytes as corruption. */
+/* Decode one column segment of exactly `count` values into `out`:
+   zigzag varints, plus a running sum (mod 2^64) into int64 values when
+   `delta` is set (dzv), else int32 values that must fit (zv). Returns
+   the number of bytes consumed, -1 when the stream is truncated or a
+   value runs past 10 bytes (not a canonical int64 varint), and -2 when
+   a zv value does not fit int32. The caller treats any return !=
+   nbytes as corruption. */
 
-int64_t varint_decode(const uint8_t *buf, int64_t nbytes,
-                      uint64_t *out, int64_t count)
+int64_t segment_decode(const uint8_t *buf, int64_t nbytes,
+                       int64_t count, int delta, void *out)
 {
+    int64_t *out64 = out;
+    int32_t *out32 = out;
+    uint64_t sum = 0;
     int64_t r = 0;
     for (int64_t i = 0; i < count; i++) {
         uint64_t v = 0;
@@ -63,7 +77,16 @@ int64_t varint_decode(const uint8_t *buf, int64_t nbytes,
                 break;
             shift += 7;
         }
-        out[i] = v;
+        v = (v >> 1) ^ (0 - (v & 1));
+        if (delta) {
+            sum += v;
+            out64[i] = (int64_t)sum;
+        } else {
+            int64_t s = (int64_t)v;
+            if (s < INT32_MIN || s > INT32_MAX)
+                return -2;
+            out32[i] = (int32_t)s;
+        }
     }
     return r;
 }
@@ -80,8 +103,9 @@ def _build() -> _CodecKernel | None:
     i64 = ctypes.c_int64
     dll.varint_encode.restype = i64
     dll.varint_encode.argtypes = [_PU64, i64, _PU8]
-    dll.varint_decode.restype = i64
-    dll.varint_decode.argtypes = [_PU8, i64, _PU64, i64]
+    dll.segment_decode.restype = i64
+    dll.segment_decode.argtypes = [_PU8, i64, i64, ctypes.c_int,
+                                   ctypes.c_void_p]
     return _CodecKernel(dll)
 
 
@@ -99,12 +123,17 @@ class _CodecKernel:
             values.ctypes.data_as(_PU64), values.size,
             out.ctypes.data_as(_PU8)))
 
-    def decode(self, buf: np.ndarray, out: np.ndarray) -> int:
-        """Decode ``out.size`` varints from ``buf``; bytes consumed
-        (-1 on malformed input)."""
-        return int(self._dll.varint_decode(
-            buf.ctypes.data_as(_PU8), buf.size,
-            out.ctypes.data_as(_PU64), out.size))
+    def decode_segment(self, seg: np.ndarray, out: np.ndarray) -> int:
+        """Decode one ``zv`` (int32 ``out``) or ``dzv`` (int64 ``out``)
+        segment into ``out``; bytes consumed (-1 on a malformed stream,
+        -2 on a ``zv`` value outside int32)."""
+        if seg.dtype != np.uint8 or out.dtype not in (np.int32, np.int64) \
+                or not (seg.flags.c_contiguous and out.flags.c_contiguous):
+            raise ValueError("segment_decode needs contiguous uint8 bytes "
+                             "and a contiguous int32 or int64 column")
+        return int(self._dll.segment_decode(
+            seg.ctypes.data_as(_PU8), seg.size, out.size,
+            out.dtype == np.int64, out.ctypes.data))
 
 
 _slot: KernelSlot[_CodecKernel] = KernelSlot()

@@ -24,12 +24,14 @@ OS page cache shares the mapped bytes between every process on the
 host. A loaded trace (:meth:`~repro.host.trace.InstructionTrace.load`)
 decodes each column it is asked for in full, with
 :meth:`FrameReader.column`, and keeps it; its ``arrays()`` decodes all
-eight. Every decoded column is a copy, so once the last one is decoded
-the trace closes its reader and the mapping goes (a later decode maps
-the file again). :meth:`FrameReader.decode_range` decodes only the
-frames that cover a row range; it runs when ``slice_view`` is called on
-a loaded trace whose columns are not all decoded, which no figure or
-query does.
+eight. A decode allocates the column once and fills it frame by frame:
+each ``u8`` segment is copied into its slice, and each ``zv``/``dzv``
+segment is decoded straight into its slice. Every decoded column is a
+copy, so once the last one is decoded the trace closes its reader and
+the mapping goes (a later decode maps the file again).
+:meth:`FrameReader.decode_range` decodes only the frames that cover a
+row range; it runs when ``slice_view`` is called on a loaded trace
+whose columns are not all decoded, which no figure or query does.
 
 File layout::
 
@@ -42,12 +44,16 @@ writes to a temp name, the cache renames and records a SHA-256), so a
 truncated or bit-flipped file is either caught by the checksum on
 load or rejected here with a typed :class:`~repro.errors.TraceError`
 (varint streams validate their value count, byte count, and length
-bounds; the directory validates segment ranges).
+bounds; an int32 column's values must fit int32; the directory
+validates segment ranges).
 
-The varint hot loop dispatches to a compiled C kernel
-(:mod:`repro.host._codec_kernel`) when a C compiler built one; the
-pure-NumPy reference here is bit-identical — LEB128 is canonical, one
-encoding per value.
+The varint encode loop, and the whole decode of a ``zv``/``dzv``
+segment (varint, unzigzag, running sum, narrowing), dispatch to the
+compiled C kernels of :mod:`repro.host._codec_kernel` when a C
+compiler built them. The pure-NumPy reference here is the oracle and
+the engine without a compiler; both give the same bytes and columns,
+and reject the same inputs with a ``TraceError`` — LEB128 is
+canonical, one encoding per value.
 """
 
 from __future__ import annotations
@@ -85,6 +91,8 @@ _HEADER = struct.Struct("<4sIQQ")
 #: Encoding id per column, fixed by dtype (see module docstring).
 _ENCODINGS = {np.dtype("int64"): "dzv", np.dtype("int32"): "zv",
               np.dtype("int8"): "u8"}
+
+_INT32 = np.iinfo(np.int32)
 
 _U0 = np.uint64(0)
 _U1 = np.uint64(1)
@@ -167,20 +175,6 @@ def _varint_encode(u: np.ndarray) -> np.ndarray:
     return out[:written].copy()
 
 
-def _varint_decode(buf: np.ndarray, count: int) -> np.ndarray:
-    kernel = _codec_kernel.get_kernel()
-    if kernel is None:
-        return _varint_decode_numpy(buf, count)
-    out = np.empty(count, dtype=np.uint64)
-    consumed = kernel.decode(np.ascontiguousarray(buf), out)
-    if consumed != buf.size:
-        raise TraceError(
-            "varint stream is truncated, overlong, or has trailing "
-            f"bytes ({consumed} of {buf.size} bytes consumed for "
-            f"{count} values)")
-    return out
-
-
 # ----------------------------------------------------------------------
 # Column segment encode / decode
 # ----------------------------------------------------------------------
@@ -201,16 +195,45 @@ def _encode_column(values: np.ndarray, dtype: np.dtype) -> bytes:
 
 def _decode_column(seg: np.ndarray, rows: int, dtype: np.dtype,
                    ) -> np.ndarray:
+    """NumPy reference: one frame's segment of a column, decoded."""
     encoding = _ENCODINGS[dtype]
     if encoding == "u8":
         if seg.size != rows:
             raise TraceError(
                 f"u8 segment holds {seg.size} rows, expected {rows}")
         return seg.astype(np.uint8).view(np.int8)
-    signed = _unzigzag(_varint_decode(seg, rows))
+    signed = _unzigzag(_varint_decode_numpy(seg, rows))
     if encoding == "dzv":
-        signed = np.cumsum(signed, dtype=np.uint64)
-    return signed.view(np.int64).astype(dtype, copy=False)
+        return np.cumsum(signed, dtype=np.uint64).view(np.int64)
+    signed = signed.view(np.int64)
+    if signed.size and (signed.min() < _INT32.min
+                        or signed.max() > _INT32.max):
+        raise TraceError("zv segment holds a value outside int32")
+    return signed.astype(np.int32)
+
+
+def _decode_into(seg: np.ndarray, out: np.ndarray) -> None:
+    """Decode one frame's segment of a column into ``out``, the frame's
+    slice of the column (its dtype says how the segment is encoded)."""
+    encoding = _ENCODINGS[out.dtype]
+    if encoding == "u8":
+        if seg.size != out.size:
+            raise TraceError(
+                f"u8 segment holds {seg.size} rows, expected {out.size}")
+        out[:] = seg.view(np.int8)
+        return
+    kernel = _codec_kernel.get_kernel()
+    if kernel is None:
+        out[:] = _decode_column(seg, out.size, out.dtype)
+        return
+    consumed = kernel.decode_segment(seg, out)
+    if consumed == -2:
+        raise TraceError("zv segment holds a value outside int32")
+    if consumed != seg.size:
+        raise TraceError(
+            "varint stream is truncated, overlong, or has trailing "
+            f"bytes ({consumed} of {seg.size} bytes consumed for "
+            f"{out.size} values)")
 
 
 # ----------------------------------------------------------------------
@@ -387,6 +410,10 @@ class FrameReader:
                     raise TraceError(
                         f"frame segment [{off}, {off + length}) out of "
                         f"range in {self.path}")
+            if frame_count < 0:
+                self._report_corrupt()
+                raise TraceError(
+                    f"frame declares {frame_count} rows in {self.path}")
             covered += frame_count
         if covered != rows:
             self._report_corrupt()
@@ -414,13 +441,12 @@ class FrameReader:
             except Exception:  # pragma: no cover - callback safety net
                 pass
 
-    def _frame_column(self, index: int, name: str) -> np.ndarray:
-        frame = self._frames[index]
-        offset, length = frame["segments"][name]
-        seg = self._data()[offset:offset + length]
-        dtype = DTYPES[COLUMNS.index(name)]
+    def _decode_frame(self, index: int, name: str,
+                      out: np.ndarray) -> None:
+        """Decode frame ``index`` of column ``name`` into ``out``."""
+        offset, length = self._frames[index]["segments"][name]
         try:
-            return _decode_column(seg, frame["rows"], dtype)
+            _decode_into(self._data()[offset:offset + length], out)
         except TraceError as exc:
             self._report_corrupt()
             raise TraceError(
@@ -431,13 +457,13 @@ class FrameReader:
 
     def column(self, name: str) -> np.ndarray:
         """Decode one full column (all frames, nothing else)."""
-        dtype = DTYPES[COLUMNS.index(name)]
-        if not self._frames:
-            return np.zeros(0, dtype=dtype)
+        column = np.empty(self.rows, dtype=DTYPES[COLUMNS.index(name)])
         t0 = time.perf_counter()
-        parts = [self._frame_column(i, name)
-                 for i in range(len(self._frames))]
-        column = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        start = 0
+        for index, frame in enumerate(self._frames):
+            stop = start + frame["rows"]
+            self._decode_frame(index, name, column[start:stop])
+            start = stop
         self._note_decode(column.nbytes, time.perf_counter() - t0)
         return column
 
@@ -448,29 +474,27 @@ class FrameReader:
             raise TraceError(
                 f"slice [{start}, {stop}) out of range for trace of "
                 f"length {self.rows}")
-        out = {name: [] for name in COLUMNS}
+        arrays = {name: np.empty(stop - start, dtype=dtype)
+                  for name, dtype in zip(COLUMNS, DTYPES)}
         t0 = time.perf_counter()
         frame_start = 0
         for index, frame in enumerate(self._frames):
-            frame_stop = frame_start + frame["rows"]
-            if frame_stop > start and frame_start < stop:
-                lo = max(start - frame_start, 0)
-                hi = min(stop - frame_start, frame["rows"])
-                for name in COLUMNS:
-                    out[name].append(
-                        self._frame_column(index, name)[lo:hi])
-            frame_start = frame_stop
             if frame_start >= stop:
                 break
-        arrays = {}
-        for name, dtype in zip(COLUMNS, DTYPES):
-            parts = out[name]
-            if not parts:
-                arrays[name] = np.zeros(0, dtype=dtype)
-            elif len(parts) == 1:
-                arrays[name] = parts[0]
-            else:
-                arrays[name] = np.concatenate(parts)
+            frame_stop = frame_start + frame["rows"]
+            lo, hi = max(start, frame_start), min(stop, frame_stop)
+            if lo < hi:
+                for name, column in arrays.items():
+                    dest = column[lo - start:hi - start]
+                    if hi - lo == frame["rows"]:
+                        self._decode_frame(index, name, dest)
+                        continue
+                    # A frame the range cuts: its deltas run from the
+                    # frame's first row, so decode it whole.
+                    whole = np.empty(frame["rows"], dtype=column.dtype)
+                    self._decode_frame(index, name, whole)
+                    dest[:] = whole[lo - frame_start:hi - frame_start]
+            frame_start = frame_stop
         self._note_decode(sum(a.nbytes for a in arrays.values()),
                           time.perf_counter() - t0)
         return arrays

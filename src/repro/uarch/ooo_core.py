@@ -39,6 +39,12 @@ Two bit-identical engines implement the model:
   finish ring for the call and walks every (state, config) pair in
   turn.
 
+Both index latency tables by instruction kind and service level, so
+both check those columns first and raise the same ``ValueError`` for a
+kind outside :data:`KIND_LATENCY_TICKS` or a level outside
+``SERVICE_NONE..SERVICE_MEM``: a NumPy min/max per column, once per
+call for the kinds and once per memory-side state for the levels.
+
 Both do all time arithmetic in integer **ticks** (``TICKS`` per cycle,
 a power of two), so every sum and max is exact — the same discipline
 the memory-side engines use, extended to the core model's fractional
@@ -55,7 +61,7 @@ from ..config import MachineConfig
 from ..errors import ReproError
 from ..host.isa import KIND_LATENCY, InstrKind
 from ..telemetry import TELEMETRY
-from .cache import SCALAR_CHUNK_ROWS
+from .cache import SCALAR_CHUNK_ROWS, SERVICE_MEM, SERVICE_NONE
 
 #: Integer time resolution: ticks per clock cycle (power of two, so
 #: ``ticks / TICKS`` is an exact float division). 1/65536 of a cycle is
@@ -82,6 +88,25 @@ KIND_LATENCY_TICKS = np.zeros(max(int(k) for k in InstrKind) + 1,
 for _kind in InstrKind:
     KIND_LATENCY_TICKS[int(_kind)] = KIND_LATENCY[_kind] * TICKS
 del _kind
+
+
+def _check_range(name: str, column: np.ndarray, low: int,
+                 high: int) -> None:
+    """Raise ``ValueError`` unless every value of ``column`` is in
+    ``[low, high]`` (the walks index tables with them)."""
+    if len(column) and (np.min(column) < low or np.max(column) > high):
+        raise ValueError(f"{name} holds values outside {low}..{high}")
+
+
+def _check_kinds(kind: np.ndarray) -> None:
+    """Every kind indexes :data:`KIND_LATENCY_TICKS`."""
+    _check_range("kind", kind, 0, len(KIND_LATENCY_TICKS) - 1)
+
+
+def _check_levels(dlevel: np.ndarray, ilevel: np.ndarray) -> None:
+    """Every service level indexes the load and fetch latency tables."""
+    _check_range("dlevel", dlevel, SERVICE_NONE, SERVICE_MEM)
+    _check_range("ilevel", ilevel, SERVICE_NONE, SERVICE_MEM)
 
 
 def _load_latencies(config: MachineConfig) -> list[int]:
@@ -149,6 +174,8 @@ def ooo_cycles_scalar(trace_arrays: dict[str, np.ndarray],
         raise ValueError("trace columns differ in length")
     if n == 0:
         return 0.0
+    _check_kinds(trace_arrays["kind"])
+    _check_levels(dlevel, ilevel)
 
     front_interval = front_interval_ticks(config)
     rob = config.core.rob_entries
@@ -247,7 +274,8 @@ def _kernel_walks(trace_arrays: dict[str, np.ndarray], memory,
 
     ``memory`` holds a ``(dlevel, ilevel, mispredicted)`` triple per
     config. Every walk reads the columns as they are stored, through
-    one finish ring size for the whole call.
+    one finish ring size for the whole call. The kinds are checked once
+    per call, and the levels once per memory side.
     """
     from . import _ooo_kernel
     if not configs:
@@ -255,6 +283,12 @@ def _kernel_walks(trace_arrays: dict[str, np.ndarray], memory,
     if TELEMETRY.enabled:
         TELEMETRY.metrics.counter("sim.ooo.kernel_calls").inc(len(configs))
     kind, dep = trace_arrays["kind"], trace_arrays["dep"]
+    _check_kinds(kind)
+    checked = set()
+    for dlevel, ilevel, _ in memory:
+        if (id(dlevel), id(ilevel)) not in checked:
+            checked.add((id(dlevel), id(ilevel)))
+            _check_levels(dlevel, ilevel)
     ring = ring_size(max(config.core.rob_entries for config in configs),
                      dep)
     return [_ooo_kernel.ooo_walk(kind, dep, dlevel, ilevel, mispredicted,

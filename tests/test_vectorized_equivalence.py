@@ -450,6 +450,45 @@ def test_ooo_many_rejects_line_sizes_that_share_a_state():
                         [base, base.with_line_size(128)])
 
 
+def _out_of_range_ooo_inputs(case: str):
+    """2000 random rows with one kind of value the latency tables have
+    no entry for."""
+    trace, dl, il, misp = random_ooo_inputs(12, 2000)
+    if case == "five_loads_at_dlevel_9":
+        dl[np.flatnonzero(trace["kind"] == _LOAD)[:5]] = 9
+        return trace, dl, il, misp, "dlevel"
+    if case == "ilevel_4":
+        il[17] = 4
+        return trace, dl, il, misp, "ilevel"
+    if case == "negative_kind":
+        trace["kind"][3] = -1
+        return trace, dl, il, misp, "kind"
+    if case == "kind_past_the_table":
+        trace["kind"][3] = len(KIND_LATENCY_TICKS)
+        return trace, dl, il, misp, "kind"
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("engine", ["scalar", "kernel"])
+@pytest.mark.parametrize("case", ["five_loads_at_dlevel_9", "ilevel_4",
+                                  "negative_kind", "kind_past_the_table"])
+def test_ooo_out_of_range_kind_or_level_raises(engine, case):
+    """Both engines raise the same ValueError for a kind or service
+    level their latency tables do not cover. The kernel read past its
+    tables there (five loads at dlevel 9 gave 2.1e9 cycles), and the
+    oracle raised IndexError, or for a negative kind wrapped."""
+    walk = _ooo_engine(engine)
+    trace, dl, il, misp, column = _out_of_range_ooo_inputs(case)
+    config = skylake_config()
+    message = f"{column} holds values outside"
+    with pytest.raises(ValueError, match=message):
+        walk(trace, dl, il, misp, config)
+    if engine == "kernel":
+        with pytest.raises(ValueError, match=message):
+            ooo_cycles_many(trace, [_State(dl, il, misp)] * 2,
+                            [config, config.with_issue_width(8)])
+
+
 def _ooo_engine(name: str):
     """The scalar oracle, or the kernel (skipped without a compiler)."""
     if name == "scalar":
