@@ -5,8 +5,8 @@ template ids, copy each template's static rows into the trace buffer,
 and add the linear fixups from the flat dynamic-operand stream. That is
 a ~40-line C loop, so — exactly like the OOO core's
 :mod:`repro.uarch._ooo_kernel` — :mod:`repro.host.kernel_loader`
-builds it into a per-process shared library at first use and the
-engine dispatches flushes to it. No compiler or a failed build leaves
+builds it into a shared library once per disk cache, loads it at first
+use, and the engine dispatches flushes to it. No compiler or a failed build leaves
 the batched-NumPy flush, and both paths stamp bit-identical rows (the
 kernel is an evaluation order change, not a model change).
 """

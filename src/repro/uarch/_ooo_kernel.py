@@ -13,8 +13,8 @@ reproduce them bit for bit at memory speed:
   (:func:`~repro.uarch.branch.simulate_branches_scalar`).
 
 When a C compiler is available, :mod:`repro.host.kernel_loader` builds
-all three into one per-process shared library (one compiler run, one
-slot), and :func:`~repro.uarch.ooo_core.ooo_cycles`,
+all three into one shared library once per disk cache (one compiler
+run, one slot per process), and :func:`~repro.uarch.ooo_core.ooo_cycles`,
 :func:`~repro.uarch.cache.simulate_cache_hierarchy` and
 :func:`~repro.uarch.branch.simulate_branches` run through it, releasing
 the GIL while they walk. Every walk reads the trace
@@ -24,7 +24,9 @@ a walk copies no column. The memory-side walks keep their state in C,
 so besides its outputs (one byte per row each) a walk allocates only
 the cache and predictor tables; an OOO walk allocates only its finish
 ring. Without a compiler the scalar oracles run instead; both return
-the same bits for every trace and config.
+the same bits for every trace and config, and the OOO engines reject
+the same out-of-range kinds and service levels
+(:func:`~repro.uarch.ooo_core.ooo_cycles_scalar`).
 """
 
 from __future__ import annotations
@@ -389,7 +391,9 @@ def ooo_walk(kind: np.ndarray, dep: np.ndarray, dlevel: np.ndarray,
     ``ilevel`` int8, ``dep`` int32 and ``mispredicted`` bool (other
     dtypes are converted first, see :func:`_columns`). ``ring`` is the
     finish ring's size, from :func:`~repro.uarch.ooo_core.ring_size`.
-    Callers must check :func:`kernel_available` first.
+    Callers must check :func:`kernel_available` first, and the kinds
+    and service levels against the tables they index (as
+    :func:`~repro.uarch.ooo_core.ooo_cycles_many` does).
     """
     kind, dep, dlevel, ilevel, mispredicted = _columns(
         (kind, np.int8), (dep, np.int32), (dlevel, np.int8),
